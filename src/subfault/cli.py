@@ -14,7 +14,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .matstack import RankPolicy
 from .sysgen import (
     load_system_json,
     read_trajectory_csv,
@@ -155,10 +154,7 @@ def _cmd_fault_recover(args) -> int:
     u = read_trajectory_csv(args.u, role="input")
     y = read_trajectory_csv(args.y, role="output")
     system, _ = load_system_json(args.system)
-    if args.rank_policy == "rel":
-        policy = RankPolicy.relative(args.rank_tol)
-    else:
-        policy = RankPolicy.gap(fallback_tol=args.rank_tol)
+    policy = ExperimentConfig(rank_policy=args.rank_policy, rank_tol=args.rank_tol).policy()
     rec = recover(y, u, system, s=args.window, policy=policy, method=args.method)
     rep = select_representative(rec, policy=args.policy, n_v=max(rec.n_v_estimate, 1))
     x_tilde_0 = estimate_initial_state(system, u, y, horizon=min(len(u), 50))

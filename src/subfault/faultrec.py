@@ -345,7 +345,10 @@ def annihilator_fault_basis(
     u_o = np.linalg.svd(obs, full_matrices=True)[0]
     b_perp = u_o[:, n_x:]
     proj = b_perp.T @ r_mat
-    u2, s2, _ = np.linalg.svd(proj, full_matrices=True)
+    # only U is read; its columns past the rank are needed only when proj is
+    # tall (a short record), so a wide proj takes the thin SVD and never
+    # forms its (T - s + 1)-square right factor
+    u2, s2, _ = np.linalg.svd(proj, full_matrices=proj.shape[1] < proj.shape[0])
     tau = _error_floor(s2, proj.shape)
     exact = s2.size > 0 and s2[-1] <= tau
     if exact:

@@ -39,7 +39,7 @@ from .sysgen import (
     white_input,
     write_trajectory_csv,
 )
-from .subid import estimate_initial_state, markov_params, pi_moesp
+from .subid import estimate_initial_state, estimate_order, markov_params, pi_moesp
 from .faultrec import (
     recover,
     reconstruct_fault,
@@ -264,13 +264,18 @@ def markov_relative_error(est: StateSpace, true: StateSpace, count: int = 10) ->
 
 
 def _identify(u, y, config: ExperimentConfig, true_order: int):
-    """Identification with auto order and fallback to the configured order."""
-    result = pi_moesp(u, y, s=config.ident_window, order="auto", order_hint=true_order, demean=True)
-    fallback = False
-    if not result.order_confident or result.chosen_order != true_order:
-        result = pi_moesp(u, y, s=config.ident_window, order=true_order, demean=True)
-        fallback = True
-    return result, fallback
+    """Identification at the configured order, flagging an auto-order miss.
+
+    The model is always identified at ``true_order``. The flag is set when
+    the automatic selection on the same order spectrum would have picked
+    another order or found no confident gap, i.e. when identification with
+    ``order="auto"`` falls back to the configured order. The window, and so
+    the QR and SVD behind that spectrum, depend only on the order hint, so
+    one ``pi_moesp`` call serves both.
+    """
+    result = pi_moesp(u, y, s=config.ident_window, order=true_order, demean=True)
+    sel = estimate_order(result.order_singular_values)
+    return result, not sel.confident or sel.order != true_order
 
 
 def _fault_trajectory(n_v: int, t: int, seed) -> Trajectory:
@@ -564,7 +569,9 @@ def emit_plot_data(report, kind: str, path) -> None:
     "singular_values" wants an example report and writes index,sv_Rs,sv_Rs1
     rows (identified branch, the shorter column padded empty). "boxplot"
     wants a Monte-Carlo report and writes one row of Tukey statistics per
-    zero count with outliers semicolon separated.
+    zero count with outliers semicolon separated; a zero count none of whose
+    instances succeeded gets a row with empty statistics fields (its
+    failures stay in the report records).
     """
     if kind == "singular_values":
         if not isinstance(report, dict) or "identified_branch" not in report:
@@ -587,7 +594,8 @@ def emit_plot_data(report, kind: str, path) -> None:
             fh.write("zeros,median,q1,q3,lo_whisker,hi_whisker,outliers\n")
             for zero_count, stats in report.per_count.items():
                 if stats is None:
-                    raise ValueError(f"no data for zero count {zero_count}")
+                    fh.write(f"{zero_count},,,,,,\n")
+                    continue
                 outliers = ";".join(repr(x) for x in stats["outliers"])
                 fh.write(
                     f"{zero_count},{stats['median']!r},{stats['q1']!r},{stats['q3']!r},"

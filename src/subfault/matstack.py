@@ -1,9 +1,12 @@
 """Dense linear-algebra kernel for block-structured system data.
 
-Everything operates on plain float64 numpy arrays. Matrices are dense;
-problem sizes here never exceed a few hundred rows, so no sparse machinery
-is provided. All decompositions are deterministic: singular-vector signs
-are normalized so that each column's first significant entry is positive.
+Everything operates on plain float64 numpy arrays, and no sparse machinery
+is provided. Matrices are dense. Block Hankel data matrices have a few
+dozen rows but one column per sample, so their width grows with the record
+length T; the dense Toeplitz systems of fault reconstruction are square in
+T, (T n_y) x (n_x + T n_v). All decompositions are deterministic:
+singular-vector signs are normalized so that each column's first
+significant entry is positive.
 """
 
 from __future__ import annotations

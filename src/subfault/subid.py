@@ -208,7 +208,9 @@ def _estimate_b_d_x0(a, c, u_data, y_data):
     """Joint least squares for B, D and x0 given A and C.
 
     The regressors are C A^k (for x0), C Z_j(k) with Z_j(k+1) = A Z_j(k) +
-    u_j(k) I (for column j of B), and u_j(k) I (for column j of D).
+    u_j(k) I (for column j of B), and u_j(k) I (for column j of D). A^k and
+    the Z_j run as one batched recursion W(k+1) = A W(k) + [0, u(k)^T kron I],
+    W(0) = [I, 0], so each sample costs one n x (n + n n_u) product.
     """
     t, n_u = u_data.shape
     n_y = y_data.shape[1]
@@ -220,24 +222,28 @@ def _estimate_b_d_x0(a, c, u_data, y_data):
     rho = float(np.abs(np.linalg.eigvals(a)).max())
     if rho > 1.0:
         horizon = min(t, max(4 * n, int(200.0 / np.log(rho))))
-    phi = np.zeros((horizon * n_y, n_params))
-    cak = np.array(c)
-    z = [np.zeros((n, n)) for _ in range(n_u)]
+    u_h = u_data[:horizon]
+    drive = _unit_input_blocks(u_h, n)
+    w_all = np.empty((horizon, n, n + n * n_u))
+    w = np.hstack([np.eye(n), np.zeros((n, n * n_u))])
     for k in range(horizon):
-        row = slice(k * n_y, (k + 1) * n_y)
-        phi[row, :n] = cak
-        for j in range(n_u):
-            phi[row, n + j * n : n + (j + 1) * n] = c @ z[j]
-            col = n + n * n_u + j * n_y
-            phi[row, col : col + n_y] = u_data[k, j] * np.eye(n_y)
-        for j in range(n_u):
-            z[j] = a @ z[j] + u_data[k, j] * np.eye(n)
-        cak = cak @ a
-    theta = min_norm_lsq(phi, y_data[:horizon].reshape(-1))
+        w_all[k] = w
+        w = a @ w
+        w[:, n:] += drive[k]
+    phi = np.empty((horizon, n_y, n_params))
+    phi[:, :, : n + n * n_u] = c @ w_all
+    phi[:, :, n + n * n_u :] = _unit_input_blocks(u_h, n_y)
+    theta = min_norm_lsq(phi.reshape(horizon * n_y, n_params), y_data[:horizon].reshape(-1))
     x0 = theta[:n]
     b = theta[n : n + n * n_u].reshape(n_u, n).T
     d = theta[n + n * n_u :].reshape(n_u, n_y).T
     return b, d, x0
+
+
+def _unit_input_blocks(u_data, m: int) -> np.ndarray:
+    """Per-sample [u_0(k) I_m, ..., u_(n_u-1)(k) I_m], shape (T, m, m n_u)."""
+    t, n_u = u_data.shape
+    return (u_data[:, None, :, None] * np.eye(m)[None, :, None, :]).reshape(t, m, m * n_u)
 
 
 def markov_params(sys: StateSpace, count: int) -> list:

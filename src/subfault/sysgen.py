@@ -236,20 +236,20 @@ def simulate(sys: StateSpace, fault: FaultPair | None, x0, u, v=None, w=None):
     if x.shape[0] != sys.n_x:
         raise ValueError(f"x0 must have length {sys.n_x}, got {x.shape[0]}")
 
-    ys = np.empty((t, sys.n_y))
+    # only the state recursion is sequential; every input term is one matmul
+    drive = u_data @ sys.B.T
+    feed = u_data @ sys.D.T
+    if v_data is not None:
+        drive = drive + v_data @ fault.F.T
+        feed = feed + v_data @ fault.G.T
     xs = np.empty((t + 1, sys.n_x))
     xs[0] = x
     for k in range(t):
-        yk = sys.C @ x + sys.D @ u_data[k]
-        xk1 = sys.A @ x + sys.B @ u_data[k]
-        if v_data is not None:
-            yk = yk + fault.G @ v_data[k]
-            xk1 = xk1 + fault.F @ v_data[k]
-        if w_data is not None:
-            yk = yk + w_data[k]
-        ys[k] = yk
-        x = xk1
+        x = sys.A @ x + drive[k]
         xs[k + 1] = x
+    ys = xs[:t] @ sys.C.T + feed
+    if w_data is not None:
+        ys = ys + w_data
     return Trajectory(ys, role="output"), Trajectory(xs, role="state")
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -166,17 +168,38 @@ class TestRecoverFaultMatrices:
             auto = annihilator_fault_basis(r_s, sys, 6)
             assert auto.n_z == structural.n_z
 
-    @pytest.mark.parametrize("dims, s, n_v", [((4, 2, 3), 7, 1), ((6, 1, 4), 8, 2)])
-    def test_annihilator_clean_readout_across_shapes(self, dims, s, n_v):
+    @pytest.mark.parametrize(
+        "dims, s, n_v, t",
+        [((4, 2, 3), 7, 1, 1000), ((6, 1, 4), 8, 2, 1000), ((4, 2, 3), 7, 1, 22)],
+        ids=["dims0-7-1", "dims1-8-2", "short-record"],
+    )
+    def test_annihilator_clean_readout_across_shapes(self, dims, s, n_v, t):
         # one floor direction leaves K wide, several must all be kept; the
-        # exact-data readout is the nullity of K in both cases
+        # exact-data readout is the nullity of K in both cases. On the short
+        # record the projected residual (17 x 16) is taller than wide, so the
+        # annihilating directions include the ones past its width
         for zc in (0, 1, 2):
-            sys, fault, u, v, y = _noise_free_run(seed=300 + zc, zero_count=zc, n_v=n_v, dims=dims)
+            sys, fault, u, v, y = _noise_free_run(
+                seed=300 + zc, zero_count=zc, n_v=n_v, t=t, dims=dims
+            )
             r_s = residual_hankel(y, u, sys, s)
             structural = recover(y, u, sys, s=s, policy=RankPolicy.relative(1e-8))
             auto = annihilator_fault_basis(r_s, sys, s)
             assert auto.n_z == structural.n_z == n_v + zc
             assert range_equal(structural.stack(), auto.stack(), tol=1e-6)
+
+    def test_annihilator_memory_independent_of_record_width(self):
+        # at T=4000 the full right singular factor of the 13 x 3995 projected
+        # residual alone would take 128 MB; only its left factor is used
+        sys, fault, u, v, y = _noise_free_run(seed=71, zero_count=1, t=4000)
+        r_s = residual_hankel(y, u, sys, 6)
+        tracemalloc.start()
+        try:
+            annihilator_fault_basis(r_s, sys, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_fault_free_data_raises_in_both_methods(self):
         sys, _ = random_system(4, 2, 3, 1, 0, seed=66)

@@ -15,6 +15,7 @@ from subfault.harness import (
     run_example,
     run_montecarlo,
 )
+from subfault.faultrec import recover
 from subfault.matstack import RankPolicy
 from subfault.sysgen import (
     fault_signal,
@@ -115,7 +116,6 @@ class TestRunExample:
     def test_composition_matches_stagewise_run(self, example_report):
         # chaining the module operations by hand reproduces the pipeline
         report, _ = example_report
-        from subfault.faultrec import recover
 
         sys, fault = demo_system()
         x0 = np.random.default_rng([20240, 4]).standard_normal(3)
@@ -157,6 +157,12 @@ class TestPlotData:
         assert len(lines) == 2
         # empty outlier list leaves the trailing field empty without separator
         assert lines[1].split(",")[-1] == ""
+        # a zero count with no successful instance keeps its row, all fields empty
+        report.per_count[1] = None
+        emit_plot_data(report, "boxplot", path)
+        lines = path.read_text().splitlines()
+        assert len(lines) == 3
+        assert lines[2] == "1,,,,,,"
 
     def test_unknown_kind(self, tmp_path):
         with pytest.raises(ValueError):
@@ -243,6 +249,28 @@ class TestCli:
         rec = json.loads((tmp_path / "rec" / "fault_recovery.json").read_text())
         assert rec["n_v"] == 1
         assert (tmp_path / "rec" / "v_reconstructed.csv").exists()
+
+    def test_fault_recover_rank_policy_flag(self, tmp_path, monkeypatch):
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["policy"])
+            return recover(*args, **kwargs)
+
+        monkeypatch.setattr("subfault.cli.recover", spy)
+        self._write_demo_data(tmp_path)
+        for name in ("rel", "gap", "floor"):
+            code = cli_main([
+                "--out", str(tmp_path / name),
+                "fault-recover",
+                "--u", str(tmp_path / "u.csv"),
+                "--y", str(tmp_path / "y.csv"),
+                "--system", str(tmp_path / "sys.json"),
+                "--window", "5",
+                "--rank-policy", name,
+            ])
+            assert code == 0
+            assert seen[-1] == ExperimentConfig(rank_policy=name).policy()
 
     def test_missing_file_is_input_error(self, tmp_path):
         code = cli_main([

@@ -27,6 +27,17 @@ class TestPiMoesp:
         result = pi_moesp(u, y, order=sys.n_x)
         assert markov_relative_error(result.system, sys) <= 1e-6
 
+    def test_multi_input_replay_from_initial_state(self):
+        # two inputs check the column order of the B/D/x0 regressor: the
+        # identified model replays noise-free data from its initial state
+        sys, fault = random_system(4, 2, 3, 2, 0, seed=17)
+        u = white_input(2, 600, seed=[17, 1])
+        x0 = np.random.default_rng([17, 4]).standard_normal(4)
+        y, _ = simulate(sys, None, x0, u)
+        result = pi_moesp(u, y, order=sys.n_x)
+        y_hat, _ = simulate(result.system, None, result.x_tilde_0, u)
+        assert np.linalg.norm(y_hat.data - y.data) <= 1e-8 * np.linalg.norm(y.data)
+
     def test_demo_with_active_fault(self, demo_run):
         sys, fault, x0, u, v, y, _ = demo_run
         result = pi_moesp(u, y, order=3)

@@ -82,6 +82,24 @@ class TestSimulate:
         assert np.linalg.norm(lhs - rhs) <= 1e-8 * np.linalg.norm(lhs)
 
 
+    def test_multi_channel_matches_dense_data_equation(self):
+        # two inputs and two fault channels check the channel order of every
+        # input term against y = O_T x0 + T_T u + T^f_T v + w
+        sys, fault = random_system(4, 2, 3, 2, 0, seed=17)
+        t = 60
+        rng = np.random.default_rng(17)
+        x0 = rng.standard_normal(4)
+        u, v, w = (rng.standard_normal((t, k)) for k in (2, 2, 3))
+        y, _ = simulate(sys, fault, x0, u, v, w)
+        dense = (
+            extended_observability(sys.A, sys.C, t) @ x0
+            + block_toeplitz(sys.A, sys.B, sys.C, sys.D, t) @ u.reshape(-1)
+            + block_toeplitz(sys.A, fault.F, sys.C, fault.G, t) @ v.reshape(-1)
+            + w.reshape(-1)
+        )
+        assert np.linalg.norm(y.data.reshape(-1) - dense) <= 1e-12 * np.linalg.norm(dense)
+
+
 class TestSignals:
     def test_white_input_deterministic(self):
         a = white_input(2, 50, seed=7)
