@@ -18,17 +18,17 @@ from .matstack import (
     RankPolicy,
     SubspaceBasis,
     as_matrix,
+    as_signal,
     block_hankel,
     block_toeplitz,
     extended_observability,
     fix_column_signs,
-    min_norm_lsq,
     nullspace_basis,
     numerical_rank,
     range_basis,
     range_equal,
 )
-from .sysgen import FaultPair, StateSpace, Trajectory, _traj_data, simulate, transmission_zeros
+from .sysgen import FaultPair, StateSpace, Trajectory, simulate, transmission_zeros
 
 __all__ = [
     "FaultBasis",
@@ -130,8 +130,8 @@ def residual_hankel(y, u, sys: StateSpace, s: int, x_tilde_0=None) -> np.ndarray
     residual-subsystem contribution (useful for spectra where the
     input-driven state directions would dominate the picture).
     """
-    y_data = _traj_data(y, "y")
-    u_data = _traj_data(u, "u")
+    y_data = as_signal(y, "y")
+    u_data = as_signal(u, "u")
     if y_data.shape[0] != u_data.shape[0]:
         raise ValueError("y and u lengths differ")
     if y_data.shape[1] != sys.n_y or u_data.shape[1] != sys.n_u:
@@ -493,7 +493,7 @@ def window_in_behavior(a, f, c, g, window, tol: float = 1e-8) -> bool:
     ``window`` has shape (m, n_y); membership means the stacked vector is in
     the range of [O_m T^f_m] up to the relative tolerance.
     """
-    w = _traj_data(window, "window")
+    w = as_signal(window, "window")
     m = w.shape[0]
     basis_mat = np.hstack(
         [extended_observability(a, c, m), block_toeplitz(a, f, c, g, m)]
@@ -507,32 +507,97 @@ def window_in_behavior(a, f, c, g, window, tol: float = 1e-8) -> bool:
     return bool(np.linalg.norm(resid) <= tol * norm)
 
 
+# relative size of the damping that selects the minimum-norm reconstruction
+_DAMPING = 1e-10
+
+
+def _fault_channel_smoother(a, f, c, g, resid):
+    """Damped least-squares fault signal and initial state of one channel.
+
+    Minimizes sum_k |r(k) - C xi(k) - G v(k)|^2 + rho^2 (|xi(0)|^2 + sum_k
+    |v(k)|^2) over xi(k+1) = A xi(k) + F v(k) by a fixed-interval
+    square-root information smoother (Paige & Saunders 1977). The backward
+    sweep keeps the cost-to-go from step k as |R_k xi - z_k|^2; at each step
+    one QR factorization triangularizes
+
+        [ rho I       0           0       ]   acting on   [ v(k)  ]
+        [ G           C           r(k)    ]               [ xi(k) ]
+        [ R_{k+1} F   R_{k+1} A   z_{k+1} ]               [ -1    ]
+
+    whose leading n_v rows give v(k) as an affine function of xi(k) and whose
+    next n_x rows are (R_k, z_k). The forward pass runs that feedback from
+    the damped xi(0). Storage is T per-step blocks of the system's own sizes.
+    Returns (xi0, v) with v of shape (T, n_v).
+    """
+    t = resid.shape[0]
+    n_x, n_v = f.shape
+    n_y = c.shape[0]
+    width = n_v + n_x + 1
+    rho = _DAMPING * max(np.linalg.norm(c), np.linalg.norm(g), np.linalg.norm(c @ f))
+    rho = rho or _DAMPING
+    stack = np.zeros((n_v + n_y + n_x, width))
+    stack[:n_v, :n_v] = rho * np.eye(n_v)
+    stack[n_v:n_v + n_y, :n_v] = g
+    stack[n_v:n_v + n_y, n_v:-1] = c
+    fa = np.hstack([f, a])
+    info_r = np.zeros((n_x, n_x))
+    info_z = np.zeros(n_x)
+    gains = np.empty((t, n_v, width))
+    for k in range(t - 1, -1, -1):
+        stack[n_v:n_v + n_y, -1] = resid[k]
+        stack[n_v + n_y:, :-1] = info_r @ fa
+        stack[n_v + n_y:, -1] = info_z
+        tri = np.linalg.qr(stack, mode="r")
+        gains[k] = tri[:n_v]
+        info_r = tri[n_v:-1, n_v:-1]
+        info_z = tri[n_v:-1, -1]
+    # the same damping on xi(0): min |R_0 xi - z_0|^2 + rho^2 |xi|^2
+    init = np.zeros((2 * n_x, n_x + 1))
+    init[:n_x, :n_x] = info_r
+    init[:n_x, -1] = info_z
+    init[n_x:, :n_x] = rho * np.eye(n_x)
+    tri = np.linalg.qr(init, mode="r")
+    xi0 = np.linalg.solve(tri[:n_x, :n_x], tri[:n_x, -1])
+    # v(k) = g_k - L_k xi(k), all gains solved at once
+    solved = np.linalg.solve(gains[:, :, :n_v], gains[:, :, n_v:])
+    feedback = solved[:, :, :-1]
+    offset = solved[:, :, -1]
+    closed = a - f @ feedback
+    drive = offset @ f.T
+    xs = np.empty((t, n_x))
+    x = xi0
+    for k in range(t):
+        xs[k] = x
+        x = closed[k] @ x + drive[k]
+    v = offset - np.einsum("kij,kj->ki", feedback, xs)
+    return xi0, v
+
+
 def reconstruct_fault(y, u, sys: StateSpace, fg: FaultPair, x_tilde_0) -> FaultReconstruction:
     """Recover the residual-system initial state and a compatible fault signal.
 
-    The residual signal r(k) = y(k) - C x~(k) - D u(k) is replayed against
-    the stacked map [O_T T^f_T]; the minimum-norm solution is reported. With
-    invariant zeros in the channel the solution is one representative of a
-    family, so only replay consistency is guaranteed.
+    The residual r(k) = y(k) - C x~(k) - D u(k) is replayed against the fault
+    channel (A, F, C, G): the result is the minimum-norm [xi0; v] among the
+    least-squares solutions of O_T xi0 + T^f_T v = r, to within a relative
+    rho^2 / sigma^2 on each singular direction sigma of [O_T T^f_T], where
+    rho = 1e-10 max(|C|, |G|, |CF|). No rank decision is made. With
+    invariant zeros in the channel the replay has a family of solutions and
+    the minimum-norm one is reported. Time and memory are linear in T: no
+    matrix square in T is formed, only T blocks of the system's own sizes.
+    ``replay_residual`` is the relative error of simulating the channel from
+    (xi0, v) against r.
     """
-    y_data = _traj_data(y, "y")
-    u_data = _traj_data(u, "u")
+    y_data = as_signal(y, "y")
+    u_data = as_signal(u, "u")
     fg.check_matches(sys)
-    t = y_data.shape[0]
+    if y_data.shape[0] < 1:
+        raise ValueError("reconstruction needs at least one sample")
     y_nom, x_nom = simulate(sys, None, x_tilde_0, u_data)
     resid = y_data - y_nom.data
-
-    obs = extended_observability(sys.A, sys.C, t)
-    toep = block_toeplitz(sys.A, fg.F, sys.C, fg.G, t)
-    big = np.hstack([obs, toep])
-    rhs = resid.reshape(-1)
-    theta = min_norm_lsq(big, rhs)
-    xi0 = theta[: sys.n_x]
-    v_hat = theta[sys.n_x:].reshape(t, fg.n_v)
-    norm = np.linalg.norm(rhs)
-    replay = float(np.linalg.norm(big @ theta - rhs) / norm) if norm > 0 else 0.0
-
-    _, xi = simulate(StateSpace(sys.A, fg.F, sys.C, fg.G), None, xi0, v_hat)
+    xi0, v_hat = _fault_channel_smoother(sys.A, fg.F, sys.C, fg.G, resid)
+    y_fault, xi = simulate(StateSpace(sys.A, fg.F, sys.C, fg.G), None, xi0, v_hat)
+    norm = np.linalg.norm(resid)
+    replay = float(np.linalg.norm(y_fault.data - resid) / norm) if norm > 0 else 0.0
     x_full = Trajectory(xi.data + x_nom.data, role="state")
     return FaultReconstruction(
         xi0=xi0,

@@ -1,12 +1,13 @@
 """Dense linear-algebra kernel for block-structured system data.
 
 Everything operates on plain float64 numpy arrays, and no sparse machinery
-is provided. Matrices are dense. Block Hankel data matrices have a few
-dozen rows but one column per sample, so their width grows with the record
-length T; the dense Toeplitz systems of fault reconstruction are square in
-T, (T n_y) x (n_x + T n_v). All decompositions are deterministic:
-singular-vector signs are normalized so that each column's first
-significant entry is positive.
+is provided. Block Hankel data matrices have a few dozen rows but one
+column per sample, so their width grows with the record length T. Markov
+parameters are built in one place (``_markov_blocks``). A block Toeplitz
+matrix grows with the square of its depth, so the pipeline builds one only
+at a window depth (a few to a few dozen blocks), never at the record length.
+All decompositions are deterministic: singular-vector signs are normalized
+so that each column's first significant entry is positive.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 def as_signal(x, name: str = "signal") -> np.ndarray:
     """Coerce a time series to shape (T, dim); accepts (T,) or objects with .data."""
-    data = getattr(x, "data", x)
+    data = x if isinstance(x, np.ndarray) else getattr(x, "data", x)
     arr = np.asarray(data, dtype=float)
     if arr.ndim == 1:
         arr = arr[:, None]
@@ -233,6 +234,18 @@ def extended_observability(a, c, s: int) -> np.ndarray:
     return np.vstack(blocks)
 
 
+def _markov_blocks(a, b, c, d, count: int) -> np.ndarray:
+    """Markov parameters D, CB, CAB, ..., C A^(count-2) B of checked float
+    matrices, stacked with shape (count, p, m)."""
+    out = np.empty((count,) + d.shape)
+    out[0] = d
+    cak = c
+    for k in range(1, count):
+        out[k] = cak @ b
+        cak = cak @ a
+    return out
+
+
 def block_toeplitz(a, b, c, d, s: int) -> np.ndarray:
     """Lower block-triangular impulse-response matrix.
 
@@ -251,17 +264,11 @@ def block_toeplitz(a, b, c, d, s: int) -> np.ndarray:
         raise ValueError(f"D must be {p}x{m}, got {d.shape}")
     if s < 1:
         raise ValueError("s must be at least 1")
-    # Markov parameters D, CB, CAB, ...
-    params = [d]
-    cak = c
-    for _ in range(s - 1):
-        params.append(cak @ b)
-        cak = cak @ a
-    t = np.zeros((s * p, s * m))
-    for i in range(s):
-        for j in range(i + 1):
-            t[i * p:(i + 1) * p, j * m:(j + 1) * m] = params[i - j]
-    return t
+    # block (i, j) is parameter i - j; the appended zero block fills j > i
+    params = np.concatenate([_markov_blocks(a, b, c, d, s), np.zeros((1, p, m))])
+    lag = np.arange(s)[:, None] - np.arange(s)[None, :]
+    blocks = params[np.where(lag >= 0, lag, s)]
+    return blocks.transpose(0, 2, 1, 3).reshape(s * p, s * m)
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,15 @@ import numpy as np
 
 from .matstack import (
     RankPolicy,
+    _markov_blocks,
+    as_signal,
     block_hankel,
     block_toeplitz,
     extended_observability,
     min_norm_lsq,
     numerical_rank,
 )
-from .sysgen import StateSpace, _traj_data
+from .sysgen import StateSpace
 
 __all__ = [
     "DegenerateDataError",
@@ -96,8 +98,8 @@ def estimate_order(singular_values, min_ratio: float = 10.0) -> OrderSelection:
 
 
 def _input_output_arrays(u, y):
-    u_data = _traj_data(u, "u")
-    y_data = _traj_data(y, "y")
+    u_data = as_signal(u, "u")
+    y_data = as_signal(y, "y")
     if u_data.shape[0] != y_data.shape[0]:
         raise ValueError(
             f"u and y lengths differ: {u_data.shape[0]} vs {y_data.shape[0]}"
@@ -250,12 +252,7 @@ def markov_params(sys: StateSpace, count: int) -> list:
     """Impulse-response parameters (D, CB, CAB, ..., C A^(count-2) B)."""
     if count < 1:
         raise ValueError("count must be at least 1")
-    out = [np.array(sys.D)]
-    cak = np.array(sys.C)
-    for _ in range(count - 1):
-        out.append(cak @ sys.B)
-        cak = cak @ sys.A
-    return out
+    return list(_markov_blocks(sys.A, sys.B, sys.C, sys.D, count))
 
 
 def estimate_initial_state(sys: StateSpace, u, y, horizon: int) -> np.ndarray:

@@ -8,6 +8,7 @@ it. Trajectories are value objects; nothing here mutates shared state.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -18,6 +19,7 @@ import scipy.linalg
 from .matstack import (
     RankPolicy,
     as_matrix,
+    as_signal,
     block_toeplitz,
     extended_observability,
     numerical_rank,
@@ -74,20 +76,9 @@ class Trajectory:
         return self.data.shape[1]
 
 
-def _traj_data(x, name: str = "signal") -> np.ndarray:
-    if isinstance(x, Trajectory):
-        return x.data
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be a Trajectory or (T, dim) array")
-    return arr
-
-
 def stack_channels(*signals, role: str = "signal") -> Trajectory:
     """Concatenate same-length trajectories channel-wise."""
-    parts = [_traj_data(s) for s in signals]
+    parts = [as_signal(s) for s in signals]
     lengths = {p.shape[0] for p in parts}
     if len(lengths) != 1:
         raise ValueError(f"channel lengths differ: {sorted(lengths)}")
@@ -209,7 +200,7 @@ def simulate(sys: StateSpace, fault: FaultPair | None, x0, u, v=None, w=None):
 
     Returns (y, x) where x carries T+1 samples including the terminal state.
     """
-    u_data = _traj_data(u, "u")
+    u_data = as_signal(u, "u")
     t = u_data.shape[0]
     if u_data.shape[1] != sys.n_u:
         raise ValueError(f"u has {u_data.shape[1]} channels, system expects {sys.n_u}")
@@ -217,7 +208,7 @@ def simulate(sys: StateSpace, fault: FaultPair | None, x0, u, v=None, w=None):
         fault.check_matches(sys)
         if v is None:
             raise ValueError("fault matrices given but no fault signal")
-        v_data = _traj_data(v, "v")
+        v_data = as_signal(v, "v")
         if v_data.shape != (t, fault.n_v):
             raise ValueError(
                 f"v must be {t}x{fault.n_v}, got {v_data.shape[0]}x{v_data.shape[1]}"
@@ -225,7 +216,7 @@ def simulate(sys: StateSpace, fault: FaultPair | None, x0, u, v=None, w=None):
     else:
         v_data = None
     if w is not None:
-        w_data = _traj_data(w, "w")
+        w_data = as_signal(w, "w")
         if w_data.shape != (t, sys.n_y):
             raise ValueError(
                 f"w must be {t}x{sys.n_y}, got {w_data.shape[0]}x{w_data.shape[1]}"
@@ -292,7 +283,7 @@ def colored_noise(n_y: int, t: int, snr_db, reference, seed) -> Trajectory:
     scaled so 10*log10(power(ref_ch)/power(noise_ch)) equals ``snr_db``.
     ``snr_db`` None or +inf yields the zero trajectory.
     """
-    ref = _traj_data(reference, "reference")
+    ref = as_signal(reference, "reference")
     if ref.shape != (t, n_y):
         raise ValueError(f"reference must be {t}x{n_y}, got {ref.shape}")
     if snr_db is None or (isinstance(snr_db, float) and math.isinf(snr_db)):
@@ -301,11 +292,13 @@ def colored_noise(n_y: int, t: int, snr_db, reference, seed) -> Trajectory:
         raise ValueError("snr_db must be finite, None, or +inf")
     rng = np.random.default_rng(seed)
     e = rng.standard_normal((t, n_y))
+    # per channel over Python floats, which round exactly as the per-sample
+    # array recursion does; f keeps e's row-major layout, so the power sums
+    # below add in the same order
     f = np.empty_like(e)
-    prev = np.zeros(n_y)
-    for k in range(t):
-        prev = 0.7 * prev + e[k]
-        f[k] = prev
+    for j in range(n_y):
+        steps = itertools.accumulate(e[:, j].tolist(), lambda prev, x: 0.7 * prev + x)
+        f[:, j] = np.fromiter(steps, float, count=t)
     ref_power = np.mean(ref**2, axis=0)
     if np.any(ref_power <= 0):
         bad = int(np.argmin(ref_power))
@@ -584,7 +577,7 @@ def random_system(
 
 
 def write_trajectory_csv(path, traj) -> None:
-    data = _traj_data(traj)
+    data = as_signal(traj)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t," + ",".join(f"ch{i}" for i in range(data.shape[1])) + "\n")
         for k, row in enumerate(data):

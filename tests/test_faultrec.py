@@ -4,10 +4,16 @@ import numpy as np
 import pytest
 
 from subfault.harness import projection_residual
-from subfault.matstack import RankPolicy, range_equal
+from subfault.matstack import (
+    RankPolicy,
+    block_toeplitz,
+    extended_observability,
+    range_equal,
+)
 from subfault.sysgen import (
     FaultPair,
     StateSpace,
+    fault_signal,
     random_system,
     simulate,
     transmission_zeros,
@@ -308,6 +314,63 @@ class TestReconstruction:
         x_t0 = estimate_initial_state(sys, u, y, horizon=30)
         recon = reconstruct_fault(y, u, sys, fault, x_t0)
         assert recon.replay_residual <= 1e-8
+
+    @pytest.mark.parametrize(
+        "seed, zero_count, n_v, dims",
+        [
+            (5002, 2, 1, (4, 1, 2)),
+            (5010, 2, 1, (4, 1, 2)),
+            (5001, 1, 1, (4, 1, 2)),
+            (4001, 1, 2, (4, 1, 3)),
+        ],
+    )
+    def test_minimum_norm_matches_pseudo_inverse(self, seed, zero_count, n_v, dims):
+        # channels with transmission zeros: O_T xi0 + T^f_T v = r has a family
+        # of solutions, and the reconstruction must be its minimum-norm member
+        t = 400
+        sys, fault, u, v, y = _noise_free_run(seed, zero_count, n_v=n_v, t=t, dims=dims)
+        x_t0 = np.zeros(sys.n_x)
+        recon = reconstruct_fault(y, u, sys, fault, x_t0)
+        assert recon.replay_residual <= 1e-8
+
+        y_nom, _ = simulate(sys, None, x_t0, u)
+        rhs = (y.data - y_nom.data).reshape(-1)
+        dense = np.hstack(
+            [
+                extended_observability(sys.A, sys.C, t),
+                block_toeplitz(sys.A, fault.F, sys.C, fault.G, t),
+            ]
+        )
+        left, sv, right_t = np.linalg.svd(dense, full_matrices=False)
+        keep = sv > 1e-10 * sv[0]
+        assert not keep.all()  # the reference really has to pick one solution
+        reference = right_t[keep].T @ ((left[:, keep].T @ rhs) / sv[keep])
+        got = np.concatenate([recon.xi0, recon.v.data.reshape(-1)])
+        assert np.linalg.norm(got - reference) <= 1e-6 * np.linalg.norm(reference)
+
+    def test_long_record_memory_linear_in_length(self, demo):
+        # the dense [O_T T^f_T] at T=10^4 alone would take 1.6 GB
+        sys, fault = demo
+        t = 10_000
+        x0 = np.random.default_rng([20240, 4]).standard_normal(sys.n_x)
+        u = white_input(sys.n_u, t, seed=[20240, 1])
+        v = fault_signal("v1", t)
+        y, _ = simulate(sys, fault, x0, u, v)
+        tracemalloc.start()
+        try:
+            recon = reconstruct_fault(y, u, sys, fault, x0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert recon.replay_residual <= 1e-8
+        assert peak < 16 * 2**20
+
+    def test_non_finite_sample_rejected(self, demo_run):
+        sys, fault, x0, u, v, y, _ = demo_run
+        bad = y.data.copy()
+        bad[17, 1] = np.nan
+        with pytest.raises(ValueError, match="y contains non-finite"):
+            reconstruct_fault(bad, u, sys, fault, x0)
 
 
 class TestSelectRepresentative:

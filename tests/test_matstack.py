@@ -120,6 +120,23 @@ class TestBlockToeplitz:
         oracle = np.kron(np.eye(3), d)
         assert np.allclose(t, oracle)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_gather_matches_block_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n, p, m = rng.integers(1, 5, size=3)
+        a, b, c, d = (rng.standard_normal(sh) for sh in [(n, n), (n, m), (p, n), (p, m)])
+        s = 7
+        params = [d]
+        cak = c
+        for _ in range(s - 1):
+            params.append(cak @ b)
+            cak = cak @ a
+        oracle = np.zeros((s * p, s * m))
+        for i in range(s):
+            for j in range(i + 1):
+                oracle[i * p:(i + 1) * p, j * m:(j + 1) * m] = params[i - j]
+        assert np.array_equal(block_toeplitz(a, b, c, d, s), oracle)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             block_toeplitz(np.eye(2), np.ones((3, 1)), np.ones((1, 2)), np.zeros((1, 1)), 2)

@@ -61,6 +61,13 @@ class TestSimulate:
         assert np.allclose(y_sum.data, y1.data + y2.data, atol=1e-10)
         assert np.allclose(x_sum.data, x1.data + x2.data, atol=1e-10)
 
+    def test_non_finite_sample_rejected(self, demo):
+        sys, _ = demo
+        u = np.zeros((10, 1))
+        u[3, 0] = np.nan
+        with pytest.raises(ValueError, match="u contains non-finite"):
+            simulate(sys, None, np.zeros(3), u)
+
     def test_length_mismatch_rejected(self, demo):
         sys, fault = demo
         with pytest.raises(ValueError):
@@ -171,6 +178,19 @@ class TestColoredNoise:
         w = colored_noise(3, 2000, 40.0, ref, seed=6)
         ratio = np.mean(w.data**2, axis=0) / np.mean(ref**2, axis=0)
         assert np.all(np.abs(ratio / 1e-4 - 1.0) < 0.02)
+
+    def test_filter_matches_per_sample_recursion(self):
+        # the per-channel recursion must round exactly as the per-sample one
+        t, n_y = 1000, 3
+        ref = np.random.default_rng(12).standard_normal((t, n_y))
+        e = np.random.default_rng(7).standard_normal((t, n_y))
+        f = np.empty_like(e)
+        prev = np.zeros(n_y)
+        for k in range(t):
+            prev = 0.7 * prev + e[k]
+            f[k] = prev
+        f *= np.sqrt(np.mean(ref**2, axis=0) * 10.0 ** (-40.0 / 10.0) / np.mean(f**2, axis=0))
+        assert np.array_equal(colored_noise(n_y, t, 40.0, ref, seed=7).data, f)
 
     def test_zero_power_reference_rejected(self):
         ref = np.zeros((10, 1))
