@@ -15,7 +15,6 @@ from .matstack import (
     extended_observability,
     grassmann_error,
     min_norm_lsq,
-    nullspace_basis,
     numerical_rank,
     principal_angles,
     range_equal,

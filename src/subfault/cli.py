@@ -156,7 +156,7 @@ def _cmd_fault_recover(args) -> int:
     system, _ = load_system_json(args.system)
     policy = ExperimentConfig(rank_policy=args.rank_policy, rank_tol=args.rank_tol).policy()
     rec = recover(y, u, system, s=args.window, policy=policy, method=args.method)
-    rep = select_representative(rec, policy=args.policy, n_v=max(rec.n_v_estimate, 1))
+    rep = select_representative(rec, policy=args.policy, n_v=rec.n_v_estimate)
     x_tilde_0 = estimate_initial_state(system, u, y, horizon=min(len(u), 50))
     recon = reconstruct_fault(y, u, system, rep, x_tilde_0)
     out = _out_dir(args)

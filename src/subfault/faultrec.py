@@ -16,14 +16,12 @@ import numpy as np
 
 from .matstack import (
     RankPolicy,
-    SubspaceBasis,
     as_matrix,
     as_signal,
     block_hankel,
     block_toeplitz,
     extended_observability,
     fix_column_signs,
-    nullspace_basis,
     numerical_rank,
     range_basis,
     range_equal,
@@ -31,7 +29,6 @@ from .matstack import (
 from .sysgen import FaultPair, StateSpace, Trajectory, simulate, transmission_zeros
 
 __all__ = [
-    "FaultBasis",
     "annihilator_fault_basis",
     "FaultRecovery",
     "FaultReconstruction",
@@ -51,6 +48,10 @@ __all__ = [
 
 _EPS = float(np.finfo(float).eps)
 
+# on noisy data the annihilator keeps the projected directions within this
+# factor of the smallest projected singular value
+_NOISE_FLOOR_SCALE = 1.2
+
 
 class RecoveryError(RuntimeError):
     """Fault recovery failed (empty solution set or inconsistent ranks)."""
@@ -67,18 +68,9 @@ class FaultDimDiagnostics:
     threshold: float
 
 
-@dataclass
-class FaultBasis:
-    """Maximal basis of fault-matrix pairs compatible with one residual Hankel."""
-
-    F_hat: np.ndarray
-    G_hat: np.ndarray
-    n_z: int
-    Q: SubspaceBasis
-    constraint_singular_values: np.ndarray
-
-    def stack(self) -> np.ndarray:
-        return np.vstack([self.F_hat, self.G_hat])
+def _effective_zero_count(n_x: int, s: int, n_v: int, rank_s: int) -> int:
+    """zeta_eff = n_x + s n_v - rank_s, the zero count the ranks imply."""
+    return n_x + s * n_v - rank_s
 
 
 @dataclass
@@ -94,7 +86,6 @@ class FaultRecovery:
     singular_values_s: np.ndarray
     singular_values_s_plus_1: np.ndarray
     window_s: int
-    Q: SubspaceBasis
 
     def __post_init__(self):
         if self.n_v_estimate != self.rank_s_plus_1 - self.rank_s or self.n_v_estimate < 0:
@@ -110,6 +101,17 @@ class FaultRecovery:
 
     def stack(self) -> np.ndarray:
         return np.vstack([self.F_hat, self.G_hat])
+
+    @property
+    def zeta_eff(self) -> int:
+        return _effective_zero_count(
+            self.F_hat.shape[0], self.window_s, self.n_v_estimate, self.rank_s
+        )
+
+    @property
+    def excess_basis(self) -> bool:
+        """More basis columns than n_v + max(zeta_eff, 0): the ranks disagree."""
+        return self.n_z > self.n_v_estimate + max(self.zeta_eff, 0)
 
 
 @dataclass
@@ -182,6 +184,11 @@ def estimate_fault_dim(y, u, sys: StateSpace, s: int, policy: RankPolicy | None 
     return n_v, diag
 
 
+def _channel_window_map(a, f, c, g, m: int) -> np.ndarray:
+    """[O_m T^f_m], the map from (initial state, m fault samples) to m outputs."""
+    return np.hstack([extended_observability(a, c, m), block_toeplitz(a, f, c, g, m)])
+
+
 def verify_rank_formula(a, f, c, g, s: int, tol: float = 1e-8) -> bool:
     """Check rank([O_s T^f_s]) = n_x + s n_v - zeta against the zero count."""
     a = as_matrix(a, "A")
@@ -193,10 +200,7 @@ def verify_rank_formula(a, f, c, g, s: int, tol: float = 1e-8) -> bool:
         raise ValueError("channel is not left invertible; the rank formula does not apply")
     if s < max(report.l_delay, a.shape[0]):
         raise ValueError(f"window s={s} below max(l, n_x)")
-    combined = np.hstack(
-        [extended_observability(a, c, s), block_toeplitz(a, f, c, g, s)]
-    )
-    rank = numerical_rank(combined, RankPolicy.relative(tol)).rank
+    rank = numerical_rank(_channel_window_map(a, f, c, g, s), RankPolicy.relative(tol)).rank
     return rank == a.shape[0] + s * f.shape[1] - report.zeta
 
 
@@ -227,24 +231,18 @@ def _structure_constraints(q_blocks, obs, s: int, r: int, n_x: int, n_y: int) ->
     return np.vstack(rows)
 
 
-def recover_fault_matrices(
-    r_s,
-    sys: StateSpace,
-    s: int,
-    tol: float = 1e-8,
-    rank: int | None = None,
-    rank_policy: RankPolicy | None = None,
-    null_policy: RankPolicy | None = None,
-    n_z_override: int | None = None,
-) -> FaultBasis:
-    """Maximal basis (F_hat, G_hat) of fault pairs explaining a residual Hankel.
+def recover_fault_matrices(r_s, sys: StateSpace, s: int, rank: int, n_z: int) -> FaultPair:
+    """Basis (F_hat, G_hat) of the fault pairs explaining a residual Hankel.
 
-    Writes R_s = Q Z with Q an orthonormal basis of the column space of R_s
-    (SVD truncated at the numerical rank), imposes on the unknown blocks the
-    strictly-upper-zero and constant-block-diagonal structure of the fault
-    Toeplitz matrix together with the observability coupling of its first
-    block column, and returns the nullspace of the assembled constraints.
-    Columns of [F_hat; G_hat] are unit length with positive leading entry.
+    Writes R_s = Q Z with Q the leading ``rank`` left singular vectors of
+    R_s, imposes on the unknown blocks the strictly-upper-zero and
+    constant-block-diagonal structure of the fault Toeplitz matrix together
+    with the observability coupling of its first block column, and returns
+    the ``n_z`` weakest right singular directions of the assembled
+    constraints. The caller supplies ``n_z`` (``recover`` passes the theory
+    count n_v + zeta_eff) because noisy data lifts the exact zeros of the
+    constraint spectrum. The result has n_z columns, each [F_hat; G_hat]
+    column unit length with positive leading entry.
     """
     r_mat = as_matrix(r_s, "R_s")
     if s < 2:
@@ -256,34 +254,20 @@ def recover_fault_matrices(
         raise ValueError(
             f"residual Hankel has {r_mat.shape[0]} rows, expected s*n_y={s * n_y}"
         )
-    q = range_basis(r_mat, policy=rank_policy or RankPolicy.relative(tol), rank=rank)
+    q = range_basis(r_mat, rank=rank)
     r = q.dim
     if r == 0:
         raise RecoveryError("residual Hankel is numerically zero; nothing to recover")
+    n_unknowns = s * r + n_x
+    if n_z < 1 or n_z > n_unknowns:
+        raise RecoveryError(
+            f"requested solution dimension {n_z} not available ({n_unknowns} unknowns)"
+        )
     q_blocks = [q.basis[i * n_y:(i + 1) * n_y] for i in range(s)]
     obs = extended_observability(sys.A, sys.C, s - 1)
     m = _structure_constraints(q_blocks, obs, s, r, n_x, n_y)
-    if n_z_override is not None:
-        # fixed solution-space dimension (noisy data lifts the exact zeros of
-        # the constraint spectrum, so the caller supplies the theory count)
-        _, m_svals, vt = np.linalg.svd(m, full_matrices=True)
-        n_z = int(n_z_override)
-        if n_z < 1 or n_z > vt.shape[0]:
-            raise RecoveryError(
-                f"requested solution dimension {n_z} not available "
-                f"({vt.shape[0]} unknowns)"
-            )
-        sol = fix_column_signs(vt[vt.shape[0] - n_z:].T)
-    else:
-        m_svals = np.linalg.svd(m, compute_uv=False)
-        null = nullspace_basis(m, tol=tol, policy=null_policy)
-        n_z = null.dim
-        if n_z == 0:
-            raise RecoveryError(
-                "structure constraints admit no solution; the rank policy or "
-                "the window s is too aggressive"
-            )
-        sol = null.basis
+    vt = np.linalg.svd(m, full_matrices=True)[2]
+    sol = fix_column_signs(vt[n_unknowns - n_z:].T)
     f_hat = sol[s * r:, :]
     g_hat = q_blocks[0] @ sol[:r, :]
     stack = np.vstack([f_hat, g_hat])
@@ -291,13 +275,7 @@ def recover_fault_matrices(
     if np.any(norms < 1e-12):
         raise RecoveryError("recovered a fault direction with zero magnitude")
     stack = fix_column_signs(stack / norms)
-    return FaultBasis(
-        F_hat=stack[:n_x],
-        G_hat=stack[n_x:],
-        n_z=n_z,
-        Q=q,
-        constraint_singular_values=m_svals,
-    )
+    return FaultPair(stack[:n_x], stack[n_x:])
 
 
 def _error_floor(singular_values: np.ndarray, shape, rel_err: float = _EPS) -> float:
@@ -307,13 +285,7 @@ def _error_floor(singular_values: np.ndarray, shape, rel_err: float = _EPS) -> f
     return float(max(shape) * rel_err * top)
 
 
-def annihilator_fault_basis(
-    r_s,
-    sys: StateSpace,
-    s: int,
-    floor_scale: float = 1.2,
-    n_z: int | None = None,
-) -> FaultBasis:
+def annihilator_fault_basis(r_s, sys: StateSpace, s: int, n_z: int | None = None) -> FaultPair:
     """Fault-pair basis from the annihilator of the residual column space.
 
     Every direction orthogonal to the structural range of R_s kills the
@@ -331,11 +303,11 @@ def annihilator_fault_basis(
     the default ``n_z`` is the numerical nullity of the constraint matrix K,
     counting the columns a wide K has no singular value for. The nullity
     tolerance widens eps to the directions' error bound (largest floor value
-    over the smallest value above it). Noisy data: the directions within
-    ``floor_scale`` of the smallest projected value are kept, and the
-    default ``n_z`` is read at the dominant gap of the K spectrum.
+    over the smallest value above it). Noisy data: the directions within a
+    factor 1.2 of the smallest projected value are kept, and the default
+    ``n_z`` is read at the dominant gap of the K spectrum.
 
-    ``n_z`` fixes the basis size in either case.
+    ``n_z`` fixes the basis size in either case. The result has n_z columns.
     """
     r_mat = as_matrix(r_s, "R_s")
     n_x, n_y = sys.n_x, sys.n_y
@@ -358,7 +330,7 @@ def annihilator_fault_basis(
         dir_err = max(_EPS, s2[kept.size] / kept[-1]) if kept.size else _EPS
     else:
         positive = s2[s2 > 0]
-        tau = floor_scale * (positive[-1] if positive.size else 0.0)
+        tau = _NOISE_FLOOR_SCALE * (positive[-1] if positive.size else 0.0)
     weak = [i for i in range(u2.shape[1]) if i >= s2.size or s2[i] <= tau]
     dirs = (b_perp @ u2[:, weak]).T
     powers = [np.eye(n_x)]
@@ -392,13 +364,7 @@ def annihilator_fault_basis(
     if np.any(norms < 1e-12):
         raise RecoveryError("annihilator produced a zero fault direction")
     sol = sol / norms
-    return FaultBasis(
-        F_hat=sol[:n_x],
-        G_hat=sol[n_x:],
-        n_z=n_z,
-        Q=range_basis(r_mat),
-        constraint_singular_values=svals,
-    )
+    return FaultPair(sol[:n_x], sol[n_x:])
 
 
 def recover(
@@ -407,20 +373,20 @@ def recover(
     sys: StateSpace,
     s: int,
     policy: RankPolicy | None = None,
-    null_policy: RankPolicy | None = None,
     method: str = "structure",
 ) -> FaultRecovery:
     """Full pipeline: residual Hankels, fault dimension, and matrix basis.
 
     The rank threshold resolved on the R_{s+1} spectrum is shared by the
-    rank difference and by the truncation of the recovery basis Q.
+    rank difference and by the structure method's truncation of R_s.
 
     method "structure" runs the constraint-matrix construction with the
-    solution dimension pinned to the theory count n_v + zeta_eff (zeta_eff =
-    n_x + s n_v - rank_s), which matches the exact nullspace dimension on
-    clean data. method "annihilator" uses the noise-robust annihilator
-    formulation with its own spectral-gap solution count; both compute the
-    same solution set on clean data.
+    solution dimension pinned to the theory count n_v + zeta_eff (see
+    ``FaultRecovery.zeta_eff``), which matches the exact nullspace dimension
+    on clean data. method "annihilator" uses the noise-robust annihilator
+    formulation with its own solution count; both compute the same solution
+    set on clean data. A basis wider than n_v + max(zeta_eff, 0) raises a
+    warning (``FaultRecovery.excess_basis``).
     """
     policy = policy or RankPolicy.gap()
     n_v, diag = estimate_fault_dim(y, u, sys, s, policy=policy)
@@ -430,41 +396,36 @@ def recover(
         )
     r_s = residual_hankel(y, u, sys, s)
     if method == "structure":
-        zeta_eff = sys.n_x + s * n_v - diag.rank_s
-        n_z_expected = n_v + zeta_eff
-        if n_z_expected < 1:
+        zeta_eff = _effective_zero_count(sys.n_x, s, n_v, diag.rank_s)
+        if n_v + zeta_eff < 1:
             raise RecoveryError(
                 f"no fault directions to recover (n_v estimate {n_v}, "
                 f"effective zero count {zeta_eff})"
             )
-        basis = recover_fault_matrices(
-            r_s, sys, s, rank=diag.rank_s, null_policy=null_policy,
-            n_z_override=n_z_expected,
-        )
+        pair = recover_fault_matrices(r_s, sys, s, rank=diag.rank_s, n_z=n_v + zeta_eff)
     elif method == "annihilator":
-        basis = annihilator_fault_basis(r_s, sys, s)
-        expected = n_v + max(sys.n_x + s * n_v - diag.rank_s, 0)
-        if basis.n_z > expected:
-            warnings.warn(
-                f"solution basis has {basis.n_z} columns, more than the "
-                f"fault dimension plus the effective zero count ({expected}); "
-                "the rank readings may be inconsistent",
-                stacklevel=2,
-            )
+        pair = annihilator_fault_basis(r_s, sys, s)
     else:
         raise ValueError(f"unknown recovery method {method!r}")
-    return FaultRecovery(
-        F_hat=basis.F_hat,
-        G_hat=basis.G_hat,
-        n_z=basis.n_z,
+    rec = FaultRecovery(
+        F_hat=pair.F,
+        G_hat=pair.G,
+        n_z=pair.n_v,
         n_v_estimate=n_v,
         rank_s=diag.rank_s,
         rank_s_plus_1=diag.rank_s_plus_1,
         singular_values_s=diag.singular_values_s,
         singular_values_s_plus_1=diag.singular_values_s_plus_1,
         window_s=s,
-        Q=basis.Q,
     )
+    if rec.excess_basis:
+        warnings.warn(
+            f"solution basis has {rec.n_z} columns, more than the fault dimension "
+            f"plus the effective zero count ({n_v + max(rec.zeta_eff, 0)}); "
+            "the rank readings may be inconsistent",
+            stacklevel=2,
+        )
+    return rec
 
 
 def behaviorally_equivalent(a, c, fg1: FaultPair, fg2: FaultPair, tol: float = 1e-8) -> bool:
@@ -480,10 +441,8 @@ def behaviorally_equivalent(a, c, fg1: FaultPair, fg2: FaultPair, tol: float = 1
         raise ValueError("fault pairs do not match the state dimension")
     if fg1.G.shape[0] != c.shape[0] or fg2.G.shape[0] != c.shape[0]:
         raise ValueError("fault pairs do not match the output dimension")
-    m = n_x + 1
-    obs = extended_observability(a, c, m)
-    m1 = np.hstack([obs, block_toeplitz(a, fg1.F, c, fg1.G, m)])
-    m2 = np.hstack([obs, block_toeplitz(a, fg2.F, c, fg2.G, m)])
+    m1 = _channel_window_map(a, fg1.F, c, fg1.G, n_x + 1)
+    m2 = _channel_window_map(a, fg2.F, c, fg2.G, n_x + 1)
     return range_equal(m1, m2, tol)
 
 
@@ -495,9 +454,7 @@ def window_in_behavior(a, f, c, g, window, tol: float = 1e-8) -> bool:
     """
     w = as_signal(window, "window")
     m = w.shape[0]
-    basis_mat = np.hstack(
-        [extended_observability(a, c, m), block_toeplitz(a, f, c, g, m)]
-    )
+    basis_mat = _channel_window_map(a, f, c, g, m)
     vec = w.reshape(-1)
     norm = np.linalg.norm(vec)
     if norm == 0:
@@ -608,7 +565,7 @@ def reconstruct_fault(y, u, sys: StateSpace, fg: FaultPair, x_tilde_0) -> FaultR
 
 
 def select_representative(
-    recovery,
+    recovery: FaultRecovery,
     policy: str = "leading",
     n_v: int | None = None,
     feasibility: float = 0.3,
@@ -624,8 +581,8 @@ def select_representative(
     n_x = recovery.F_hat.shape[0]
     n_z = stack.shape[1]
     if n_v is None:
-        n_v = getattr(recovery, "n_v_estimate", None)
-    if not n_v or n_v < 1:
+        n_v = recovery.n_v_estimate
+    if n_v < 1:
         raise ValueError("a positive fault dimension is required")
     if n_v > n_z:
         raise ValueError(f"cannot select {n_v} directions from a basis of {n_z}")

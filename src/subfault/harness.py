@@ -120,6 +120,9 @@ class ExperimentConfig:
             raise ValueError(f"need s > n_x: s={self.s}, n_x={n_x}")
         if self.systems_per_count < 1:
             raise ValueError("systems_per_count must be at least 1")
+        # false for NaN and -inf, which set no noise level
+        if self.snr_db is not None and not float(self.snr_db) > -np.inf:
+            raise ValueError("snr_db must be finite, None, or +inf")
         if self.rank_policy not in ("rel", "gap", "floor"):
             raise ValueError("rank_policy must be 'rel', 'gap', or 'floor'")
 
@@ -488,7 +491,6 @@ def _montecarlo_instance(config: ExperimentConfig, index: int, zero_count: int) 
         with _stage("fault-recover"):
             method = "annihilator" if config.snr_db is not None else "structure"
             rec = recover(y, u, sys, s=config.s, policy=config.policy(), method=method)
-            zeta_est = max(0, n_x + config.s * rec.n_v_estimate - rec.rank_s)
             err = representative_error_pct(fault.stack(), rec.stack(), rec.n_v_estimate)
         return MonteCarloRecord(
             error_pct=err,
@@ -497,7 +499,7 @@ def _montecarlo_instance(config: ExperimentConfig, index: int, zero_count: int) 
             n_z=rec.n_z,
             failure=None,
             runtime_s=time.perf_counter() - start,
-            **{**base, "excess_basis_warning": rec.n_z > rec.n_v_estimate + zeta_est},
+            **{**base, "excess_basis_warning": rec.excess_basis},
         )
     except Exception as exc:  # recorded, never silently dropped
         return MonteCarloRecord(

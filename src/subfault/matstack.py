@@ -29,7 +29,6 @@ __all__ = [
     "fix_column_signs",
     "grassmann_error",
     "min_norm_lsq",
-    "nullspace_basis",
     "numerical_rank",
     "principal_angles",
     "range_basis",
@@ -308,21 +307,6 @@ def range_basis(m, policy: RankPolicy | None = None, rank: int | None = None) ->
         policy = policy or RankPolicy.relative()
         rank = int(np.sum(s > policy.threshold(s)))
     return SubspaceBasis(fix_column_signs(u[:, :rank]))
-
-
-def nullspace_basis(m, tol: float = 1e-8, policy: RankPolicy | None = None) -> SubspaceBasis:
-    """Orthonormal basis of the right nullspace at the given relative tolerance.
-
-    A RankPolicy may be supplied instead of the plain relative tolerance,
-    e.g. gap detection when the spectrum is noise-contaminated.
-    """
-    m = as_matrix(m)
-    if m.size == 0:
-        raise ValueError("cannot compute the nullspace of an empty matrix")
-    _, s, vt = np.linalg.svd(m, full_matrices=True)
-    policy = policy or RankPolicy.relative(tol)
-    rank = int(np.sum(s > policy.threshold(s)))
-    return SubspaceBasis(fix_column_signs(vt[rank:].T))
 
 
 def _coerce_basis(u) -> np.ndarray:

@@ -85,6 +85,11 @@ def stack_channels(*signals, role: str = "signal") -> Trajectory:
     return Trajectory(np.hstack(parts), role=role)
 
 
+def _controllability(a, b) -> np.ndarray:
+    """[B, AB, ..., A^(n_x-1) B]."""
+    return np.hstack([np.linalg.matrix_power(a, k) @ b for k in range(a.shape[0])])
+
+
 @dataclass
 class StateSpace:
     """Quadruple (A, B, C, D) of a discrete-time LTI system."""
@@ -133,12 +138,9 @@ class StateSpace:
         """Observability of (A, C) and controllability of (A, B) by rank test."""
         policy = RankPolicy.relative(tol)
         obs = extended_observability(self.A, self.C, self.n_x)
-        ctr = np.hstack(
-            [np.linalg.matrix_power(self.A, k) @ self.B for k in range(self.n_x)]
-        )
         return (
             numerical_rank(obs, policy).rank == self.n_x
-            and numerical_rank(ctr, policy).rank == self.n_x
+            and numerical_rank(_controllability(self.A, self.B), policy).rank == self.n_x
         )
 
 
@@ -286,7 +288,7 @@ def colored_noise(n_y: int, t: int, snr_db, reference, seed) -> Trajectory:
     ref = as_signal(reference, "reference")
     if ref.shape != (t, n_y):
         raise ValueError(f"reference must be {t}x{n_y}, got {ref.shape}")
-    if snr_db is None or (isinstance(snr_db, float) and math.isinf(snr_db)):
+    if snr_db is None or float(snr_db) == math.inf:
         return Trajectory(np.zeros((t, n_y)), role="noise")
     if not math.isfinite(float(snr_db)):
         raise ValueError("snr_db must be finite, None, or +inf")
@@ -497,9 +499,7 @@ def _place_fault_pair(
 
 
 def _channel_controllable(a, f, tol: float = 1e-8) -> bool:
-    n = a.shape[0]
-    ctr = np.hstack([np.linalg.matrix_power(a, k) @ f for k in range(n)])
-    return numerical_rank(ctr, RankPolicy.relative(tol)).rank == n
+    return numerical_rank(_controllability(a, f), RankPolicy.relative(tol)).rank == a.shape[0]
 
 
 def random_system(

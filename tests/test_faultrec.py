@@ -172,7 +172,7 @@ class TestRecoverFaultMatrices:
             assert range_equal(structural.stack(), annihilator.stack(), tol=1e-6)
             # the spectral-gap dimension readout agrees on clean data
             auto = annihilator_fault_basis(r_s, sys, 6)
-            assert auto.n_z == structural.n_z
+            assert auto.n_v == structural.n_z
 
     @pytest.mark.parametrize(
         "dims, s, n_v, t",
@@ -191,7 +191,7 @@ class TestRecoverFaultMatrices:
             r_s = residual_hankel(y, u, sys, s)
             structural = recover(y, u, sys, s=s, policy=RankPolicy.relative(1e-8))
             auto = annihilator_fault_basis(r_s, sys, s)
-            assert auto.n_z == structural.n_z == n_v + zc
+            assert auto.n_v == structural.n_z == n_v + zc
             assert range_equal(structural.stack(), auto.stack(), tol=1e-6)
 
     def test_annihilator_memory_independent_of_record_width(self):
@@ -219,7 +219,17 @@ class TestRecoverFaultMatrices:
         sys, fault, x0, u, v, y, _ = demo_run
         r = residual_hankel(y, u, sys, 2)
         with pytest.raises(ValueError):
-            recover_fault_matrices(r, sys, 2)
+            recover_fault_matrices(r, sys, 2, rank=1, n_z=1)
+
+    def test_solution_dimension_out_of_range_rejected(self, demo_run):
+        sys, fault, x0, u, v, y, _ = demo_run
+        r = residual_hankel(y, u, sys, 5)
+        # rank(R_5) = 7 on the demo, so the constraints have 5 * 7 + n_x unknowns
+        n_unknowns = 5 * 7 + sys.n_x
+        for n_z in (0, n_unknowns + 1):
+            with pytest.raises(RecoveryError, match="not available"):
+                recover_fault_matrices(r, sys, 5, rank=7, n_z=n_z)
+        assert recover_fault_matrices(r, sys, 5, rank=7, n_z=2).n_v == 2
 
 
 class TestBehavioralEquivalence:

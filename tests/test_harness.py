@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from subfault.cli import main as cli_main
 from subfault.harness import (
     ExperimentConfig,
+    _montecarlo_instance,
     _tukey_stats,
     demo_system,
     emit_plot_data,
@@ -195,6 +197,22 @@ class TestMonteCarlo:
             )
 
 
+    def test_excess_basis_flag_matches_recover_warning(self):
+        # on the default seed with one zero, only instance 1 reads a basis
+        # wider than n_v + zeta_eff
+        cfg = ExperimentConfig.montecarlo_defaults(zero_counts=(1,), systems_per_count=3)
+        flags = []
+        for index in range(3):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                record = _montecarlo_instance(cfg, index, 1)
+            warned = any("solution basis" in str(w.message) for w in caught)
+            assert record.failure is None
+            assert record.excess_basis_warning == warned
+            flags.append(warned)
+        assert flags == [False, True, False]
+
+
 class TestCli:
     def _write_demo_data(self, tmp_path):
         sys, fault = demo_system()
@@ -277,6 +295,19 @@ class TestCli:
             "identify", "--u", str(tmp_path / "none.csv"), "--y", str(tmp_path / "none.csv"),
         ])
         assert code == 2
+
+    def test_undefined_snr_is_input_error(self, tmp_path):
+        # json writes -Infinity and NaN, and reads them back as floats
+        for snr_db in (float("-inf"), float("nan")):
+            cfg = {"T": 200, "s": 6, "dims": [5, 1, 3, 2], "zero_counts": [0],
+                   "systems_per_count": 1, "snr_db": snr_db}
+            (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+            code = cli_main([
+                "--config", str(tmp_path / "cfg.json"),
+                "--out", str(tmp_path / "mc"),
+                "montecarlo",
+            ])
+            assert code == 2
 
     def test_numerical_failure_exit_code(self, tmp_path):
         sys, fault = demo_system()

@@ -9,7 +9,6 @@ from subfault.matstack import (
     extended_observability,
     grassmann_error,
     min_norm_lsq,
-    nullspace_basis,
     numerical_rank,
     principal_angles,
     range_basis,
@@ -168,34 +167,6 @@ class TestNumericalRank:
 
     def test_report_zero_matrix(self):
         assert numerical_rank(np.zeros((3, 3))).rank == 0
-
-
-class TestNullspace:
-    def test_one_by_two(self):
-        basis = nullspace_basis(np.array([[1.0, 1.0]]))
-        assert basis.dim == 1
-        assert np.allclose(np.abs(basis.basis.ravel()), [np.sqrt(0.5)] * 2)
-        assert basis.basis[0, 0] > 0  # sign convention
-
-    def test_identity_has_trivial_nullspace(self):
-        assert nullspace_basis(np.eye(3)).dim == 0
-
-    def test_constructed_rank_three(self):
-        rng = np.random.default_rng(2)
-        m = rng.standard_normal((4, 3)) @ rng.standard_normal((3, 6))
-        basis = nullspace_basis(m, tol=1e-8)
-        assert basis.dim == 3
-        assert np.linalg.norm(m @ basis.basis) <= 1e-10
-
-    def test_residual_bound_property(self):
-        rng = np.random.default_rng(40)
-        for _ in range(20):
-            rows = rng.integers(2, 7)
-            cols = rng.integers(2, 9)
-            m = rng.standard_normal((rows, cols))
-            basis = nullspace_basis(m, tol=1e-8)
-            if basis.dim:
-                assert np.linalg.norm(m @ basis.basis) <= 1e-8 * np.linalg.norm(m)
 
 
 class TestMinNormLsq:

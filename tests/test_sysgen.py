@@ -192,6 +192,13 @@ class TestColoredNoise:
         f *= np.sqrt(np.mean(ref**2, axis=0) * 10.0 ** (-40.0 / 10.0) / np.mean(f**2, axis=0))
         assert np.array_equal(colored_noise(n_y, t, 40.0, ref, seed=7).data, f)
 
+    def test_negative_infinite_snr_rejected(self):
+        # -inf dB would be infinite noise, not the zero trajectory of +inf
+        ref = np.ones((10, 1))
+        assert np.array_equal(colored_noise(1, 10, float("inf"), ref, seed=0).data, 0 * ref)
+        with pytest.raises(ValueError, match="snr_db"):
+            colored_noise(1, 10, float("-inf"), ref, seed=0)
+
     def test_zero_power_reference_rejected(self):
         ref = np.zeros((10, 1))
         with pytest.raises(ValueError, match="zero power"):
