@@ -16,6 +16,7 @@ import numpy as np
 
 from .matstack import (
     RankPolicy,
+    _largest_gap,
     as_matrix,
     as_signal,
     block_hankel,
@@ -165,21 +166,24 @@ def estimate_fault_dim(y, u, sys: StateSpace, s: int, policy: RankPolicy | None 
     is applied to both Hankels so the difference is taken consistently.
     Returns (n_v, FaultDimDiagnostics).
     """
-    policy = policy or RankPolicy.gap()
     r_s = residual_hankel(y, u, sys, s)
-    r_s1 = residual_hankel(y, u, sys, s + 1)
+    return _fault_dim(r_s, residual_hankel(y, u, sys, s + 1), policy or RankPolicy.gap())
+
+
+def _fault_dim(r_s, r_s1, policy: RankPolicy):
+    """``estimate_fault_dim`` on residual Hankels already built."""
     sv_s = np.linalg.svd(r_s, compute_uv=False)
     sv_s1 = np.linalg.svd(r_s1, compute_uv=False)
-    tau = policy.threshold(sv_s1)
-    rank_s = int(np.sum(sv_s > tau))
-    rank_s1 = int(np.sum(sv_s1 > tau))
+    shared = RankPolicy.absolute(policy.threshold(sv_s1))
+    rank_s = shared.rank(sv_s)
+    rank_s1 = shared.rank(sv_s1)
     n_v = fault_dim_from_ranks(rank_s, rank_s1)
     diag = FaultDimDiagnostics(
         rank_s=rank_s,
         rank_s_plus_1=rank_s1,
         singular_values_s=sv_s,
         singular_values_s_plus_1=sv_s1,
-        threshold=float(tau),
+        threshold=float(shared.tol),
     )
     return n_v, diag
 
@@ -278,13 +282,6 @@ def recover_fault_matrices(r_s, sys: StateSpace, s: int, rank: int, n_z: int) ->
     return FaultPair(stack[:n_x], stack[n_x:])
 
 
-def _error_floor(singular_values: np.ndarray, shape, rel_err: float = _EPS) -> float:
-    """Largest singular value that entry errors of relative size ``rel_err``
-    (rounding, by default) can produce in a matrix of this shape."""
-    top = singular_values[0] if singular_values.size else 0.0
-    return float(max(shape) * rel_err * top)
-
-
 def annihilator_fault_basis(r_s, sys: StateSpace, s: int, n_z: int | None = None) -> FaultPair:
     """Fault-pair basis from the annihilator of the residual column space.
 
@@ -298,14 +295,16 @@ def annihilator_fault_basis(r_s, sys: StateSpace, s: int, n_z: int | None = None
     formulation, but the few unknowns are averaged over many constraint
     rows, which is far better conditioned against measurement noise.
 
-    Exact data (the projected spectrum reaches the machine floor
-    max(shape) * eps * sigma_1): every direction at the floor is kept, and
-    the default ``n_z`` is the numerical nullity of the constraint matrix K,
-    counting the columns a wide K has no singular value for. The nullity
-    tolerance widens eps to the directions' error bound (largest floor value
-    over the smallest value above it). Noisy data: the directions within a
-    factor 1.2 of the smallest projected value are kept, and the default
-    ``n_z`` is read at the dominant gap of the K spectrum.
+    Every readout is a ``RankPolicy`` count. Exact data (the projected
+    spectrum reaches the machine floor, ``RankPolicy.relative(max(shape) *
+    eps)``): every direction at the floor is kept, and the default ``n_z`` is
+    the numerical nullity of the constraint matrix K under the same relative
+    rule, counting the columns a wide K has no singular value for. The
+    nullity tolerance widens eps to the directions' error bound (largest
+    floor value over the smallest value above it). Noisy data: the
+    directions within a factor 1.2 of the smallest projected value are kept
+    (``RankPolicy.noise_floor(1.2)``), and the default ``n_z`` is read at the
+    first largest gap of the K spectrum above ``RankPolicy.relative(1e-14)``.
 
     ``n_z`` fixes the basis size in either case. The result has n_z columns.
     """
@@ -321,18 +320,11 @@ def annihilator_fault_basis(r_s, sys: StateSpace, s: int, n_z: int | None = None
     # tall (a short record), so a wide proj takes the thin SVD and never
     # forms its (T - s + 1)-square right factor
     u2, s2, _ = np.linalg.svd(proj, full_matrices=proj.shape[1] < proj.shape[0])
-    tau = _error_floor(s2, proj.shape)
-    exact = s2.size > 0 and s2[-1] <= tau
-    if exact:
-        # every direction at machine floor annihilates R_s exactly; by Wedin's
-        # bound each is accurate to the largest floor value over the gap
-        kept = s2[s2 > tau]
-        dir_err = max(_EPS, s2[kept.size] / kept[-1]) if kept.size else _EPS
-    else:
-        positive = s2[s2 > 0]
-        tau = _NOISE_FLOOR_SCALE * (positive[-1] if positive.size else 0.0)
-    weak = [i for i in range(u2.shape[1]) if i >= s2.size or s2[i] <= tau]
-    dirs = (b_perp @ u2[:, weak]).T
+    machine = RankPolicy.relative(max(proj.shape) * _EPS)
+    exact = machine.rank(s2) < s2.size
+    keep = machine if exact else RankPolicy.noise_floor(_NOISE_FLOOR_SCALE)
+    n_kept = keep.rank(s2)
+    dirs = (b_perp @ u2[:, n_kept:]).T
     powers = [np.eye(n_x)]
     for _ in range(s - 1):
         powers.append(powers[-1] @ sys.A)
@@ -348,14 +340,14 @@ def annihilator_fault_basis(r_s, sys: StateSpace, s: int, n_z: int | None = None
     _, svals, vt = np.linalg.svd(k_mat, full_matrices=True)
     n_total = vt.shape[0]
     if n_z is None and exact:
-        n_z = n_total - int(np.sum(svals > _error_floor(svals, k_mat.shape, dir_err)))
+        # every direction at machine floor annihilates R_s exactly; by Wedin's
+        # bound each is accurate to the largest floor value over the gap
+        dir_err = max(_EPS, s2[n_kept] / s2[n_kept - 1]) if n_kept else _EPS
+        n_z = n_total - RankPolicy.relative(max(k_mat.shape) * dir_err).rank(svals)
     elif n_z is None:
-        pos = svals[svals > svals[0] * 1e-14] if svals[0] > 0 else svals
-        ratios = [(pos[i] / pos[i + 1], i) for i in range(len(pos) - 1) if pos[i + 1] > 0]
-        if ratios:
-            n_z = n_total - (max(ratios)[1] + 1)
-        else:
-            n_z = n_total - len(pos)
+        pos = svals[: RankPolicy.relative(1e-14).rank(svals)]
+        gap = _largest_gap(pos)
+        n_z = n_total - (gap[0] + 1 if gap else pos.size)
     n_z = int(n_z)
     if n_z < 1 or n_z > n_total:
         raise RecoveryError(f"annihilator constraints leave no solution basis (n_z={n_z})")
@@ -377,8 +369,9 @@ def recover(
 ) -> FaultRecovery:
     """Full pipeline: residual Hankels, fault dimension, and matrix basis.
 
-    The rank threshold resolved on the R_{s+1} spectrum is shared by the
-    rank difference and by the structure method's truncation of R_s.
+    R_s and R_{s+1} are each built once. The rank threshold resolved on the
+    R_{s+1} spectrum is shared by the rank difference and by the structure
+    method's truncation of R_s.
 
     method "structure" runs the constraint-matrix construction with the
     solution dimension pinned to the theory count n_v + zeta_eff (see
@@ -388,13 +381,13 @@ def recover(
     set on clean data. A basis wider than n_v + max(zeta_eff, 0) raises a
     warning (``FaultRecovery.excess_basis``).
     """
-    policy = policy or RankPolicy.gap()
-    n_v, diag = estimate_fault_dim(y, u, sys, s, policy=policy)
+    r_s = residual_hankel(y, u, sys, s)
+    r_s1 = residual_hankel(y, u, sys, s + 1)
+    n_v, diag = _fault_dim(r_s, r_s1, policy or RankPolicy.gap())
     if n_v < 1:
         raise RecoveryError(
             "no fault detected (rank difference is zero); nothing to recover"
         )
-    r_s = residual_hankel(y, u, sys, s)
     if method == "structure":
         zeta_eff = _effective_zero_count(sys.n_x, s, n_v, diag.rank_s)
         if n_v + zeta_eff < 1:

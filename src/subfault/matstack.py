@@ -83,15 +83,20 @@ def fix_column_signs(m: np.ndarray) -> np.ndarray:
 class RankPolicy:
     """Rule for deciding numerical rank from a singular spectrum.
 
+    This is the package's one rank decision point: every rank, nullity and
+    gap readout resolves a threshold here and counts with ``rank``; gap
+    indices come from the module's one largest-ratio scan.
+
     kind "abs": count values above ``tol``.
     kind "rel": count values above ``tol * sigma_1``.
-    kind "gap": rank at the smallest index maximizing sigma_i / sigma_{i+1};
+    kind "gap": rank at the smallest index maximizing sigma_i / sigma_{i+1}
+        over the values down to the first one at or below 1e-300 sigma_1;
         the winning ratio must reach ``min_ratio``, otherwise the relative
         rule with ``tol`` is used as fallback.
     kind "floor": count values above ``scale`` times the smallest singular
-        value, treating the spectrum bottom as the noise floor. On exact-
-        arithmetic data the bottom is the machine floor, so this reduces to
-        counting all structurally nonzero values.
+        value (at least 1e-15 sigma_1), treating the spectrum bottom as the
+        noise floor. On exact-arithmetic data the bottom is the machine
+        floor, so this reduces to counting all structurally nonzero values.
     """
 
     kind: str = "rel"
@@ -137,20 +142,29 @@ class RankPolicy:
             floor = s[-1] if s[-1] > machine else machine
             return float(self.scale * floor)
         # gap: stop ranking once the spectrum hits exact zeros
-        floor = s[0] * 1e-300 if s[0] > 0 else 0.0
-        best_i, best_ratio = None, 0.0
-        for i in range(len(s) - 1):
-            hi, lo = s[i], s[i + 1]
-            if hi <= floor:
-                break
-            ratio = hi / lo if lo > 0 else np.inf
-            if ratio > best_ratio:
-                best_ratio, best_i = ratio, i
-        if best_i is not None and best_ratio >= self.min_ratio:
-            hi, lo = s[best_i], s[best_i + 1]
+        gap = _largest_gap(s[: RankPolicy.relative(1e-300).rank(s) + 1])
+        if gap is not None and gap[1] >= self.min_ratio:
+            hi, lo = s[gap[0]], s[gap[0] + 1]
             # geometric-mean cutoff between kept and dropped values
             return float(np.sqrt(hi * max(lo, hi * 1e-14)))
         return self.tol * s[0]
+
+    def rank(self, singular_values) -> int:
+        """Number of singular values above this policy's threshold."""
+        s = np.asarray(singular_values, dtype=float)
+        return int(np.sum(s > self.threshold(s)))
+
+
+def _largest_gap(s):
+    """(i, s[i] / s[i+1]) at the largest consecutive ratio of a nonincreasing
+    spectrum, the first such i on ties; the ratio is infinite where s[i+1]
+    is exactly 0. None for fewer than two values."""
+    best = None
+    for i in range(len(s) - 1):
+        ratio = s[i] / s[i + 1] if s[i + 1] > 0 else np.inf
+        if best is None or ratio > best[1]:
+            best = (i, ratio)
+    return best
 
 
 @dataclass
@@ -176,7 +190,7 @@ def numerical_rank(m, policy: RankPolicy | None = None) -> RankReport:
     policy = policy or RankPolicy.relative()
     s = np.linalg.svd(m, compute_uv=False)
     tau = policy.threshold(s)
-    rank = int(np.sum(s > tau))
+    rank = policy.rank(s)
     if rank == 0:
         gap = np.inf if s[0] == 0 else 0.0
     elif rank == len(s) or s[rank] == 0:
@@ -304,8 +318,7 @@ def range_basis(m, policy: RankPolicy | None = None, rank: int | None = None) ->
     m = as_matrix(m)
     u, s, _ = np.linalg.svd(m, full_matrices=False)
     if rank is None:
-        policy = policy or RankPolicy.relative()
-        rank = int(np.sum(s > policy.threshold(s)))
+        rank = (policy or RankPolicy.relative()).rank(s)
     return SubspaceBasis(fix_column_signs(u[:, :rank]))
 
 
@@ -382,7 +395,7 @@ def range_equal(m1, m2, tol: float = 1e-8) -> bool:
     shared = RankPolicy.absolute(tol * s_all[0])
     r1 = numerical_rank(m1, shared).rank
     r2 = numerical_rank(m2, shared).rank
-    r12 = int(np.sum(s_all > shared.tol))
+    r12 = shared.rank(s_all)
     return r1 == r2 == r12
 
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from .matstack import (
     RankPolicy,
+    _largest_gap,
     _markov_blocks,
     as_signal,
     block_hankel,
@@ -86,12 +87,8 @@ def estimate_order(singular_values, min_ratio: float = 10.0) -> OrderSelection:
     if s[0] < 1e-12:
         raise DegenerateDataError("all singular values below 1e-12")
     # drop the negligible tail before ranking gaps
-    m = int(np.sum(s > 1e-12 * s[0]))
-    best_i, best_ratio = None, 0.0
-    for i in range(m - 1):
-        ratio = s[i] / s[i + 1] if s[i + 1] > 0 else np.inf
-        if ratio > best_ratio:
-            best_ratio, best_i = ratio, i
+    m = RankPolicy.relative(1e-12).rank(s)
+    best_i, best_ratio = _largest_gap(s[:m]) or (None, 0.0)
     if best_i is not None and best_ratio >= min_ratio:
         return OrderSelection(order=best_i + 1, gap_ratio=float(best_ratio), confident=True)
     return OrderSelection(order=m, gap_ratio=float(best_ratio), confident=False)

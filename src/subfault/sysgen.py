@@ -322,13 +322,6 @@ def _rosenbrock(a, f, c, g, q: complex) -> np.ndarray:
     return np.vstack([top, bottom])
 
 
-def _pencil_rank(m: np.ndarray, tol: float) -> int:
-    s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] == 0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
-
-
 def _square_pencil_eigs(a, f, c, g) -> np.ndarray:
     """Finite generalized eigenvalues of the square Rosenbrock pencil."""
     n, nv = a.shape[0], f.shape[1]
@@ -385,12 +378,17 @@ def transmission_zeros(a, f, c, g, tol: float = 1e-8) -> ZeroReport:
     if a.shape[1] != n or f.shape[0] != n or c.shape[1] != n or g.shape != (ny, nv):
         raise ValueError("channel quadruple has inconsistent dimensions")
 
+    # a pencil at a complex point is complex and numerical_rank would drop
+    # its imaginary part, so every spectrum here is counted directly
+    policy = RankPolicy.relative(tol)
+
     # normal rank from two generic probe points
     probe_rng = np.random.default_rng(1917)
     normal_rank = 0
     for _ in range(2):
         q0 = complex(probe_rng.normal(scale=3.0), probe_rng.normal(scale=3.0))
-        normal_rank = max(normal_rank, _pencil_rank(_rosenbrock(a, f, c, g, q0), tol))
+        pencil = _rosenbrock(a, f, c, g, q0)
+        normal_rank = max(normal_rank, policy.rank(np.linalg.svd(pencil, compute_uv=False)))
     left_invertible_rank = normal_rank == n + nv
 
     # finite-zero candidates
@@ -409,7 +407,8 @@ def transmission_zeros(a, f, c, g, tol: float = 1e-8) -> ZeroReport:
 
     finite = []
     for z in candidates:
-        if _pencil_rank(_rosenbrock(a, f, c, g, z), tol) < normal_rank:
+        pencil = _rosenbrock(a, f, c, g, z)
+        if policy.rank(np.linalg.svd(pencil, compute_uv=False)) < normal_rank:
             if abs(z.imag) <= 1e-9 * (1.0 + abs(z.real)):
                 z = complex(z.real, 0.0)
             finite.append(z)
@@ -421,7 +420,7 @@ def transmission_zeros(a, f, c, g, tol: float = 1e-8) -> ZeroReport:
     prev_rank = 0
     for s in range(1, n + 2):
         ts = block_toeplitz(a, f, c, g, s)
-        rank_s = _pencil_rank(ts, tol)
+        rank_s = policy.rank(np.linalg.svd(ts, compute_uv=False))
         if rank_s - prev_rank == nv:
             l_delay = s - 1
             infinite = s * nv - rank_s
@@ -432,7 +431,7 @@ def transmission_zeros(a, f, c, g, tol: float = 1e-8) -> ZeroReport:
     if l_delay is None:
         # not left invertible: report the terminal deficiency for diagnostics
         ts = block_toeplitz(a, f, c, g, n + 1)
-        infinite = (n + 1) * nv - _pencil_rank(ts, tol)
+        infinite = (n + 1) * nv - policy.rank(np.linalg.svd(ts, compute_uv=False))
     return ZeroReport(finite_zeros=finite, infinite_zero_count=int(infinite), l_delay=l_delay)
 
 
@@ -479,8 +478,7 @@ def _place_fault_pair(
     if rows:
         k = np.vstack(rows)
         _, svals, vt = np.linalg.svd(k, full_matrices=True)
-        rank = int(np.sum(svals > 1e-10 * svals[0]))
-        null = vt[rank:].T
+        null = vt[RankPolicy.relative(1e-10).rank(svals):].T
         if null.shape[1] == 0:
             raise ValueError(
                 f"cannot place {len(zeros)} zeros on a channel with "

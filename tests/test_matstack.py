@@ -3,6 +3,7 @@ import pytest
 
 from subfault.matstack import (
     RankPolicy,
+    _largest_gap,
     SubspaceBasis,
     block_hankel,
     block_toeplitz,
@@ -21,6 +22,9 @@ from subfault.matstack import (
 FIG_SV_R5 = [26.5500789412737, 24.5755309469592, 17.464565160419, 16.8178553234019,
              13.3593909879432, 9.80428541092819, 0.642137996198499, 0.424179989481712,
              0.196427980417734, 0.1811099220302]
+FIG_SV_R6 = [26.6613566971983, 26.2480832086168, 20.6959018289427, 17.2298675859753,
+             13.9731111147254, 13.3147972062507, 9.23786667136778, 0.674689402948074,
+             0.473886886786674, 0.271201768646024, 0.184044483183736, 0.157473233749879]
 
 
 def hankel_oracle(data, depth, width):
@@ -167,6 +171,28 @@ class TestNumericalRank:
 
     def test_report_zero_matrix(self):
         assert numerical_rank(np.zeros((3, 3))).rank == 0
+
+
+class TestRankPrimitives:
+    @pytest.mark.parametrize("spectrum", [FIG_SV_R5, FIG_SV_R6])
+    @pytest.mark.parametrize(
+        "policy",
+        [RankPolicy.absolute(1.0), RankPolicy.relative(0.1), RankPolicy.gap(),
+         RankPolicy.noise_floor(3.0)],
+        ids=["abs", "rel", "gap", "floor"],
+    )
+    def test_rank_agrees_with_numerical_rank(self, policy, spectrum):
+        assert policy.rank(spectrum) == numerical_rank(np.diag(spectrum), policy).rank
+
+    def test_gap_takes_first_index_on_ties(self):
+        assert _largest_gap([8.0, 4.0, 2.0, 1.0]) == (0, 2.0)
+
+    def test_gap_infinite_before_exact_zero(self):
+        assert _largest_gap([5.0, 1.0, 1e-3, 0.0]) == (2, np.inf)
+
+    def test_gap_needs_two_values(self):
+        assert _largest_gap([]) is None
+        assert _largest_gap([3.0]) is None
 
 
 class TestMinNormLsq:
