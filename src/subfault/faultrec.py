@@ -27,6 +27,7 @@ from .matstack import (
     range_basis,
     range_equal,
 )
+from .subid import _input_output_arrays
 from .sysgen import FaultPair, StateSpace, Trajectory, simulate, transmission_zeros
 
 __all__ = [
@@ -92,13 +93,13 @@ class FaultRecovery:
         if self.n_v_estimate != self.rank_s_plus_1 - self.rank_s or self.n_v_estimate < 0:
             raise ValueError("fault-dimension estimate inconsistent with the ranks")
         if self.n_z < self.n_v_estimate:
-            raise ValueError(
+            raise RecoveryError(
                 f"solution basis ({self.n_z}) smaller than the fault dimension "
                 f"({self.n_v_estimate}); rank policy too aggressive"
             )
         stack = self.stack()
         if numerical_rank(stack, RankPolicy.relative(1e-10)).rank < self.n_z:
-            raise ValueError("recovered fault-pair columns are linearly dependent")
+            raise RecoveryError("recovered fault-pair columns are linearly dependent")
 
     def stack(self) -> np.ndarray:
         return np.vstack([self.F_hat, self.G_hat])
@@ -133,10 +134,7 @@ def residual_hankel(y, u, sys: StateSpace, s: int, x_tilde_0=None) -> np.ndarray
     residual-subsystem contribution (useful for spectra where the
     input-driven state directions would dominate the picture).
     """
-    y_data = as_signal(y, "y")
-    u_data = as_signal(u, "u")
-    if y_data.shape[0] != u_data.shape[0]:
-        raise ValueError("y and u lengths differ")
+    u_data, y_data = _input_output_arrays(u, y)
     if y_data.shape[1] != sys.n_y or u_data.shape[1] != sys.n_u:
         raise ValueError("trajectory channel counts do not match the system")
     if x_tilde_0 is not None:
@@ -537,8 +535,7 @@ def reconstruct_fault(y, u, sys: StateSpace, fg: FaultPair, x_tilde_0) -> FaultR
     ``replay_residual`` is the relative error of simulating the channel from
     (xi0, v) against r.
     """
-    y_data = as_signal(y, "y")
-    u_data = as_signal(u, "u")
+    u_data, y_data = _input_output_arrays(u, y)
     fg.check_matches(sys)
     if y_data.shape[0] < 1:
         raise ValueError("reconstruction needs at least one sample")

@@ -20,6 +20,7 @@ import numpy as np
 
 from .matstack import (
     RankPolicy,
+    as_matrix,
     extended_observability,
     min_norm_lsq,
     principal_angles,
@@ -185,12 +186,8 @@ def recovery_error_pct(true_stack, recovered_stack) -> float:
     truth. Missing directions (recovered basis thinner than the truth) count
     as right angles.
     """
-    t = np.asarray(true_stack, dtype=float)
-    r = np.asarray(recovered_stack, dtype=float)
-    if t.ndim == 1:
-        t = t[:, None]
-    if r.ndim == 1:
-        r = r[:, None]
+    t = as_matrix(true_stack, "true stack")
+    r = as_matrix(recovered_stack, "recovered stack")
     k = t.shape[1]
     angles = principal_angles(t, r)
     missing = k - angles.size
@@ -207,12 +204,8 @@ def representative_error_pct(true_stack, recovered_stack, n_selected: int) -> fl
     under- and over-estimated fault dimensions cost; with the dimension
     estimated correctly this equals the plain normalized Grassmannian error.
     """
-    t = np.asarray(true_stack, dtype=float)
-    r = np.asarray(recovered_stack, dtype=float)
-    if t.ndim == 1:
-        t = t[:, None]
-    if r.ndim == 1:
-        r = r[:, None]
+    t = as_matrix(true_stack, "true stack")
+    r = as_matrix(recovered_stack, "recovered stack")
     k = t.shape[1]
     if n_selected < 1:
         return 100.0
@@ -226,9 +219,7 @@ def representative_error_pct(true_stack, recovered_stack, n_selected: int) -> fl
 
 def projection_residual(true_stack, recovered_stack) -> float:
     """Relative residual of the true stack outside the recovered range."""
-    t = np.asarray(true_stack, dtype=float)
-    if t.ndim == 1:
-        t = t[:, None]
+    t = as_matrix(true_stack, "true stack")
     basis = range_basis(recovered_stack).basis
     resid = t - basis @ (basis.T @ t)
     return float(np.linalg.norm(resid) / np.linalg.norm(t))

@@ -59,14 +59,7 @@ class Trajectory:
     role: str = "signal"
 
     def __post_init__(self):
-        arr = np.asarray(self.data, dtype=float)
-        if arr.ndim == 1:
-            arr = arr[:, None]
-        if arr.ndim != 2:
-            raise ValueError(f"trajectory data must be (T, dim), got {arr.shape}")
-        if arr.size and not np.all(np.isfinite(arr)):
-            raise ValueError("trajectory contains non-finite entries")
-        self.data = arr
+        self.data = as_signal(self.data, "trajectory")
 
     def __len__(self) -> int:
         return self.data.shape[0]

@@ -20,6 +20,7 @@ from subfault.sysgen import (
     white_input,
 )
 from subfault.faultrec import (
+    FaultRecovery,
     RecoveryError,
     annihilator_fault_basis,
     behaviorally_equivalent,
@@ -230,6 +231,16 @@ class TestRecoverFaultMatrices:
             with pytest.raises(RecoveryError, match="not available"):
                 recover_fault_matrices(r, sys, 5, rank=7, n_z=n_z)
         assert recover_fault_matrices(r, sys, 5, rank=7, n_z=2).n_v == 2
+
+    def test_rank_inconsistent_result_is_recovery_error(self):
+        spectra = dict(singular_values_s=np.ones(3), singular_values_s_plus_1=np.ones(5))
+        # n_v = 5 - 3 = 2 from the ranks; a one-column basis is too small
+        with pytest.raises(RecoveryError, match="smaller than the fault dimension"):
+            FaultRecovery(F_hat=np.ones((2, 1)), G_hat=np.ones((1, 1)), n_z=1, n_v_estimate=2,
+                          rank_s=3, rank_s_plus_1=5, window_s=2, **spectra)
+        with pytest.raises(RecoveryError, match="linearly dependent"):
+            FaultRecovery(F_hat=np.ones((2, 2)), G_hat=np.ones((1, 2)), n_z=2, n_v_estimate=2,
+                          rank_s=3, rank_s_plus_1=5, window_s=2, **spectra)
 
 
 class TestBehavioralEquivalence:

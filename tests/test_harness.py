@@ -7,6 +7,7 @@ import pytest
 from subfault.cli import main as cli_main
 from subfault.harness import (
     ExperimentConfig,
+    _fault_trajectory,
     _montecarlo_instance,
     _tukey_stats,
     demo_system,
@@ -20,7 +21,9 @@ from subfault.harness import (
 from subfault.faultrec import recover
 from subfault.matstack import RankPolicy
 from subfault.sysgen import (
+    colored_noise,
     fault_signal,
+    random_system,
     save_system_json,
     simulate,
     white_input,
@@ -320,6 +323,31 @@ class TestCli:
             "--out", str(tmp_path),
             "identify", "--u", str(tmp_path / "u0.csv"), "--y", str(tmp_path / "y0.csv"),
             "--window", "5",
+        ])
+        assert code == 3
+
+    def test_rank_inconsistency_is_numerical_failure(self, tmp_path):
+        # the default Monte-Carlo study's instance 15 (seed 20240 ^ 15, one
+        # zero, 40 dB): the floor policy reads n_v = 2 while the annihilator
+        # keeps a one-column basis
+        seed = 20255
+        sys, fault = random_system(5, 1, 3, 2, 1, seed=seed)
+        x0 = np.random.default_rng([seed, 4]).standard_normal(5)
+        u = white_input(1, 1000, seed=[seed, 1])
+        y, _ = simulate(sys, fault, x0, u, _fault_trajectory(2, 1000, seed))
+        w = colored_noise(3, 1000, 40.0, y, seed=[seed, 3])
+        save_system_json(tmp_path / "sys.json", sys)
+        write_trajectory_csv(tmp_path / "u.csv", u)
+        write_trajectory_csv(tmp_path / "y.csv", y.data + w.data)
+        code = cli_main([
+            "--out", str(tmp_path / "rec"),
+            "fault-recover",
+            "--u", str(tmp_path / "u.csv"),
+            "--y", str(tmp_path / "y.csv"),
+            "--system", str(tmp_path / "sys.json"),
+            "--window", "6",
+            "--rank-policy", "floor",
+            "--method", "annihilator",
         ])
         assert code == 3
 
