@@ -329,9 +329,7 @@ def _coerce_basis(u) -> np.ndarray:
     if b.shape[1] == 0:
         return b
     # orthonormalize arbitrary spanning sets for convenience
-    q, r = np.linalg.qr(b)
-    keep = np.abs(np.diag(r)) > 1e-12 * max(np.abs(np.diag(r)).max(), 1e-300)
-    return q[:, : int(np.sum(keep))]
+    return range_basis(b, RankPolicy.relative(1e-12)).basis
 
 
 def principal_angles(u, v) -> np.ndarray:

@@ -242,6 +242,12 @@ class TestSubspaceGeometry:
         v = np.array([[np.cos(alpha)], [np.sin(alpha)], [0.0]])
         assert abs(principal_angles(u, v)[0] - alpha) < 1e-12
 
+    def test_spanning_set_read_at_its_rank(self):
+        # unpivoted QR of these columns has a zero second diagonal entry,
+        # though they span {e1, e2}
+        spanning = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+        assert np.allclose(principal_angles(spanning, np.eye(3)[:, [1]]), 0.0)
+
     def test_symmetry_and_orthogonal_invariance(self):
         rng = np.random.default_rng(77)
         u = np.linalg.qr(rng.standard_normal((8, 3)))[0]
