@@ -367,9 +367,8 @@ def recover(
 ) -> FaultRecovery:
     """Full pipeline: residual Hankels, fault dimension, and matrix basis.
 
-    R_s and R_{s+1} are each built once. The rank threshold resolved on the
-    R_{s+1} spectrum is shared by the rank difference and by the structure
-    method's truncation of R_s.
+    The rank threshold resolved on the R_{s+1} spectrum is shared by the
+    rank difference and by the structure method's truncation of R_s.
 
     method "structure" runs the constraint-matrix construction with the
     solution dimension pinned to the theory count n_v + zeta_eff (see
