@@ -9,7 +9,6 @@ behavioral equivalence), and reconstructs the fault signal.
 from .matstack import (
     RankPolicy,
     RankReport,
-    SubspaceBasis,
     block_hankel,
     block_toeplitz,
     extended_observability,
@@ -22,7 +21,6 @@ from .matstack import (
 from .sysgen import (
     FaultPair,
     StateSpace,
-    Trajectory,
     ZeroReport,
     colored_noise,
     fault_signal,

@@ -108,9 +108,9 @@ def _out_dir(args) -> Path:
 
 def _cmd_simulate(args) -> int:
     system, fault = load_system_json(args.system)
-    u = read_trajectory_csv(args.u, role="input")
-    v = read_trajectory_csv(args.v, role="fault") if args.v else None
-    w = read_trajectory_csv(args.w, role="noise") if args.w else None
+    u = read_trajectory_csv(args.u)
+    v = read_trajectory_csv(args.v) if args.v else None
+    w = read_trajectory_csv(args.w) if args.w else None
     x0 = [float(x) for x in args.x0.split(",")] if args.x0 else None
     if v is not None and fault is None:
         raise ValueError("fault trajectory given but the system JSON carries no F,G")
@@ -124,8 +124,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_identify(args) -> int:
-    u = read_trajectory_csv(args.u, role="input")
-    y = read_trajectory_csv(args.y, role="output")
+    u = read_trajectory_csv(args.u)
+    y = read_trajectory_csv(args.y)
     order = args.order if args.order == "auto" else int(args.order)
     result = pi_moesp(u, y, s=args.window, order=order)
     out = _out_dir(args)
@@ -151,8 +151,8 @@ def _cmd_identify(args) -> int:
 
 
 def _cmd_fault_recover(args) -> int:
-    u = read_trajectory_csv(args.u, role="input")
-    y = read_trajectory_csv(args.y, role="output")
+    u = read_trajectory_csv(args.u)
+    y = read_trajectory_csv(args.y)
     system, _ = load_system_json(args.system)
     policy = ExperimentConfig(rank_policy=args.rank_policy, rank_tol=args.rank_tol).policy()
     rec = recover(y, u, system, s=args.window, policy=policy, method=args.method)

@@ -16,6 +16,7 @@ import numpy as np
 
 from .matstack import (
     RankPolicy,
+    _input_output_arrays,
     _largest_gap,
     as_matrix,
     as_signal,
@@ -27,8 +28,7 @@ from .matstack import (
     range_basis,
     range_equal,
 )
-from .subid import _input_output_arrays
-from .sysgen import FaultPair, StateSpace, Trajectory, simulate, transmission_zeros
+from .sysgen import FaultPair, StateSpace, simulate, transmission_zeros
 
 __all__ = [
     "annihilator_fault_basis",
@@ -118,12 +118,16 @@ class FaultRecovery:
 
 @dataclass
 class FaultReconstruction:
-    """Reconstructed residual-system initial state and fault signal."""
+    """Reconstructed residual-system initial state and fault signal.
+
+    ``v`` has shape (T, n_v); ``x_full``, the nominal plus residual-system
+    state, has shape (T + 1, n_x).
+    """
 
     xi0: np.ndarray
-    v: Trajectory
+    v: np.ndarray
     replay_residual: float
-    x_full: Trajectory
+    x_full: np.ndarray
 
 
 def residual_hankel(y, u, sys: StateSpace, s: int, x_tilde_0=None) -> np.ndarray:
@@ -139,7 +143,7 @@ def residual_hankel(y, u, sys: StateSpace, s: int, x_tilde_0=None) -> np.ndarray
         raise ValueError("trajectory channel counts do not match the system")
     if x_tilde_0 is not None:
         y_nom, _ = simulate(sys, None, x_tilde_0, u_data)
-        return block_hankel(y_data - y_nom.data, s)
+        return block_hankel(y_data - y_nom, s)
     y_h = block_hankel(y_data, s)
     u_h = block_hankel(u_data, s)
     t_s = block_toeplitz(sys.A, sys.B, sys.C, sys.D, s)
@@ -257,7 +261,7 @@ def recover_fault_matrices(r_s, sys: StateSpace, s: int, rank: int, n_z: int) ->
             f"residual Hankel has {r_mat.shape[0]} rows, expected s*n_y={s * n_y}"
         )
     q = range_basis(r_mat, rank=rank)
-    r = q.dim
+    r = q.shape[1]
     if r == 0:
         raise RecoveryError("residual Hankel is numerically zero; nothing to recover")
     n_unknowns = s * r + n_x
@@ -265,7 +269,7 @@ def recover_fault_matrices(r_s, sys: StateSpace, s: int, rank: int, n_z: int) ->
         raise RecoveryError(
             f"requested solution dimension {n_z} not available ({n_unknowns} unknowns)"
         )
-    q_blocks = [q.basis[i * n_y:(i + 1) * n_y] for i in range(s)]
+    q_blocks = [q[i * n_y:(i + 1) * n_y] for i in range(s)]
     obs = extended_observability(sys.A, sys.C, s - 1)
     m = _structure_constraints(q_blocks, obs, s, r, n_x, n_y)
     vt = np.linalg.svd(m, full_matrices=True)[2]
@@ -449,7 +453,7 @@ def window_in_behavior(a, f, c, g, window, tol: float = 1e-8) -> bool:
     norm = np.linalg.norm(vec)
     if norm == 0:
         return True
-    p = range_basis(basis_mat, policy=RankPolicy.relative(tol)).basis
+    p = range_basis(basis_mat, policy=RankPolicy.relative(tol))
     resid = vec - p @ (p.T @ vec)
     return bool(np.linalg.norm(resid) <= tol * norm)
 
@@ -539,18 +543,12 @@ def reconstruct_fault(y, u, sys: StateSpace, fg: FaultPair, x_tilde_0) -> FaultR
     if y_data.shape[0] < 1:
         raise ValueError("reconstruction needs at least one sample")
     y_nom, x_nom = simulate(sys, None, x_tilde_0, u_data)
-    resid = y_data - y_nom.data
+    resid = y_data - y_nom
     xi0, v_hat = _fault_channel_smoother(sys.A, fg.F, sys.C, fg.G, resid)
     y_fault, xi = simulate(StateSpace(sys.A, fg.F, sys.C, fg.G), None, xi0, v_hat)
     norm = np.linalg.norm(resid)
-    replay = float(np.linalg.norm(y_fault.data - resid) / norm) if norm > 0 else 0.0
-    x_full = Trajectory(xi.data + x_nom.data, role="state")
-    return FaultReconstruction(
-        xi0=xi0,
-        v=Trajectory(v_hat, role="fault"),
-        replay_residual=replay,
-        x_full=x_full,
-    )
+    replay = float(np.linalg.norm(y_fault - resid) / norm) if norm > 0 else 0.0
+    return FaultReconstruction(xi0=xi0, v=v_hat, replay_residual=replay, x_full=xi + x_nom)
 
 
 def select_representative(

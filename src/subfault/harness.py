@@ -30,7 +30,6 @@ from .matstack import (
 from .sysgen import (
     FaultPair,
     StateSpace,
-    Trajectory,
     colored_noise,
     fault_signal,
     random_system,
@@ -220,7 +219,7 @@ def representative_error_pct(true_stack, recovered_stack, n_selected: int) -> fl
 def projection_residual(true_stack, recovered_stack) -> float:
     """Relative residual of the true stack outside the recovered range."""
     t = as_matrix(true_stack, "true stack")
-    basis = range_basis(recovered_stack).basis
+    basis = range_basis(recovered_stack)
     resid = t - basis @ (basis.T @ t)
     return float(np.linalg.norm(resid) / np.linalg.norm(t))
 
@@ -272,13 +271,13 @@ def _identify(u, y, config: ExperimentConfig, true_order: int):
     return result, not sel.confident or sel.order != true_order
 
 
-def _fault_trajectory(n_v: int, t: int, seed) -> Trajectory:
+def _fault_trajectory(n_v: int, t: int, seed) -> np.ndarray:
     """Per-channel built-in fault waveforms (odd channels get the noisy ramp)."""
     channels = [
         fault_signal("v1" if i % 2 == 0 else "v2", t, seed=[*_as_seed_list(seed), 2, i])
         for i in range(n_v)
     ]
-    return stack_channels(*channels, role="fault")
+    return stack_channels(*channels)
 
 
 def _as_seed_list(seed) -> list:
@@ -309,7 +308,7 @@ def run_example(config: ExperimentConfig | None = None) -> dict:
         y_clean, _ = simulate(sys, fault, x0, u, v)
         if config.snr_db is not None:
             w = colored_noise(sys.n_y, config.T, config.snr_db, y_clean, seed=[config.seed, 3])
-            y = Trajectory(y_clean.data + w.data, role="output")
+            y = y_clean + w
         else:
             y = y_clean
 
@@ -358,7 +357,7 @@ def run_example(config: ExperimentConfig | None = None) -> dict:
             if x_tilde_0 is None:
                 x_tilde_0 = estimate_initial_state(model, u, y, horizon=min(config.T, 50))
             recon = reconstruct_fault(y, u, model, rep, x_tilde_0)
-            corr = np.corrcoef(recon.v.data[:, 0], v.data[:, 0])[0, 1]
+            corr = np.corrcoef(recon.v[:, 0], v[:, 0])[0, 1]
             branch["replay_residual"] = recon.replay_residual
             branch["fault_correlation"] = float(abs(corr))
             recons[label] = recon
@@ -472,7 +471,7 @@ def _montecarlo_instance(config: ExperimentConfig, index: int, zero_count: int) 
             y_clean, _ = simulate(sys, fault, x0, u, v)
             if config.snr_db is not None:
                 w = colored_noise(n_y, config.T, config.snr_db, y_clean, seed=[seed, 3])
-                y = Trajectory(y_clean.data + w.data, role="output")
+                y = y_clean + w
             else:
                 y = y_clean
         with _stage("identify"):

@@ -20,7 +20,6 @@ import scipy.linalg
 __all__ = [
     "RankPolicy",
     "RankReport",
-    "SubspaceBasis",
     "as_matrix",
     "as_signal",
     "block_hankel",
@@ -51,9 +50,9 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 def as_signal(x, name: str = "signal") -> np.ndarray:
-    """Coerce a time series to shape (T, dim); accepts (T,) or objects with .data."""
-    data = x if isinstance(x, np.ndarray) else getattr(x, "data", x)
-    arr = np.asarray(data, dtype=float)
+    """Coerce a time series to a finite float array of shape (T, dim); a
+    (T,) series becomes one channel."""
+    arr = np.asarray(x, dtype=float)
     if arr.ndim == 1:
         arr = arr[:, None]
     if arr.ndim != 2:
@@ -61,6 +60,17 @@ def as_signal(x, name: str = "signal") -> np.ndarray:
     if arr.size and not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
+
+
+def _input_output_arrays(u, y):
+    """Coerce an input/output record pair, checking that the lengths agree."""
+    u_data = as_signal(u, "u")
+    y_data = as_signal(y, "y")
+    if u_data.shape[0] != y_data.shape[0]:
+        raise ValueError(
+            f"u and y lengths differ: {u_data.shape[0]} vs {y_data.shape[0]}"
+        )
+    return u_data, y_data
 
 
 def fix_column_signs(m: np.ndarray) -> np.ndarray:
@@ -288,55 +298,32 @@ def block_toeplitz(a, b, c, d, s: int) -> np.ndarray:
 # subspaces
 
 
-@dataclass
-class SubspaceBasis:
-    """Orthonormal basis of a subspace of R^ambient_dim."""
+def range_basis(m, policy: RankPolicy | None = None, rank: int | None = None) -> np.ndarray:
+    """Orthonormal basis of the column space, truncated at the numerical rank.
 
-    basis: np.ndarray
-
-    def __post_init__(self):
-        self.basis = as_matrix(self.basis, "basis")
-        k = self.basis.shape[1]
-        if k:
-            gram = self.basis.T @ self.basis
-            if np.abs(gram - np.eye(k)).max() > 1e-10:
-                raise ValueError("basis columns are not orthonormal")
-        if k > self.basis.shape[0]:
-            raise ValueError("more basis vectors than ambient dimensions")
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.basis.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
-
-
-def range_basis(m, policy: RankPolicy | None = None, rank: int | None = None) -> SubspaceBasis:
-    """Orthonormal basis of the column space, truncated at the numerical rank."""
+    The columns are left singular vectors with signs fixed, shape
+    (rows, rank).
+    """
     m = as_matrix(m)
     u, s, _ = np.linalg.svd(m, full_matrices=False)
     if rank is None:
         rank = (policy or RankPolicy.relative()).rank(s)
-    return SubspaceBasis(fix_column_signs(u[:, :rank]))
+    return fix_column_signs(u[:, :rank])
 
 
 def _coerce_basis(u) -> np.ndarray:
-    if isinstance(u, SubspaceBasis):
-        return u.basis
     b = as_matrix(u, "basis")
     if b.shape[1] == 0:
         return b
     # orthonormalize arbitrary spanning sets for convenience
-    return range_basis(b, RankPolicy.relative(1e-12)).basis
+    return range_basis(b, RankPolicy.relative(1e-12))
 
 
 def principal_angles(u, v) -> np.ndarray:
     """Principal angles between two subspaces, nonincreasing, in [0, pi/2].
 
-    Accepts SubspaceBasis objects or plain matrices whose columns span the
-    subspaces; count equals the smaller of the two dimensions.
+    Accepts matrices whose columns span the subspaces; count equals the
+    smaller of the two dimensions.
     """
     bu = _coerce_basis(u)
     bv = _coerce_basis(v)

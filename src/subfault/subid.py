@@ -16,9 +16,9 @@ import numpy as np
 
 from .matstack import (
     RankPolicy,
+    _input_output_arrays,
     _largest_gap,
     _markov_blocks,
-    as_signal,
     block_hankel,
     block_toeplitz,
     extended_observability,
@@ -92,16 +92,6 @@ def estimate_order(singular_values, min_ratio: float = 10.0) -> OrderSelection:
     if best_i is not None and best_ratio >= min_ratio:
         return OrderSelection(order=best_i + 1, gap_ratio=float(best_ratio), confident=True)
     return OrderSelection(order=m, gap_ratio=float(best_ratio), confident=False)
-
-
-def _input_output_arrays(u, y):
-    u_data = as_signal(u, "u")
-    y_data = as_signal(y, "y")
-    if u_data.shape[0] != y_data.shape[0]:
-        raise ValueError(
-            f"u and y lengths differ: {u_data.shape[0]} vs {y_data.shape[0]}"
-        )
-    return u_data, y_data
 
 
 def pi_moesp(

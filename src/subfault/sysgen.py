@@ -3,7 +3,8 @@ zeros, benchmark input/fault/noise generators, and fault-channel zero and
 invertibility analysis.
 
 All randomized operations take an explicit seed and are deterministic given
-it. Trajectories are value objects; nothing here mutates shared state.
+it. Signals are plain (T, dim) float arrays; nothing here mutates shared
+state.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .matstack import (
 __all__ = [
     "FaultPair",
     "StateSpace",
-    "Trajectory",
     "ZeroReport",
     "colored_noise",
     "fault_signal",
@@ -47,35 +47,13 @@ __all__ = [
 _INFINITE_ZERO_CUTOFF = 1e6
 
 
-@dataclass
-class Trajectory:
-    """Finite time-indexed sequence of real vectors, shape (T, dim).
-
-    ``role`` tags what the signal is (input u, output y, fault v, noise w,
-    state x, residual r); it is informational only.
-    """
-
-    data: np.ndarray
-    role: str = "signal"
-
-    def __post_init__(self):
-        self.data = as_signal(self.data, "trajectory")
-
-    def __len__(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.data.shape[1]
-
-
-def stack_channels(*signals, role: str = "signal") -> Trajectory:
-    """Concatenate same-length trajectories channel-wise."""
+def stack_channels(*signals) -> np.ndarray:
+    """Concatenate same-length signals channel-wise."""
     parts = [as_signal(s) for s in signals]
     lengths = {p.shape[0] for p in parts}
     if len(lengths) != 1:
         raise ValueError(f"channel lengths differ: {sorted(lengths)}")
-    return Trajectory(np.hstack(parts), role=role)
+    return np.hstack(parts)
 
 
 def _controllability(a, b) -> np.ndarray:
@@ -193,7 +171,8 @@ class ZeroReport:
 def simulate(sys: StateSpace, fault: FaultPair | None, x0, u, v=None, w=None):
     """Run x(k+1) = A x + B u + F v, y(k) = C x + D u + G v + w.
 
-    Returns (y, x) where x carries T+1 samples including the terminal state.
+    Returns the arrays (y, x), where x carries T+1 samples including the
+    terminal state.
     """
     u_data = as_signal(u, "u")
     t = u_data.shape[0]
@@ -236,22 +215,22 @@ def simulate(sys: StateSpace, fault: FaultPair | None, x0, u, v=None, w=None):
     ys = xs[:t] @ sys.C.T + feed
     if w_data is not None:
         ys = ys + w_data
-    return Trajectory(ys, role="output"), Trajectory(xs, role="state")
+    return ys, xs
 
 
 # ---------------------------------------------------------------------------
 # signal generators
 
 
-def white_input(n_u: int, t: int, seed) -> Trajectory:
+def white_input(n_u: int, t: int, seed) -> np.ndarray:
     """I.i.d. standard normal input samples from the seeded generator."""
     if t < 1:
         raise ValueError("T must be at least 1")
     rng = np.random.default_rng(seed)
-    return Trajectory(rng.standard_normal((t, n_u)), role="input")
+    return rng.standard_normal((t, n_u))
 
 
-def fault_signal(kind: str, t: int, seed=None) -> Trajectory:
+def fault_signal(kind: str, t: int, seed=None) -> np.ndarray:
     """One of the two built-in scalar fault waveforms.
 
     "v1": 0.1 + sin(0.25 * k**1.3), a drifting non-periodic sinusoid.
@@ -268,21 +247,21 @@ def fault_signal(kind: str, t: int, seed=None) -> Trajectory:
         vals = 1.0 - 0.99**k + rng.standard_normal(t)
     else:
         raise ValueError(f"unknown fault signal kind {kind!r}")
-    return Trajectory(vals[:, None], role="fault")
+    return vals[:, None]
 
 
-def colored_noise(n_y: int, t: int, snr_db, reference, seed) -> Trajectory:
+def colored_noise(n_y: int, t: int, snr_db, reference, seed) -> np.ndarray:
     """First-order low-pass filtered Gaussian noise at a per-channel SNR.
 
     White noise is shaped by f(k) = 0.7 f(k-1) + e(k), then each channel is
     scaled so 10*log10(power(ref_ch)/power(noise_ch)) equals ``snr_db``.
-    ``snr_db`` None or +inf yields the zero trajectory.
+    ``snr_db`` None or +inf yields the zero signal.
     """
     ref = as_signal(reference, "reference")
     if ref.shape != (t, n_y):
         raise ValueError(f"reference must be {t}x{n_y}, got {ref.shape}")
     if snr_db is None or float(snr_db) == math.inf:
-        return Trajectory(np.zeros((t, n_y)), role="noise")
+        return np.zeros((t, n_y))
     if not math.isfinite(float(snr_db)):
         raise ValueError("snr_db must be finite, None, or +inf")
     rng = np.random.default_rng(seed)
@@ -301,7 +280,7 @@ def colored_noise(n_y: int, t: int, snr_db, reference, seed) -> Trajectory:
     noise_power = np.mean(f**2, axis=0)
     target = ref_power * 10.0 ** (-float(snr_db) / 10.0)
     f *= np.sqrt(target / noise_power)
-    return Trajectory(f, role="noise")
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +554,7 @@ def write_trajectory_csv(path, traj) -> None:
             fh.write(f"{k}," + ",".join(repr(float(x)) for x in row) + "\n")
 
 
-def read_trajectory_csv(path, role: str = "signal") -> Trajectory:
+def read_trajectory_csv(path) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         if not header or header[0] != "t":
@@ -587,7 +566,7 @@ def read_trajectory_csv(path, role: str = "signal") -> Trajectory:
                 continue
             parts = line.split(",")
             rows.append([float(x) for x in parts[1:]])
-    return Trajectory(np.asarray(rows, dtype=float), role=role)
+    return as_signal(rows, "trajectory")
 
 
 def save_system_json(path, sys: StateSpace, fault: FaultPair | None = None, seed=None) -> None:

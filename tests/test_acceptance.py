@@ -143,7 +143,7 @@ def test_criterion_4_behavioral_equivalence():
         chan = StateSpace(sys.A, fault.F, sys.C, fault.G)
         m = sys.n_x + 1
         r, _ = simulate(chan, None, rng.standard_normal(3), rng.standard_normal((m + 1, 1)))
-        w = r.data
+        w = r
         assert window_in_behavior(sys.A, fault.F, sys.C, fault.G, w, tol=1e-8)
         assert window_in_behavior(sys.A, fault.F, sys.C, fault.G, w[1:], tol=1e-8)
         bad = np.array(w)
@@ -200,10 +200,10 @@ def test_criterion_6_fault_reconstruction():
         replay_runs += 1
         if zc == 0:
             # zero-free channels pin the fault up to an invertible mixing
-            mix = np.linalg.lstsq(recon.v.data, v.data, rcond=None)[0]
-            remixed = recon.v.data @ mix
+            mix = np.linalg.lstsq(recon.v, v, rcond=None)[0]
+            remixed = recon.v @ mix
             for ch in range(n_v):
-                corr = np.corrcoef(remixed[:, ch], v.data[:, ch])[0, 1]
+                corr = np.corrcoef(remixed[:, ch], v[:, ch])[0, 1]
                 assert abs(corr) >= 0.99
                 corr_checks += 1
     print(f"PASS criterion 6: replay residual <= 1e-8 on {replay_runs}/8 runs, "
@@ -266,7 +266,7 @@ def test_criterion_8_degenerate_guards():
     assert n_v == 0
     # with the nominal response compensated, the fault-free residual vanishes
     r_comp = residual_hankel(y, u, sys, 5, x_tilde_0=x0)
-    y_h_norm = np.linalg.norm(np.asarray(y.data))
+    y_h_norm = np.linalg.norm(np.asarray(y))
     assert np.linalg.norm(r_comp) <= 1e-8 * y_h_norm
     with pytest.raises(ExcitationError):
         pi_moesp(np.zeros((t, 2)), y, s=5)

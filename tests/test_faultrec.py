@@ -289,7 +289,7 @@ class TestWindowMembership:
             v = rng.standard_normal((m + 1, n_v))
             chan = StateSpace(a, f, c, g)
             r, _ = simulate(chan, None, xi0, v)
-            w = r.data  # m + 1 samples
+            w = r  # m + 1 samples
             assert window_in_behavior(a, f, c, g, w[:m], tol=1e-8)
             lhs = window_in_behavior(a, f, c, g, w, tol=1e-8)
             rhs = window_in_behavior(a, f, c, g, w[1:], tol=1e-8)
@@ -314,7 +314,7 @@ class TestReconstruction:
         x_t0 = estimate_initial_state(sys, u, y, horizon=50)
         recon = reconstruct_fault(y, u, sys, rep, x_t0)
         assert recon.replay_residual <= 1e-8
-        corr = np.corrcoef(recon.v.data[:, 0], v.data[:, 0])[0, 1]
+        corr = np.corrcoef(recon.v[:, 0], v[:, 0])[0, 1]
         assert abs(corr) >= 0.99
         assert len(recon.x_full) == len(u) + 1
 
@@ -325,7 +325,7 @@ class TestReconstruction:
         y, _ = simulate(sys, None, np.zeros(3), u)
         recon = reconstruct_fault(y, u, sys, FaultPair(fault.F, fault.G), np.zeros(3))
         assert recon.replay_residual == 0.0
-        assert np.allclose(recon.v.data, 0, atol=1e-9)
+        assert np.allclose(recon.v, 0, atol=1e-9)
         assert np.allclose(recon.xi0, 0, atol=1e-9)
 
     def test_invariant_zero_channel_replays(self):
@@ -355,7 +355,7 @@ class TestReconstruction:
         assert recon.replay_residual <= 1e-8
 
         y_nom, _ = simulate(sys, None, x_t0, u)
-        rhs = (y.data - y_nom.data).reshape(-1)
+        rhs = (y - y_nom).reshape(-1)
         dense = np.hstack(
             [
                 extended_observability(sys.A, sys.C, t),
@@ -366,7 +366,7 @@ class TestReconstruction:
         keep = sv > 1e-10 * sv[0]
         assert not keep.all()  # the reference really has to pick one solution
         reference = right_t[keep].T @ ((left[:, keep].T @ rhs) / sv[keep])
-        got = np.concatenate([recon.xi0, recon.v.data.reshape(-1)])
+        got = np.concatenate([recon.xi0, recon.v.reshape(-1)])
         assert np.linalg.norm(got - reference) <= 1e-6 * np.linalg.norm(reference)
 
     def test_long_record_memory_linear_in_length(self, demo):
@@ -388,7 +388,7 @@ class TestReconstruction:
 
     def test_non_finite_sample_rejected(self, demo_run):
         sys, fault, x0, u, v, y, _ = demo_run
-        bad = y.data.copy()
+        bad = y.copy()
         bad[17, 1] = np.nan
         with pytest.raises(ValueError, match="y contains non-finite"):
             reconstruct_fault(bad, u, sys, fault, x0)

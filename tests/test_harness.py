@@ -243,7 +243,7 @@ class TestCli:
 
         y_direct = read_trajectory_csv(tmp_path / "y.csv")
         y_cli = read_trajectory_csv(tmp_path / "sim" / "y.csv")
-        assert np.allclose(y_direct.data, y_cli.data)
+        assert np.allclose(y_direct, y_cli)
 
     def test_identify_and_fault_recover(self, tmp_path):
         self._write_demo_data(tmp_path)
@@ -338,7 +338,7 @@ class TestCli:
         w = colored_noise(3, 1000, 40.0, y, seed=[seed, 3])
         save_system_json(tmp_path / "sys.json", sys)
         write_trajectory_csv(tmp_path / "u.csv", u)
-        write_trajectory_csv(tmp_path / "y.csv", y.data + w.data)
+        write_trajectory_csv(tmp_path / "y.csv", y + w)
         code = cli_main([
             "--out", str(tmp_path / "rec"),
             "fault-recover",

@@ -4,7 +4,6 @@ import pytest
 from subfault.matstack import (
     RankPolicy,
     _largest_gap,
-    SubspaceBasis,
     block_hankel,
     block_toeplitz,
     extended_observability,
@@ -227,7 +226,7 @@ class TestMinNormLsq:
 
 class TestSubspaceGeometry:
     def test_equal_subspaces(self):
-        u = SubspaceBasis(np.eye(4)[:, :2])
+        u = np.eye(4)[:, :2]
         assert np.allclose(principal_angles(u, u), 0.0)
         assert grassmann_error(u, u) == 0.0
 
@@ -340,7 +339,8 @@ class TestRangeBasis:
         rng = np.random.default_rng(6)
         m = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 9))
         basis = range_basis(m)
-        assert basis.dim == 2
+        assert basis.shape == (6, 2)
+        assert np.allclose(basis.T @ basis, np.eye(2), atol=1e-12)
         # the basis spans the columns
-        proj = basis.basis @ (basis.basis.T @ m)
+        proj = basis @ (basis.T @ m)
         assert np.allclose(proj, m, atol=1e-10)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from subfault.harness import markov_relative_error
-from subfault.sysgen import Trajectory, fault_signal, random_system, simulate, white_input
+from subfault.sysgen import fault_signal, random_system, simulate, white_input
 from subfault.subid import (
     DegenerateDataError,
     ExcitationError,
@@ -36,7 +36,7 @@ class TestPiMoesp:
         y, _ = simulate(sys, None, x0, u)
         result = pi_moesp(u, y, order=sys.n_x)
         y_hat, _ = simulate(result.system, None, result.x_tilde_0, u)
-        assert np.linalg.norm(y_hat.data - y.data) <= 1e-8 * np.linalg.norm(y.data)
+        assert np.linalg.norm(y_hat - y) <= 1e-8 * np.linalg.norm(y)
 
     def test_demo_with_active_fault(self, demo_run):
         sys, fault, x0, u, v, y, _ = demo_run
@@ -45,7 +45,7 @@ class TestPiMoesp:
 
     def test_zero_input_raises_excitation_error(self):
         t = 200
-        y = Trajectory(np.random.default_rng(0).standard_normal((t, 2)))
+        y = np.random.default_rng(0).standard_normal((t, 2))
         with pytest.raises(ExcitationError):
             pi_moesp(np.zeros((t, 1)), y, s=5)
 

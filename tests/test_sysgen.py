@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from subfault.matstack import block_hankel, block_toeplitz, extended_observability
+from subfault.faultrec import reconstruct_fault
+from subfault.matstack import as_signal, block_hankel, block_toeplitz, extended_observability
 from subfault.sysgen import (
     FaultPair,
     StateSpace,
-    Trajectory,
     _place_fault_pair,
     colored_noise,
     fault_signal,
@@ -26,8 +26,8 @@ class TestSimulate:
         sys, fault = demo
         t = 20
         y, x = simulate(sys, fault, np.zeros(3), np.zeros((t, 1)), np.zeros((t, 1)))
-        assert np.allclose(y.data, 0)
-        assert np.allclose(x.data, 0)
+        assert np.allclose(y, 0)
+        assert np.allclose(x, 0)
         assert len(x) == t + 1
 
     def test_demo_impulse_response(self, demo):
@@ -35,11 +35,11 @@ class TestSimulate:
         u = np.zeros((4, 1))
         u[0, 0] = 1.0
         y, _ = simulate(sys, None, np.zeros(3), u)
-        assert np.allclose(y.data[0], 0)            # D = 0
-        assert np.allclose(y.data[1], sys.C @ sys.B.ravel())
-        assert np.allclose(y.data[1], [0.0, 0.0])
-        assert np.allclose(y.data[2], sys.C @ sys.A @ sys.B.ravel())
-        assert np.allclose(y.data[2], [0.0, 1.0])
+        assert np.allclose(y[0], 0)            # D = 0
+        assert np.allclose(y[1], sys.C @ sys.B.ravel())
+        assert np.allclose(y[1], [0.0, 0.0])
+        assert np.allclose(y[2], sys.C @ sys.A @ sys.B.ravel())
+        assert np.allclose(y[2], [0.0, 1.0])
 
     def test_joint_linearity(self, demo):
         sys, fault = demo
@@ -58,8 +58,8 @@ class TestSimulate:
         )
         y1, x1 = simulate(sys, fault, *parts[0])
         y2, x2 = simulate(sys, fault, *parts[1])
-        assert np.allclose(y_sum.data, y1.data + y2.data, atol=1e-10)
-        assert np.allclose(x_sum.data, x1.data + x2.data, atol=1e-10)
+        assert np.allclose(y_sum, y1 + y2, atol=1e-10)
+        assert np.allclose(x_sum, x1 + x2, atol=1e-10)
 
     def test_non_finite_sample_rejected(self, demo):
         sys, _ = demo
@@ -78,14 +78,14 @@ class TestSimulate:
         sys, fault, x0, u, v, y, x = demo_run
         s = 4
         n = len(u) - s + 1
-        y_h = block_hankel(y.data, s)
-        u_h = block_hankel(u.data, s)
-        v_h = block_hankel(v.data, s)
+        y_h = block_hankel(y, s)
+        u_h = block_hankel(u, s)
+        v_h = block_hankel(v, s)
         obs = extended_observability(sys.A, sys.C, s)
         t_u = block_toeplitz(sys.A, sys.B, sys.C, sys.D, s)
         t_f = block_toeplitz(sys.A, fault.F, sys.C, fault.G, s)
         lhs = y_h
-        rhs = obs @ x.data[:n].T + t_u @ u_h + t_f @ v_h
+        rhs = obs @ x[:n].T + t_u @ u_h + t_f @ v_h
         assert np.linalg.norm(lhs - rhs) <= 1e-8 * np.linalg.norm(lhs)
 
 
@@ -104,37 +104,37 @@ class TestSimulate:
             + block_toeplitz(sys.A, fault.F, sys.C, fault.G, t) @ v.reshape(-1)
             + w.reshape(-1)
         )
-        assert np.linalg.norm(y.data.reshape(-1) - dense) <= 1e-12 * np.linalg.norm(dense)
+        assert np.linalg.norm(y.reshape(-1) - dense) <= 1e-12 * np.linalg.norm(dense)
 
 
 class TestSignals:
     def test_white_input_deterministic(self):
         a = white_input(2, 50, seed=7)
         b = white_input(2, 50, seed=7)
-        assert np.array_equal(a.data, b.data)
+        assert np.array_equal(a, b)
 
     def test_white_input_mean(self):
         u = white_input(3, 10000, seed=1)
-        assert np.all(np.abs(u.data.mean(axis=0)) < 0.05)
+        assert np.all(np.abs(u.mean(axis=0)) < 0.05)
 
     def test_white_input_hankel_covariance(self):
         u = white_input(1, 10000, seed=2)
-        h = block_hankel(u.data, 5)
+        h = block_hankel(u, 5)
         cov = h @ h.T / h.shape[1]
         assert np.linalg.eigvalsh(cov).min() >= 0.5
 
     def test_fault_v1_values(self):
         v = fault_signal("v1", 11)
-        assert v.data[0, 0] == pytest.approx(0.1)
-        assert v.data[10, 0] == pytest.approx(0.1 + np.sin(0.25 * 10**1.3))
+        assert v[0, 0] == pytest.approx(0.1)
+        assert v[10, 0] == pytest.approx(0.1 + np.sin(0.25 * 10**1.3))
 
     def test_fault_v2_construction(self):
         t = 200
         v = fault_signal("v2", t, seed=9)
         z = np.random.default_rng(9).standard_normal(t)
         ramp = 1.0 - 0.99 ** np.arange(t)
-        assert np.allclose(v.data[:, 0], ramp + z)
-        assert v.data[0, 0] == pytest.approx(z[0])  # ramp starts at zero
+        assert np.allclose(v[:, 0], ramp + z)
+        assert v[0, 0] == pytest.approx(z[0])  # ramp starts at zero
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -142,15 +142,15 @@ class TestSignals:
 
     def test_stack_channels(self):
         v = stack_channels(fault_signal("v1", 20), fault_signal("v2", 20, seed=0))
-        assert v.dim == 2 and len(v) == 20
+        assert v.shape == (20, 2)
 
     def test_cross_covariance_with_input_decays(self):
         # inputs and faults decorrelate as the horizon grows, at every lag
         for lag_set in [range(6)]:
             norms = []
             for t in (1000, 10000):
-                u = white_input(1, t + 6, seed=5).data
-                v = fault_signal("v1", t + 6).data
+                u = white_input(1, t + 6, seed=5)
+                v = fault_signal("v1", t + 6)
                 worst = 0.0
                 for lag in lag_set:
                     acc = sum(np.outer(u[k - lag], v[k]) for k in range(lag, t))
@@ -163,20 +163,20 @@ class TestColoredNoise:
     def test_none_snr_gives_zero(self):
         ref = np.ones((50, 2))
         w = colored_noise(2, 50, None, ref, seed=1)
-        assert np.allclose(w.data, 0)
+        assert np.allclose(w, 0)
 
     def test_zero_db_matches_reference_power(self):
         rng = np.random.default_rng(3)
         ref = rng.standard_normal((2000, 2)) * [1.0, 3.0]
         w = colored_noise(2, 2000, 0.0, ref, seed=4)
-        ratio = np.mean(w.data**2, axis=0) / np.mean(ref**2, axis=0)
+        ratio = np.mean(w**2, axis=0) / np.mean(ref**2, axis=0)
         assert np.all(np.abs(ratio - 1.0) < 0.02)
 
     def test_forty_db(self):
         rng = np.random.default_rng(5)
         ref = rng.standard_normal((2000, 3))
         w = colored_noise(3, 2000, 40.0, ref, seed=6)
-        ratio = np.mean(w.data**2, axis=0) / np.mean(ref**2, axis=0)
+        ratio = np.mean(w**2, axis=0) / np.mean(ref**2, axis=0)
         assert np.all(np.abs(ratio / 1e-4 - 1.0) < 0.02)
 
     def test_filter_matches_per_sample_recursion(self):
@@ -190,12 +190,12 @@ class TestColoredNoise:
             prev = 0.7 * prev + e[k]
             f[k] = prev
         f *= np.sqrt(np.mean(ref**2, axis=0) * 10.0 ** (-40.0 / 10.0) / np.mean(f**2, axis=0))
-        assert np.array_equal(colored_noise(n_y, t, 40.0, ref, seed=7).data, f)
+        assert np.array_equal(colored_noise(n_y, t, 40.0, ref, seed=7), f)
 
     def test_negative_infinite_snr_rejected(self):
         # -inf dB would be infinite noise, not the zero trajectory of +inf
         ref = np.ones((10, 1))
-        assert np.array_equal(colored_noise(1, 10, float("inf"), ref, seed=0).data, 0 * ref)
+        assert np.array_equal(colored_noise(1, 10, float("inf"), ref, seed=0), 0 * ref)
         with pytest.raises(ValueError, match="snr_db"):
             colored_noise(1, 10, float("-inf"), ref, seed=0)
 
@@ -285,10 +285,32 @@ class TestRandomSystem:
 
 class TestTypesAndPersistence:
     def test_trajectory_validation(self):
-        with pytest.raises(ValueError):
-            Trajectory(np.array([[1.0], [np.nan]]))
-        tr = Trajectory(np.ones(5))
-        assert tr.dim == 1 and len(tr) == 5
+        with pytest.raises(ValueError, match="trajectory contains non-finite"):
+            as_signal(np.array([[1.0], [np.nan]]), "trajectory")
+        assert as_signal(np.ones(5)).shape == (5, 1)
+
+    def test_signals_are_plain_arrays(self, tmp_path, demo_run):
+        sys, fault, x0, u, v, y, x = demo_run
+        path = tmp_path / "y.csv"
+        write_trajectory_csv(path, y)
+        signals = {
+            "y": y,
+            "x": x,
+            "white_input": white_input(2, 30, seed=1),
+            "fault_signal": fault_signal("v2", 30, seed=2),
+            "colored_noise": colored_noise(sys.n_y, 1000, 40.0, y, seed=3),
+            "stack_channels": stack_channels(v, v),
+            "read_trajectory_csv": read_trajectory_csv(path),
+            "reconstructed v": reconstruct_fault(y, u, sys, fault, x0).v,
+        }
+        for name, sig in signals.items():
+            assert type(sig) is np.ndarray and sig.ndim == 2, name
+
+    def test_non_finite_csv_sample_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("t,ch0\n0,1.0\n1,nan\n")
+        with pytest.raises(ValueError, match="trajectory contains non-finite entries"):
+            read_trajectory_csv(path)
 
     def test_state_space_validation(self):
         with pytest.raises(ValueError):
@@ -302,13 +324,13 @@ class TestTypesAndPersistence:
             FaultPair(np.ones((3, 1)), np.ones((2, 2)))
 
     def test_trajectory_csv_round_trip(self, tmp_path):
-        tr = Trajectory(np.random.default_rng(0).standard_normal((7, 3)))
+        tr = np.random.default_rng(0).standard_normal((7, 3))
         path = tmp_path / "traj.csv"
         write_trajectory_csv(path, tr)
         header = open(path).readline().strip()
         assert header == "t,ch0,ch1,ch2"
         back = read_trajectory_csv(path)
-        assert np.array_equal(back.data, tr.data)
+        assert np.array_equal(back, tr)
 
     def test_system_json_round_trip(self, tmp_path, demo):
         sys, fault = demo
