@@ -327,18 +327,11 @@ def annihilator_fault_basis(r_s, sys: StateSpace, s: int, n_z: int | None = None
     keep = machine if exact else RankPolicy.noise_floor(_NOISE_FLOOR_SCALE)
     n_kept = keep.rank(s2)
     dirs = (b_perp @ u2[:, n_kept:]).T
-    powers = [np.eye(n_x)]
-    for _ in range(s - 1):
-        powers.append(powers[-1] @ sys.A)
-    rows = []
-    for n_dir in dirs:
-        blocks = n_dir.reshape(s, n_y)
-        for j in range(s):
-            f_coef = np.zeros(n_x)
-            for i in range(j + 1, s):
-                f_coef += blocks[i] @ sys.C @ powers[i - j - 1]
-            rows.append(np.concatenate([f_coef, blocks[j]]))
-    k_mat = np.vstack(rows)
+    # n^T T^f_s = n^T L (I kron F) + n^T (I kron G) with L the state-to-output
+    # Toeplitz matrix, so block j of n^T L is the F coefficient of shift j;
+    # one row per (direction, shift)
+    lag_map = block_toeplitz(sys.A, np.eye(n_x), sys.C, np.zeros((n_y, n_x)), s)
+    k_mat = np.hstack([(dirs @ lag_map).reshape(-1, n_x), dirs.reshape(-1, n_y)])
     _, svals, vt = np.linalg.svd(k_mat, full_matrices=True)
     n_total = vt.shape[0]
     if n_z is None and exact:
