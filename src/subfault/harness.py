@@ -448,6 +448,7 @@ def _montecarlo_instance(config: ExperimentConfig, index: int, zero_count: int) 
     Identification runs on every instance and its Markov accuracy goes into
     the record; the scored fault recovery uses the generating matrices so
     the study isolates the reconstruction stage from identification error.
+    Recovery runs the annihilator on clean and noisy records alike.
     """
     n_x, n_u, n_y, n_v = config.dims
     seed = config.seed ^ index
@@ -479,8 +480,7 @@ def _montecarlo_instance(config: ExperimentConfig, index: int, zero_count: int) 
             base["markov_rel_error"] = markov_relative_error(ident.system, sys)
             base["order_fallback"] = order_fallback
         with _stage("fault-recover"):
-            method = "annihilator" if config.snr_db is not None else "structure"
-            rec = recover(y, u, sys, s=config.s, policy=config.policy(), method=method)
+            rec = recover(y, u, sys, s=config.s, policy=config.policy(), method="annihilator")
             err = representative_error_pct(fault.stack(), rec.stack(), rec.n_v_estimate)
         return MonteCarloRecord(
             error_pct=err,

@@ -184,6 +184,16 @@ class TestMonteCarlo:
         assert len(errs) == 10
         assert max(errs) <= 0.01
 
+    def test_clean_records_agree_for_none_and_infinite_snr(self):
+        # both settings mean noise-free data, so they run the same estimator
+        def records(snr_db):
+            cfg = ExperimentConfig.montecarlo_defaults(
+                snr_db=snr_db, zero_counts=(0, 1, 2, 3), systems_per_count=2
+            )
+            return montecarlo_report_dict(run_montecarlo(cfg))["records"]
+
+        assert records(None) == records(float("inf"))
+
     def test_deterministic_reports(self):
         cfg = ExperimentConfig.montecarlo_defaults(zero_counts=(0, 1), systems_per_count=3)
         a = json.dumps(montecarlo_report_dict(run_montecarlo(cfg)), sort_keys=True)
