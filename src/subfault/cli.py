@@ -167,6 +167,7 @@ def _cmd_fault_recover(args) -> int:
         "G_hat": rec.G_hat.tolist(),
         "n_z": rec.n_z,
         "n_v": rec.n_v_estimate,
+        "excess_basis": rec.excess_basis,
         "rank_s": rec.rank_s,
         "rank_s_plus_1": rec.rank_s_plus_1,
         "singular_values_s": rec.singular_values_s.tolist(),

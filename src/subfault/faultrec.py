@@ -9,7 +9,6 @@ matrix pair compatible with the data, up to output-behavioral equivalence.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -372,8 +371,8 @@ def recover(
     ``FaultRecovery.zeta_eff``), which matches the exact nullspace dimension
     on clean data. method "annihilator" uses the noise-robust annihilator
     formulation with its own solution count; both compute the same solution
-    set on clean data. A basis wider than n_v + max(zeta_eff, 0) raises a
-    warning (``FaultRecovery.excess_basis``).
+    set on clean data. A basis wider than n_v + max(zeta_eff, 0) is flagged
+    by ``FaultRecovery.excess_basis``.
     """
     r_s = residual_hankel(y, u, sys, s)
     r_s1 = residual_hankel(y, u, sys, s + 1)
@@ -394,7 +393,7 @@ def recover(
         pair = annihilator_fault_basis(r_s, sys, s)
     else:
         raise ValueError(f"unknown recovery method {method!r}")
-    rec = FaultRecovery(
+    return FaultRecovery(
         F_hat=pair.F,
         G_hat=pair.G,
         n_z=pair.n_v,
@@ -405,14 +404,6 @@ def recover(
         singular_values_s_plus_1=diag.singular_values_s_plus_1,
         window_s=s,
     )
-    if rec.excess_basis:
-        warnings.warn(
-            f"solution basis has {rec.n_z} columns, more than the fault dimension "
-            f"plus the effective zero count ({n_v + max(rec.zeta_eff, 0)}); "
-            "the rank readings may be inconsistent",
-            stacklevel=2,
-        )
-    return rec
 
 
 def behaviorally_equivalent(a, c, fg1: FaultPair, fg2: FaultPair, tol: float = 1e-8) -> bool:
