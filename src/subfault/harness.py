@@ -55,7 +55,7 @@ __all__ = [
     "demo_system",
     "emit_plot_data",
     "markov_relative_error",
-    "recovery_error_pct",
+    "representative_error_pct",
     "run_example",
     "run_montecarlo",
 ]
@@ -177,23 +177,6 @@ class ExperimentConfig:
 # scoring
 
 
-def recovery_error_pct(true_stack, recovered_stack) -> float:
-    """Grassmannian error between the true pair and its best representative.
-
-    The representative is the projection of the true [F; G] stack onto the
-    recovered range, i.e. the member of the solution family closest to the
-    truth. Missing directions (recovered basis thinner than the truth) count
-    as right angles.
-    """
-    t = as_matrix(true_stack, "true stack")
-    r = as_matrix(recovered_stack, "recovered stack")
-    k = t.shape[1]
-    angles = principal_angles(t, r)
-    missing = k - angles.size
-    total = float(np.sum(angles**2) + missing * (np.pi / 2.0) ** 2)
-    return float(100.0 * np.sqrt(total) / (np.sqrt(k) * np.pi / 2.0))
-
-
 def representative_error_pct(true_stack, recovered_stack, n_selected: int) -> float:
     """Error of the best n_selected-column representative against the truth.
 
@@ -299,6 +282,7 @@ def run_example(config: ExperimentConfig | None = None) -> dict:
     config = config or ExperimentConfig.example_defaults()
     sys, fault = demo_system()
     true_stack = fault.stack() / np.linalg.norm(fault.stack())
+    n_true = fault.n_v
     policy = config.policy()
 
     with _stage("simulate"):
@@ -336,9 +320,11 @@ def run_example(config: ExperimentConfig | None = None) -> dict:
                 "singular_values_s_plus_1": rec.singular_values_s_plus_1.tolist(),
                 "fault_basis": rec.stack().tolist(),
                 "representative_sparse_g": rep.stack().ravel().tolist(),
-                "grassmann_error_pct": recovery_error_pct(true_stack, rec_aligned),
+                "grassmann_error_pct": representative_error_pct(true_stack, rec_aligned, n_true),
                 "projection_residual": projection_residual(true_stack, rec_aligned),
-                "representative_error_pct": recovery_error_pct(true_stack, rep_aligned),
+                "representative_error_pct": representative_error_pct(
+                    true_stack, rep_aligned, n_true
+                ),
             }
         with _stage(f"residual-spectra-{label}"):
             # spectra of the nominal-response-compensated residual; with the

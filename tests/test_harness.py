@@ -13,7 +13,6 @@ from subfault.harness import (
     demo_system,
     emit_plot_data,
     montecarlo_report_dict,
-    recovery_error_pct,
     representative_error_pct,
     run_example,
     run_montecarlo,
@@ -68,11 +67,11 @@ class TestConfig:
 class TestMetrics:
     def test_recovery_error_on_equal_subspaces(self):
         b = np.linalg.qr(np.random.default_rng(0).standard_normal((6, 2)))[0]
-        assert recovery_error_pct(b, b) < 1e-10
+        assert representative_error_pct(b, b, 2) < 1e-10
 
     def test_missing_directions_penalized(self):
         base = np.eye(6)[:, :2]
-        assert recovery_error_pct(base, np.eye(6)[:, :1]) > 70.0
+        assert representative_error_pct(base, np.eye(6)[:, :1], 2) > 70.0
 
     def test_representative_error_dimension_penalty(self):
         base = np.eye(6)[:, :2]
