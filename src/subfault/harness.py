@@ -434,7 +434,6 @@ def _montecarlo_instance(config: ExperimentConfig, index: int, zero_count: int) 
     Identification runs on every instance and its Markov accuracy goes into
     the record; the scored fault recovery uses the generating matrices so
     the study isolates the reconstruction stage from identification error.
-    Recovery runs the annihilator on clean and noisy records alike.
     """
     n_x, n_u, n_y, n_v = config.dims
     seed = config.seed ^ index
