@@ -149,7 +149,7 @@ def pi_moesp(
         )
 
     stacked = np.vstack([u_fut, u_past, y_fut])
-    r_fac = np.linalg.qr(stacked.T, mode="reduced")[1]
+    r_fac = np.linalg.qr(stacked.T, mode="r")
     lower = r_fac.T
     i1 = s * n_u
     i2 = 2 * s * n_u
