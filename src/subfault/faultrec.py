@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgeqrf
 
 from .matstack import (
     RankPolicy,
@@ -482,7 +483,8 @@ def _fault_channel_smoother(a, f, c, g, resid):
         stack[n_v:n_v + n_y, -1] = resid[k]
         stack[n_v + n_y:, :-1] = info_r @ fa
         stack[n_v + n_y:, -1] = info_z
-        tri = np.linalg.qr(stack, mode="r")
+        # LAPACK directly: np.linalg.qr's dispatch costs more than this block
+        tri = np.triu(dgeqrf(stack)[0][:width])
         gains[k] = tri[:n_v]
         info_r = tri[n_v:-1, n_v:-1]
         info_z = tri[n_v:-1, -1]
