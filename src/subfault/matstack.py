@@ -6,12 +6,15 @@ column per sample, so their width grows with the record length T. Markov
 parameters are built in one place (``_markov_blocks``). A block Toeplitz
 matrix grows with the square of its depth, so the pipeline builds one only
 at a window depth (a few to a few dozen blocks), never at the record length.
-All decompositions are deterministic: singular-vector signs are normalized
+State recursions over a whole record run in one place (``_lti_states``),
+lifted by a block length of about sqrt(T) so that no Python loop runs once
+per sample. All decompositions are deterministic: singular-vector signs are normalized
 so that each column's first significant entry is positive.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -292,6 +295,44 @@ def block_toeplitz(a, b, c, d, s: int) -> np.ndarray:
     lag = np.arange(s)[:, None] - np.arange(s)[None, :]
     blocks = params[np.where(lag >= 0, lag, s)]
     return blocks.transpose(0, 2, 1, 3).reshape(s * p, s * m)
+
+
+def _lti_states(a, x0, drive) -> np.ndarray:
+    """States x(0..T) of x(k+1) = A x(k) + drive(k), shape (T+1, n, p), for
+    x0 of shape (n, p) and drive of shape (T, n, p).
+
+    The recursion is lifted by the block length L = ceil(sqrt(T)): with
+    s_b = x(bL) and z_b(j) the zero-start response to drive(bL..bL+j),
+    x(bL + j + 1) = A^(j+1) s_b + z_b(j). So about 2 sqrt(T) batched steps
+    replace the T sequential ones: L steps build every block's z_b at once,
+    T/L steps carry s_(b+1) = A^L s_b + z_b(L-1), and one batched product
+    adds A^(j+1) s_b inside every block. The result matches the per-sample
+    recursion up to rounding.
+    """
+    t, n, p = drive.shape
+    blk = math.isqrt(max(t - 1, 0)) + 1
+    out = np.empty((t + 1, n, p))
+    out[0] = x0
+    # row 1 + b*blk + j holds z_b(j); the rows of one offset j form a stride
+    out[1::blk] = drive[::blk]
+    for j in range(1, blk):
+        cur = out[1 + j::blk]
+        np.matmul(a, out[j::blk][: len(cur)], out=cur)
+        cur += drive[j::blk]
+    powers = np.empty((blk + 1, n, n))
+    powers[0] = np.eye(n)
+    for j in range(blk):
+        powers[j + 1] = a @ powers[j]
+    # block starts, in place: row (b+1)*blk holds z_b(blk-1) until updated
+    full = t // blk
+    for b in range(full):
+        out[(b + 1) * blk] += powers[blk] @ out[b * blk]
+    # A^(j+1) s_b for every block b and offset j < blk-1 (the last offset of
+    # a full block is already its successor's start)
+    lift = powers[1:blk] @ out[0:t:blk, None]
+    out[1:1 + full * blk].reshape(full, blk, n, p)[:, :-1] += lift[:full]
+    out[1 + full * blk:] += lift[full:, : t - full * blk].reshape(-1, n, p)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from .matstack import (
     RankPolicy,
     _input_output_arrays,
     _largest_gap,
+    _lti_states,
     _markov_blocks,
     block_hankel,
     block_toeplitz,
@@ -198,8 +199,9 @@ def _estimate_b_d_x0(a, c, u_data, y_data):
 
     The regressors are C A^k (for x0), C Z_j(k) with Z_j(k+1) = A Z_j(k) +
     u_j(k) I (for column j of B), and u_j(k) I (for column j of D). A^k and
-    the Z_j run as one batched recursion W(k+1) = A W(k) + [0, u(k)^T kron I],
-    W(0) = [I, 0], so each sample costs one n x (n + n n_u) product.
+    the Z_j run as one recursion W(k+1) = A W(k) + [0, u(k)^T kron I],
+    W(0) = [I, 0], which ``matstack._lti_states`` lifts into about 2 sqrt(T)
+    batched steps.
     """
     t, n_u = u_data.shape
     n_y = y_data.shape[1]
@@ -212,13 +214,10 @@ def _estimate_b_d_x0(a, c, u_data, y_data):
     if rho > 1.0:
         horizon = min(t, max(4 * n, int(200.0 / np.log(rho))))
     u_h = u_data[:horizon]
-    drive = _unit_input_blocks(u_h, n)
-    w_all = np.empty((horizon, n, n + n * n_u))
-    w = np.hstack([np.eye(n), np.zeros((n, n * n_u))])
-    for k in range(horizon):
-        w_all[k] = w
-        w = a @ w
-        w[:, n:] += drive[k]
+    drive = np.zeros((horizon - 1, n, n + n * n_u))
+    drive[:, :, n:] = _unit_input_blocks(u_h[:-1], n)
+    w0 = np.hstack([np.eye(n), np.zeros((n, n * n_u))])
+    w_all = _lti_states(a, w0, drive)
     phi = np.empty((horizon, n_y, n_params))
     phi[:, :, : n + n * n_u] = c @ w_all
     phi[:, :, n + n * n_u :] = _unit_input_blocks(u_h, n_y)

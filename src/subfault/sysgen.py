@@ -19,6 +19,7 @@ import scipy.linalg
 
 from .matstack import (
     RankPolicy,
+    _lti_states,
     as_matrix,
     as_signal,
     block_toeplitz,
@@ -201,17 +202,13 @@ def simulate(sys: StateSpace, fault: FaultPair | None, x0, u, v=None, w=None):
     if x.shape[0] != sys.n_x:
         raise ValueError(f"x0 must have length {sys.n_x}, got {x.shape[0]}")
 
-    # only the state recursion is sequential; every input term is one matmul
+    # every input term is one matmul; the state recursion runs lifted
     drive = u_data @ sys.B.T
     feed = u_data @ sys.D.T
     if v_data is not None:
         drive = drive + v_data @ fault.F.T
         feed = feed + v_data @ fault.G.T
-    xs = np.empty((t + 1, sys.n_x))
-    xs[0] = x
-    for k in range(t):
-        x = sys.A @ x + drive[k]
-        xs[k + 1] = x
+    xs = _lti_states(sys.A, x[:, None], drive[:, :, None])[:, :, 0]
     ys = xs[:t] @ sys.C.T + feed
     if w_data is not None:
         ys = ys + w_data

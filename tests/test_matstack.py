@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from subfault.matstack import (
     RankPolicy,
     _largest_gap,
+    _lti_states,
     block_hankel,
     block_toeplitz,
     extended_observability,
@@ -142,6 +145,52 @@ class TestBlockToeplitz:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             block_toeplitz(np.eye(2), np.ones((3, 1)), np.ones((1, 2)), np.zeros((1, 1)), 2)
+
+
+def _loop_states(a, x0, drive):
+    """Per-sample reference for the lifted state recursion."""
+    out = np.empty((drive.shape[0] + 1,) + x0.shape)
+    out[0] = x = x0
+    for k in range(drive.shape[0]):
+        x = a @ x + drive[k]
+        out[k + 1] = x
+    return out
+
+
+class TestLtiStates:
+    @pytest.mark.parametrize("rho", [0.5, 0.95, 1.038])
+    @pytest.mark.parametrize("p", [1, 7])
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_matches_per_sample_loop(self, n, p, rho):
+        # block edges (T = 15, 16, 17 around L = 4), tiny and non-square T,
+        # and an unstable A whose states grow about 1.6e16-fold at T = 1000
+        rng = np.random.default_rng([n, p, int(1000 * rho)])
+        m = rng.standard_normal((n, n))
+        a = m * (rho / np.abs(np.linalg.eigvals(m)).max())
+        for t in (0, 1, 2, 3, 15, 16, 17, 1000):
+            x0 = rng.standard_normal((n, p))
+            drive = rng.standard_normal((t, n, p))
+            ref = _loop_states(a, x0, drive)
+            got = _lti_states(a, x0, drive)
+            assert got.shape == ref.shape == (t + 1, n, p)
+            scale = np.abs(ref).max(axis=(0, 1))
+            assert np.all(np.abs(got - ref).max(axis=(0, 1)) <= 1e-12 * scale), t
+
+    def test_memory_linear_in_length(self):
+        # a per-sample power table or a T x T lift would take gigabytes; the
+        # result plus one lift of the same size is the whole footprint
+        t, n = 100_000, 5
+        rng = np.random.default_rng(7)
+        m = rng.standard_normal((n, n))
+        a = m * (0.95 / np.abs(np.linalg.eigvals(m)).max())
+        drive = rng.standard_normal((t, n, 1))
+        tracemalloc.start()
+        try:
+            _lti_states(a, np.ones((n, 1)), drive)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * drive.nbytes
 
 
 class TestNumericalRank:

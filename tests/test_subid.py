@@ -11,6 +11,7 @@ from subfault.subid import (
     markov_params,
     pi_moesp,
 )
+from subfault.subid import _estimate_b_d_x0, _unit_input_blocks
 
 
 def _fault_free_data(seed, t, n_x=4, n_u=2, n_y=2):
@@ -173,3 +174,36 @@ class TestInitialState:
         sys, _ = random_system(4, 1, 2, 1, 0, seed=10)
         with pytest.raises(ValueError):
             estimate_initial_state(sys, np.zeros((10, 1)), np.zeros((10, 2)), horizon=3)
+
+
+def _loop_b_d_x0(a, c, u_data, y_data):
+    """Per-sample reference for the B/D/x0 regressors: W(k+1) = A W(k) +
+    [0, u(k)^T kron I], W(0) = [I, 0], one product per sample."""
+    t, n_u = u_data.shape
+    n_y = y_data.shape[1]
+    n = a.shape[0]
+    drive = _unit_input_blocks(u_data, n)
+    w_all = np.empty((t, n, n + n * n_u))
+    w = np.hstack([np.eye(n), np.zeros((n, n * n_u))])
+    for k in range(t):
+        w_all[k] = w
+        w = a @ w
+        w[:, n:] += drive[k]
+    phi = np.concatenate([c @ w_all, _unit_input_blocks(u_data, n_y)], axis=2)
+    theta = np.linalg.lstsq(phi.reshape(t * n_y, -1), y_data.reshape(-1), rcond=None)[0]
+    return (
+        theta[n : n + n * n_u].reshape(n_u, n).T,
+        theta[n + n * n_u :].reshape(n_u, n_y).T,
+        theta[:n],
+    )
+
+
+def test_lifted_regressors_match_per_sample_loop(demo_run):
+    sys, fault, x0, u, v, y, _ = demo_run
+    ident = pi_moesp(u, y, order=sys.n_x)
+    a, c = ident.system.A, ident.system.C
+    assert np.abs(np.linalg.eigvals(a)).max() < 1.0
+    got = _estimate_b_d_x0(a, c, u, y)
+    ref = _loop_b_d_x0(a, c, u, y)
+    for name, g, r in zip(("B", "D", "x0"), got, ref):
+        assert np.linalg.norm(g - r) <= 1e-10 * np.linalg.norm(r), name
