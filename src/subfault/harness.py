@@ -396,7 +396,7 @@ class MonteCarloRecord:
     n_z: int | None
     markov_rel_error: float | None
     order_fallback: bool
-    excess_basis_warning: bool
+    excess_basis: bool
     failure: str | None
     runtime_s: float
 
@@ -445,7 +445,7 @@ def _montecarlo_instance(config: ExperimentConfig, index: int, zero_count: int) 
         n_v_true=n_v,
         markov_rel_error=None,
         order_fallback=False,
-        excess_basis_warning=False,
+        excess_basis=False,
     )
     try:
         with _stage("generate"):
@@ -474,7 +474,7 @@ def _montecarlo_instance(config: ExperimentConfig, index: int, zero_count: int) 
             n_z=rec.n_z,
             failure=None,
             runtime_s=time.perf_counter() - start,
-            **{**base, "excess_basis_warning": rec.excess_basis},
+            **{**base, "excess_basis": rec.excess_basis},
         )
     except Exception as exc:  # recorded, never silently dropped
         return MonteCarloRecord(

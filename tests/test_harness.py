@@ -217,7 +217,7 @@ class TestMonteCarlo:
             warnings.simplefilter("error")
             records = [_montecarlo_instance(cfg, index, 1) for index in range(3)]
         assert [r.failure for r in records] == [None, None, None]
-        assert [r.excess_basis_warning for r in records] == [False, True, False]
+        assert [r.excess_basis for r in records] == [False, True, False]
 
 
 class TestCli:
