@@ -8,8 +8,8 @@ matrix grows with the square of its depth, so the pipeline builds one only
 at a window depth (a few to a few dozen blocks), never at the record length.
 State recursions over a whole record run in one place (``_lti_states``),
 lifted by a block length of about sqrt(T) so that no Python loop runs once
-per sample. All decompositions are deterministic: singular-vector signs are normalized
-so that each column's first significant entry is positive.
+per sample. All decompositions are deterministic: singular-vector signs are
+normalized so that each column's first significant entry is positive.
 """
 
 from __future__ import annotations

@@ -177,8 +177,8 @@ class TestLtiStates:
             assert np.all(np.abs(got - ref).max(axis=(0, 1)) <= 1e-12 * scale), t
 
     def test_memory_linear_in_length(self):
-        # a per-sample power table or a T x T lift would take gigabytes; the
-        # result plus one lift of the same size is the whole footprint
+        # the result and one temporary of its size are the whole footprint;
+        # a power per sample (5x the result) or any T x T matrix exceeds it
         t, n = 100_000, 5
         rng = np.random.default_rng(7)
         m = rng.standard_normal((n, n))

@@ -6,12 +6,13 @@ from subfault.sysgen import fault_signal, random_system, simulate, white_input
 from subfault.subid import (
     DegenerateDataError,
     ExcitationError,
+    _estimate_b_d_x0,
+    _unit_input_blocks,
     estimate_initial_state,
     estimate_order,
     markov_params,
     pi_moesp,
 )
-from subfault.subid import _estimate_b_d_x0, _unit_input_blocks
 
 
 def _fault_free_data(seed, t, n_x=4, n_u=2, n_y=2):
