@@ -8,11 +8,9 @@ behavioral equivalence), and reconstructs the fault signal.
 
 from .matstack import (
     RankPolicy,
-    RankReport,
     block_hankel,
     block_toeplitz,
     extended_observability,
-    grassmann_error,
     min_norm_lsq,
     numerical_rank,
     principal_angles,

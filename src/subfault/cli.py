@@ -26,6 +26,7 @@ from .faultrec import RecoveryError, recover, reconstruct_fault, select_represen
 from .harness import (
     ExperimentConfig,
     PipelineError,
+    _write_json,
     run_example,
     run_montecarlo,
 )
@@ -75,7 +76,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fr.add_argument("--system", required=True, help="identified-system JSON")
     p_fr.add_argument("--window", type=int, required=True, help="residual window s")
     p_fr.add_argument("--rank-policy", choices=("rel", "gap", "floor"), default="gap")
-    p_fr.add_argument("--rank-tol", type=float, default=1e-8)
+    p_fr.add_argument(
+        "--rank-tol", type=float, default=1e-8,
+        help="threshold of the rel policy and fallback of the gap policy; floor ignores it",
+    )
     p_fr.add_argument(
         "--policy", choices=("leading", "sparse-G", "sparse-F"), default="leading"
     )
@@ -141,9 +145,7 @@ def _cmd_identify(args) -> int:
         "window_s": result.window_s,
     }
     path = out / "identified.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, payload)
     save_system_json(out / "identified_system.json", result.system)
     if args.verbose:
         print(f"wrote {path}")
@@ -180,9 +182,7 @@ def _cmd_fault_recover(args) -> int:
         "v_csv": v_path.name,
     }
     path = out / "fault_recovery.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, payload)
     if args.verbose:
         print(f"wrote {path}")
     return 0

@@ -19,7 +19,6 @@ from .matstack import (
     _input_output_arrays,
     _largest_gap,
     as_matrix,
-    as_signal,
     block_hankel,
     block_toeplitz,
     extended_observability,
@@ -61,13 +60,15 @@ class RecoveryError(RuntimeError):
 
 @dataclass
 class FaultDimDiagnostics:
-    """Spectra and ranks behind a fault-dimension estimate."""
+    """Spectra and ranks behind a fault-dimension estimate, with the
+    shallower residual Hankel R_s that ``recover`` goes on to read."""
 
     rank_s: int
     rank_s_plus_1: int
     singular_values_s: np.ndarray
     singular_values_s_plus_1: np.ndarray
     threshold: float
+    residual_s: np.ndarray
 
 
 def _effective_zero_count(n_x: int, s: int, n_v: int, rank_s: int) -> int:
@@ -98,7 +99,7 @@ class FaultRecovery:
                 f"({self.n_v_estimate}); rank policy too aggressive"
             )
         stack = self.stack()
-        if numerical_rank(stack, RankPolicy.relative(1e-10)).rank < self.n_z:
+        if numerical_rank(stack, RankPolicy.relative(1e-10)) < self.n_z:
             raise RecoveryError("recovered fault-pair columns are linearly dependent")
 
     def stack(self) -> np.ndarray:
@@ -166,17 +167,14 @@ def estimate_fault_dim(y, u, sys: StateSpace, s: int, policy: RankPolicy | None 
 
     One absolute threshold, resolved by the policy on the deeper spectrum,
     is applied to both Hankels so the difference is taken consistently.
-    Returns (n_v, FaultDimDiagnostics).
+    R_s and R_{s+1} are each built once, and R_s is kept on the diagnostics
+    (``residual_s``) so that ``recover`` reads the fault basis from the same
+    matrix. Returns (n_v, FaultDimDiagnostics).
     """
     r_s = residual_hankel(y, u, sys, s)
-    return _fault_dim(r_s, residual_hankel(y, u, sys, s + 1), policy or RankPolicy.gap())
-
-
-def _fault_dim(r_s, r_s1, policy: RankPolicy):
-    """``estimate_fault_dim`` on residual Hankels already built."""
     sv_s = np.linalg.svd(r_s, compute_uv=False)
-    sv_s1 = np.linalg.svd(r_s1, compute_uv=False)
-    shared = RankPolicy.absolute(policy.threshold(sv_s1))
+    sv_s1 = np.linalg.svd(residual_hankel(y, u, sys, s + 1), compute_uv=False)
+    shared = RankPolicy.absolute((policy or RankPolicy.gap()).threshold(sv_s1))
     rank_s = shared.rank(sv_s)
     rank_s1 = shared.rank(sv_s1)
     n_v = fault_dim_from_ranks(rank_s, rank_s1)
@@ -186,6 +184,7 @@ def _fault_dim(r_s, r_s1, policy: RankPolicy):
         singular_values_s=sv_s,
         singular_values_s_plus_1=sv_s1,
         threshold=float(shared.tol),
+        residual_s=r_s,
     )
     return n_v, diag
 
@@ -206,7 +205,7 @@ def verify_rank_formula(a, f, c, g, s: int, tol: float = 1e-8) -> bool:
         raise ValueError("channel is not left invertible; the rank formula does not apply")
     if s < max(report.l_delay, a.shape[0]):
         raise ValueError(f"window s={s} below max(l, n_x)")
-    rank = numerical_rank(_channel_window_map(a, f, c, g, s), RankPolicy.relative(tol)).rank
+    rank = numerical_rank(_channel_window_map(a, f, c, g, s), RankPolicy.relative(tol))
     return rank == a.shape[0] + s * f.shape[1] - report.zeta
 
 
@@ -273,7 +272,8 @@ def recover_fault_matrices(r_s, sys: StateSpace, s: int, rank: int, n_z: int) ->
     obs = extended_observability(sys.A, sys.C, s - 1)
     m = _structure_constraints(q_blocks, obs, s, r, n_x, n_y)
     vt = np.linalg.svd(m, full_matrices=True)[2]
-    sol = fix_column_signs(vt[n_unknowns - n_z:].T)
+    # the signs are fixed once, on the normalized stack below
+    sol = vt[n_unknowns - n_z:].T
     f_hat = sol[s * r:, :]
     g_hat = q_blocks[0] @ sol[:r, :]
     stack = np.vstack([f_hat, g_hat])
@@ -362,10 +362,12 @@ def recover(
     policy: RankPolicy | None = None,
     method: str = "structure",
 ) -> FaultRecovery:
-    """Full pipeline: residual Hankels, fault dimension, and matrix basis.
+    """Full pipeline: fault dimension, then the fault-matrix basis.
 
-    The rank threshold resolved on the R_{s+1} spectrum is shared by the
-    rank difference and by the structure method's truncation of R_s.
+    ``estimate_fault_dim`` builds the residual Hankels and reads n_v and the
+    ranks; the basis is recovered from the R_s it returns. The rank
+    threshold resolved on the R_{s+1} spectrum is shared by the rank
+    difference and by the structure method's truncation of R_s.
 
     method "structure" runs the constraint-matrix construction with the
     solution dimension pinned to the theory count n_v + zeta_eff (see
@@ -375,9 +377,7 @@ def recover(
     set on clean data. A basis wider than n_v + max(zeta_eff, 0) is flagged
     by ``FaultRecovery.excess_basis``.
     """
-    r_s = residual_hankel(y, u, sys, s)
-    r_s1 = residual_hankel(y, u, sys, s + 1)
-    n_v, diag = _fault_dim(r_s, r_s1, policy or RankPolicy.gap())
+    n_v, diag = estimate_fault_dim(y, u, sys, s, policy)
     if n_v < 1:
         raise RecoveryError(
             "no fault detected (rank difference is zero); nothing to recover"
@@ -389,9 +389,11 @@ def recover(
                 f"no fault directions to recover (n_v estimate {n_v}, "
                 f"effective zero count {zeta_eff})"
             )
-        pair = recover_fault_matrices(r_s, sys, s, rank=diag.rank_s, n_z=n_v + zeta_eff)
+        pair = recover_fault_matrices(
+            diag.residual_s, sys, s, rank=diag.rank_s, n_z=n_v + zeta_eff
+        )
     elif method == "annihilator":
-        pair = annihilator_fault_basis(r_s, sys, s)
+        pair = annihilator_fault_basis(diag.residual_s, sys, s)
     else:
         raise ValueError(f"unknown recovery method {method!r}")
     return FaultRecovery(
@@ -431,7 +433,7 @@ def window_in_behavior(a, f, c, g, window, tol: float = 1e-8) -> bool:
     ``window`` has shape (m, n_y); membership means the stacked vector is in
     the range of [O_m T^f_m] up to the relative tolerance.
     """
-    w = as_signal(window, "window")
+    w = as_matrix(window, "window")
     m = w.shape[0]
     basis_mat = _channel_window_map(a, f, c, g, m)
     vec = w.reshape(-1)
@@ -550,7 +552,7 @@ def select_representative(
     use when prior structure (state-only or output-only faults) is known;
     they fail when no sufficiently annihilating direction exists.
     """
-    stack = np.vstack([as_matrix(recovery.F_hat, "F_hat"), as_matrix(recovery.G_hat, "G_hat")])
+    stack = recovery.stack()
     n_x = recovery.F_hat.shape[0]
     n_z = stack.shape[1]
     if n_v is None:

@@ -135,9 +135,8 @@ class ExperimentConfig:
 
     @classmethod
     def example_defaults(cls, **overrides) -> "ExperimentConfig":
-        base = dict(T=1000, s=5, seed=20240, snr_db=None, dims=(3, 1, 2, 1))
-        base.update(overrides)
-        return cls(**base)
+        # the field defaults are the example's settings
+        return cls(**overrides)
 
     @classmethod
     def montecarlo_defaults(cls, **overrides) -> "ExperimentConfig":
@@ -254,6 +253,17 @@ def _identify(u, y, config: ExperimentConfig, true_order: int):
     return result, not sel.confident or sel.order != true_order
 
 
+def _simulate_record(sys: StateSpace, fault: FaultPair, v, config: ExperimentConfig, seed):
+    """(u, y) of one faulted record: a random initial state, a white input
+    and, when ``config.snr_db`` sets a level, colored measurement noise."""
+    x0 = np.random.default_rng([seed, 4]).standard_normal(sys.n_x)
+    u = white_input(sys.n_u, config.T, seed=[seed, 1])
+    y, _ = simulate(sys, fault, x0, u, v)
+    if config.snr_db is not None:
+        y = y + colored_noise(sys.n_y, config.T, config.snr_db, y, seed=[seed, 3])
+    return u, y
+
+
 def _fault_trajectory(n_v: int, t: int, seed) -> np.ndarray:
     """Per-channel built-in fault waveforms (odd channels get the noisy ramp)."""
     channels = [
@@ -286,15 +296,8 @@ def run_example(config: ExperimentConfig | None = None) -> dict:
     policy = config.policy()
 
     with _stage("simulate"):
-        x0 = np.random.default_rng([config.seed, 4]).standard_normal(sys.n_x)
-        u = white_input(sys.n_u, config.T, seed=[config.seed, 1])
         v = fault_signal("v1", config.T)
-        y_clean, _ = simulate(sys, fault, x0, u, v)
-        if config.snr_db is not None:
-            w = colored_noise(sys.n_y, config.T, config.snr_db, y_clean, seed=[config.seed, 3])
-            y = y_clean + w
-        else:
-            y = y_clean
+        u, y = _simulate_record(sys, fault, v, config, config.seed)
 
     with _stage("identify"):
         ident, order_fallback = _identify(u, y, config, true_order=sys.n_x)
@@ -451,15 +454,8 @@ def _montecarlo_instance(config: ExperimentConfig, index: int, zero_count: int) 
         with _stage("generate"):
             sys, fault = random_system(n_x, n_u, n_y, n_v, zero_count, seed=seed)
         with _stage("simulate"):
-            x0 = np.random.default_rng([seed, 4]).standard_normal(n_x)
-            u = white_input(n_u, config.T, seed=[seed, 1])
             v = _fault_trajectory(n_v, config.T, seed)
-            y_clean, _ = simulate(sys, fault, x0, u, v)
-            if config.snr_db is not None:
-                w = colored_noise(n_y, config.T, config.snr_db, y_clean, seed=[seed, 3])
-                y = y_clean + w
-            else:
-                y = y_clean
+            u, y = _simulate_record(sys, fault, v, config, seed)
         with _stage("identify"):
             ident, order_fallback = _identify(u, y, config, true_order=n_x)
             base["markov_rel_error"] = markov_relative_error(ident.system, sys)

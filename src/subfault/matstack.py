@@ -22,14 +22,11 @@ import scipy.linalg
 
 __all__ = [
     "RankPolicy",
-    "RankReport",
     "as_matrix",
-    "as_signal",
     "block_hankel",
     "block_toeplitz",
     "extended_observability",
     "fix_column_signs",
-    "grassmann_error",
     "min_norm_lsq",
     "numerical_rank",
     "principal_angles",
@@ -41,34 +38,22 @@ __all__ = [
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a 2-D float array; 1-D input becomes a column vector."""
+    """Coerce to a finite 2-D float array; 1-D input becomes one column, so a
+    (T,) time series becomes a (T, 1) signal."""
     m = np.asarray(a, dtype=float)
     if m.ndim == 1:
-        m = m.reshape(-1, 1)
+        m = m[:, None]
     if m.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
+        raise ValueError(f"{name} must be 1-D or 2-D, got shape {m.shape}")
     if m.size and not np.all(np.isfinite(m)):
         raise ValueError(f"{name} contains non-finite entries")
     return m
 
 
-def as_signal(x, name: str = "signal") -> np.ndarray:
-    """Coerce a time series to a finite float array of shape (T, dim); a
-    (T,) series becomes one channel."""
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be 1-D or 2-D, got shape {arr.shape}")
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
-
-
 def _input_output_arrays(u, y):
     """Coerce an input/output record pair, checking that the lengths agree."""
-    u_data = as_signal(u, "u")
-    y_data = as_signal(y, "y")
+    u_data = as_matrix(u, "u")
+    y_data = as_matrix(y, "y")
     if u_data.shape[0] != y_data.shape[0]:
         raise ValueError(
             f"u and y lengths differ: {u_data.shape[0]} vs {y_data.shape[0]}"
@@ -180,37 +165,12 @@ def _largest_gap(s):
     return best
 
 
-@dataclass
-class RankReport:
-    """Numerical rank of a matrix together with the full spectrum."""
-
-    singular_values: np.ndarray
-    rank: int
-    tolerance_used: float
-    gap_ratio: float
-
-    def __post_init__(self):
-        self.singular_values = np.asarray(self.singular_values, dtype=float)
-        if np.any(np.diff(self.singular_values) > 1e-12):
-            raise ValueError("singular values must be nonincreasing")
-
-
-def numerical_rank(m, policy: RankPolicy | None = None) -> RankReport:
+def numerical_rank(m, policy: RankPolicy | None = None) -> int:
     """Numerical rank of ``m`` under ``policy`` (default: relative 1e-8)."""
     m = as_matrix(m)
     if m.size == 0:
         raise ValueError("cannot compute the rank of an empty matrix")
-    policy = policy or RankPolicy.relative()
-    s = np.linalg.svd(m, compute_uv=False)
-    tau = policy.threshold(s)
-    rank = policy.rank(s)
-    if rank == 0:
-        gap = np.inf if s[0] == 0 else 0.0
-    elif rank == len(s) or s[rank] == 0:
-        gap = np.inf
-    else:
-        gap = float(s[rank - 1] / s[rank])
-    return RankReport(singular_values=s, rank=rank, tolerance_used=float(tau), gap_ratio=gap)
+    return (policy or RankPolicy.relative()).rank(np.linalg.svd(m, compute_uv=False))
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +183,7 @@ def block_hankel(signal, depth: int, width: int | None = None) -> np.ndarray:
     Block (i, j) is sample ``signal[i + j]`` as a column, i in 0..depth-1,
     j in 0..width-1, so column j stacks the window starting at sample j.
     """
-    data = as_signal(signal)
+    data = as_matrix(signal, "signal")
     t, dim = data.shape
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -378,31 +338,6 @@ def principal_angles(u, v) -> np.ndarray:
     return np.sort(angles)[::-1]
 
 
-def grassmann_error(u, v) -> float:
-    """Normalized Grassmannian distance between equal-dimensional subspaces.
-
-    Returns 100 * sqrt(sum theta_i^2) / (sqrt(k) * pi/2): 0% for equal
-    subspaces, 100% for mutually orthogonal ones. Requires both subspaces
-    to have the same dimension k with 2k <= ambient dimension, since the
-    normalization constant is only attained in that regime.
-    """
-    bu = _coerce_basis(u)
-    bv = _coerce_basis(v)
-    if bu.shape[0] != bv.shape[0]:
-        raise ValueError("ambient dimensions differ")
-    k = bu.shape[1]
-    if bv.shape[1] != k:
-        raise ValueError(f"subspace dimensions differ: {k} vs {bv.shape[1]}")
-    if k == 0:
-        raise ValueError("empty subspaces have no defined distance")
-    if 2 * k > bu.shape[0]:
-        raise ValueError(
-            f"normalization undefined for 2k > ambient ({2 * k} > {bu.shape[0]})"
-        )
-    theta = principal_angles(bu, bv)
-    return float(100.0 * np.sqrt(np.sum(theta**2)) / (np.sqrt(k) * np.pi / 2.0))
-
-
 def range_equal(m1, m2, tol: float = 1e-8) -> bool:
     """True iff both matrices and their concatenation share numerical rank.
 
@@ -419,8 +354,8 @@ def range_equal(m1, m2, tol: float = 1e-8) -> bool:
     if s_all.size == 0 or s_all[0] == 0:
         return True
     shared = RankPolicy.absolute(tol * s_all[0])
-    r1 = numerical_rank(m1, shared).rank
-    r2 = numerical_rank(m2, shared).rank
+    r1 = numerical_rank(m1, shared)
+    r2 = numerical_rank(m2, shared)
     r12 = shared.rank(s_all)
     return r1 == r2 == r12
 

@@ -143,7 +143,7 @@ def pi_moesp(
 
     # persistency of excitation: the input Hankel covariance must be full rank
     cov = (u_all @ u_all.T) / n_cols
-    if numerical_rank(cov, RankPolicy.relative(1e-8)).rank < 2 * s * n_u:
+    if numerical_rank(cov, RankPolicy.relative(1e-8)) < 2 * s * n_u:
         raise ExcitationError(
             "input Hankel covariance is rank deficient; the input does not "
             "persistently excite the system"

@@ -21,7 +21,6 @@ from .matstack import (
     RankPolicy,
     _lti_states,
     as_matrix,
-    as_signal,
     block_toeplitz,
     extended_observability,
     numerical_rank,
@@ -50,7 +49,7 @@ _INFINITE_ZERO_CUTOFF = 1e6
 
 def stack_channels(*signals) -> np.ndarray:
     """Concatenate same-length signals channel-wise."""
-    parts = [as_signal(s) for s in signals]
+    parts = [as_matrix(s, "signal") for s in signals]
     lengths = {p.shape[0] for p in parts}
     if len(lengths) != 1:
         raise ValueError(f"channel lengths differ: {sorted(lengths)}")
@@ -111,8 +110,8 @@ class StateSpace:
         policy = RankPolicy.relative(tol)
         obs = extended_observability(self.A, self.C, self.n_x)
         return (
-            numerical_rank(obs, policy).rank == self.n_x
-            and numerical_rank(_controllability(self.A, self.B), policy).rank == self.n_x
+            numerical_rank(obs, policy) == self.n_x
+            and numerical_rank(_controllability(self.A, self.B), policy) == self.n_x
         )
 
 
@@ -175,7 +174,7 @@ def simulate(sys: StateSpace, fault: FaultPair | None, x0, u, v=None, w=None):
     Returns the arrays (y, x), where x carries T+1 samples including the
     terminal state.
     """
-    u_data = as_signal(u, "u")
+    u_data = as_matrix(u, "u")
     t = u_data.shape[0]
     if u_data.shape[1] != sys.n_u:
         raise ValueError(f"u has {u_data.shape[1]} channels, system expects {sys.n_u}")
@@ -183,7 +182,7 @@ def simulate(sys: StateSpace, fault: FaultPair | None, x0, u, v=None, w=None):
         fault.check_matches(sys)
         if v is None:
             raise ValueError("fault matrices given but no fault signal")
-        v_data = as_signal(v, "v")
+        v_data = as_matrix(v, "v")
         if v_data.shape != (t, fault.n_v):
             raise ValueError(
                 f"v must be {t}x{fault.n_v}, got {v_data.shape[0]}x{v_data.shape[1]}"
@@ -191,7 +190,7 @@ def simulate(sys: StateSpace, fault: FaultPair | None, x0, u, v=None, w=None):
     else:
         v_data = None
     if w is not None:
-        w_data = as_signal(w, "w")
+        w_data = as_matrix(w, "w")
         if w_data.shape != (t, sys.n_y):
             raise ValueError(
                 f"w must be {t}x{sys.n_y}, got {w_data.shape[0]}x{w_data.shape[1]}"
@@ -254,7 +253,7 @@ def colored_noise(n_y: int, t: int, snr_db, reference, seed) -> np.ndarray:
     scaled so 10*log10(power(ref_ch)/power(noise_ch)) equals ``snr_db``.
     ``snr_db`` None or +inf yields the zero signal.
     """
-    ref = as_signal(reference, "reference")
+    ref = as_matrix(reference, "reference")
     if ref.shape != (t, n_y):
         raise ValueError(f"reference must be {t}x{n_y}, got {ref.shape}")
     if snr_db is None or float(snr_db) == math.inf:
@@ -466,7 +465,7 @@ def _place_fault_pair(
 
 
 def _channel_controllable(a, f, tol: float = 1e-8) -> bool:
-    return numerical_rank(_controllability(a, f), RankPolicy.relative(tol)).rank == a.shape[0]
+    return numerical_rank(_controllability(a, f), RankPolicy.relative(tol)) == a.shape[0]
 
 
 def random_system(
@@ -544,7 +543,7 @@ def random_system(
 
 
 def write_trajectory_csv(path, traj) -> None:
-    data = as_signal(traj)
+    data = as_matrix(traj, "signal")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t," + ",".join(f"ch{i}" for i in range(data.shape[1])) + "\n")
         for k, row in enumerate(data):
@@ -563,7 +562,7 @@ def read_trajectory_csv(path) -> np.ndarray:
                 continue
             parts = line.split(",")
             rows.append([float(x) for x in parts[1:]])
-    return as_signal(rows, "trajectory")
+    return as_matrix(rows, "trajectory")
 
 
 def save_system_json(path, sys: StateSpace, fault: FaultPair | None = None, seed=None) -> None:

@@ -19,6 +19,7 @@ from subfault.sysgen import (
     transmission_zeros,
     white_input,
 )
+from subfault import faultrec
 from subfault.faultrec import (
     FaultRecovery,
     RecoveryError,
@@ -64,7 +65,7 @@ class TestResidualHankel:
         from subfault.matstack import numerical_rank
 
         r = residual_hankel(y, u, sys, 6)
-        assert numerical_rank(r, RankPolicy.relative(1e-8)).rank <= 4
+        assert numerical_rank(r, RankPolicy.relative(1e-8)) <= 4
 
     def test_demo_ranks_match_rank_formula(self, demo_run):
         # the benchmark channel is minimal with one infinite zero, so
@@ -111,6 +112,34 @@ class TestFaultDim:
     def test_negative_difference_raises(self):
         with pytest.raises(RecoveryError):
             fault_dim_from_ranks(7, 6)
+
+    @pytest.mark.parametrize("method", ["structure", "annihilator"])
+    def test_recover_reads_dimension_through_estimate_fault_dim(
+        self, demo_run, monkeypatch, method
+    ):
+        # recover takes n_v, the ranks and R_s from one estimate_fault_dim
+        # call, and each residual Hankel is built once
+        sys, fault, x0, u, v, y, _ = demo_run
+        calls = {"estimate_fault_dim": 0, "residual_hankel": 0}
+
+        def counted(name):
+            original = getattr(faultrec, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(faultrec, name, wrapper)
+
+        counted("estimate_fault_dim")
+        counted("residual_hankel")
+        rec = recover(y, u, sys, s=5, method=method)
+        assert calls == {"estimate_fault_dim": 1, "residual_hankel": 2}
+        n_v, diag = estimate_fault_dim(y, u, sys, 5)
+        assert (rec.n_v_estimate, rec.rank_s, rec.rank_s_plus_1) == (
+            n_v, diag.rank_s, diag.rank_s_plus_1
+        )
+        assert np.array_equal(diag.residual_s, residual_hankel(y, u, sys, 5))
 
 
 class TestVerifyRankFormula:

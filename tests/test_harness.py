@@ -69,6 +69,18 @@ class TestMetrics:
         b = np.linalg.qr(np.random.default_rng(0).standard_normal((6, 2)))[0]
         assert representative_error_pct(b, b, 2) < 1e-10
 
+    def test_orthogonal_planes_full_error(self):
+        u = np.eye(6)[:, :2]
+        v = np.eye(6)[:, 2:4]
+        assert abs(representative_error_pct(u, v, 2) - 100.0) < 1e-9
+
+    def test_45_degree_line_half_error(self):
+        alpha = np.pi / 4
+        u = np.eye(5)[:, [0]]
+        v = np.zeros((5, 1))
+        v[0, 0], v[1, 0] = np.cos(alpha), np.sin(alpha)
+        assert abs(representative_error_pct(u, v, 1) - 50.0) < 1e-9
+
     def test_missing_directions_penalized(self):
         base = np.eye(6)[:, :2]
         assert representative_error_pct(base, np.eye(6)[:, :1], 2) > 70.0

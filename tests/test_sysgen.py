@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from subfault.faultrec import reconstruct_fault
-from subfault.matstack import as_signal, block_hankel, block_toeplitz, extended_observability
+from subfault.matstack import as_matrix, block_hankel, block_toeplitz, extended_observability
 from subfault.sysgen import (
     FaultPair,
     StateSpace,
@@ -286,8 +286,8 @@ class TestRandomSystem:
 class TestTypesAndPersistence:
     def test_trajectory_validation(self):
         with pytest.raises(ValueError, match="trajectory contains non-finite"):
-            as_signal(np.array([[1.0], [np.nan]]), "trajectory")
-        assert as_signal(np.ones(5)).shape == (5, 1)
+            as_matrix(np.array([[1.0], [np.nan]]), "trajectory")
+        assert as_matrix(np.ones(5)).shape == (5, 1)
 
     def test_signals_are_plain_arrays(self, tmp_path, demo_run):
         sys, fault, x0, u, v, y, x = demo_run
