@@ -75,11 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fr.add_argument("--y", required=True)
     p_fr.add_argument("--system", required=True, help="identified-system JSON")
     p_fr.add_argument("--window", type=int, required=True, help="residual window s")
-    p_fr.add_argument("--rank-policy", choices=("rel", "gap", "floor"), default="gap")
-    p_fr.add_argument(
-        "--rank-tol", type=float, default=1e-8,
-        help="threshold of the rel policy and fallback of the gap policy; floor ignores it",
-    )
+    p_fr.add_argument("--rank-policy", choices=("gap", "floor"), default="gap")
     p_fr.add_argument(
         "--policy", choices=("leading", "sparse-G", "sparse-F"), default="leading"
     )
@@ -156,7 +152,7 @@ def _cmd_fault_recover(args) -> int:
     u = read_trajectory_csv(args.u)
     y = read_trajectory_csv(args.y)
     system, _ = load_system_json(args.system)
-    policy = ExperimentConfig(rank_policy=args.rank_policy, rank_tol=args.rank_tol).policy()
+    policy = ExperimentConfig(rank_policy=args.rank_policy).policy()
     rec = recover(y, u, system, s=args.window, policy=policy, method=args.method)
     rep = select_representative(rec, policy=args.policy, n_v=rec.n_v_estimate)
     x_tilde_0 = estimate_initial_state(system, u, y, horizon=min(len(u), 50))

@@ -78,12 +78,11 @@ def _effective_zero_count(n_x: int, s: int, n_v: int, rank_s: int) -> int:
 
 @dataclass
 class FaultRecovery:
-    """Full fault-recovery result with rank diagnostics."""
+    """Full fault-recovery result with rank diagnostics; ``n_z`` and
+    ``n_v_estimate`` are read off the basis and the ranks."""
 
     F_hat: np.ndarray
     G_hat: np.ndarray
-    n_z: int
-    n_v_estimate: int
     rank_s: int
     rank_s_plus_1: int
     singular_values_s: np.ndarray
@@ -91,8 +90,6 @@ class FaultRecovery:
     window_s: int
 
     def __post_init__(self):
-        if self.n_v_estimate != self.rank_s_plus_1 - self.rank_s or self.n_v_estimate < 0:
-            raise ValueError("fault-dimension estimate inconsistent with the ranks")
         if self.n_z < self.n_v_estimate:
             raise RecoveryError(
                 f"solution basis ({self.n_z}) smaller than the fault dimension "
@@ -104,6 +101,14 @@ class FaultRecovery:
 
     def stack(self) -> np.ndarray:
         return np.vstack([self.F_hat, self.G_hat])
+
+    @property
+    def n_z(self) -> int:
+        return self.F_hat.shape[1]
+
+    @property
+    def n_v_estimate(self) -> int:
+        return self.rank_s_plus_1 - self.rank_s
 
     @property
     def zeta_eff(self) -> int:
@@ -121,14 +126,13 @@ class FaultRecovery:
 class FaultReconstruction:
     """Reconstructed residual-system initial state and fault signal.
 
-    ``v`` has shape (T, n_v); ``x_full``, the nominal plus residual-system
-    state, has shape (T + 1, n_x).
+    ``xi0`` has shape (n_x,), ``v`` shape (T, n_v); ``replay_residual`` is
+    the relative error of the channel replayed from them.
     """
 
     xi0: np.ndarray
     v: np.ndarray
     replay_residual: float
-    x_full: np.ndarray
 
 
 def residual_hankel(y, u, sys: StateSpace, s: int, x_tilde_0=None) -> np.ndarray:
@@ -374,8 +378,9 @@ def recover(
     ``FaultRecovery.zeta_eff``), which matches the exact nullspace dimension
     on clean data. method "annihilator" uses the noise-robust annihilator
     formulation with its own solution count; both compute the same solution
-    set on clean data. A basis wider than n_v + max(zeta_eff, 0) is flagged
-    by ``FaultRecovery.excess_basis``.
+    set on clean data. ``FaultRecovery`` reads n_z and n_v off the basis and
+    the ranks, and flags a basis wider than n_v + max(zeta_eff, 0) by
+    ``excess_basis``.
     """
     n_v, diag = estimate_fault_dim(y, u, sys, s, policy)
     if n_v < 1:
@@ -399,8 +404,6 @@ def recover(
     return FaultRecovery(
         F_hat=pair.F,
         G_hat=pair.G,
-        n_z=pair.n_v,
-        n_v_estimate=n_v,
         rank_s=diag.rank_s,
         rank_s_plus_1=diag.rank_s_plus_1,
         singular_values_s=diag.singular_values_s,
@@ -478,6 +481,7 @@ def _fault_channel_smoother(a, f, c, g, resid):
     stack[n_v:n_v + n_y, :n_v] = g
     stack[n_v:n_v + n_y, n_v:-1] = c
     fa = np.hstack([f, a])
+    upper = np.triu(np.ones((width, width), dtype=bool))
     info_r = np.zeros((n_x, n_x))
     info_z = np.zeros(n_x)
     gains = np.empty((t, n_v, width))
@@ -486,7 +490,7 @@ def _fault_channel_smoother(a, f, c, g, resid):
         stack[n_v + n_y:, :-1] = info_r @ fa
         stack[n_v + n_y:, -1] = info_z
         # LAPACK directly: np.linalg.qr's dispatch costs more than this block
-        tri = np.triu(dgeqrf(stack)[0][:width])
+        tri = np.where(upper, dgeqrf(stack)[0][:width], 0.0)
         gains[k] = tri[:n_v]
         info_r = tri[n_v:-1, n_v:-1]
         info_z = tri[n_v:-1, -1]
@@ -530,27 +534,29 @@ def reconstruct_fault(y, u, sys: StateSpace, fg: FaultPair, x_tilde_0) -> FaultR
     fg.check_matches(sys)
     if y_data.shape[0] < 1:
         raise ValueError("reconstruction needs at least one sample")
-    y_nom, x_nom = simulate(sys, None, x_tilde_0, u_data)
+    y_nom, _ = simulate(sys, None, x_tilde_0, u_data)
     resid = y_data - y_nom
     xi0, v_hat = _fault_channel_smoother(sys.A, fg.F, sys.C, fg.G, resid)
-    y_fault, xi = simulate(StateSpace(sys.A, fg.F, sys.C, fg.G), None, xi0, v_hat)
+    y_fault, _ = simulate(StateSpace(sys.A, fg.F, sys.C, fg.G), None, xi0, v_hat)
     norm = np.linalg.norm(resid)
     replay = float(np.linalg.norm(y_fault - resid) / norm) if norm > 0 else 0.0
-    return FaultReconstruction(xi0=xi0, v=v_hat, replay_residual=replay, x_full=xi + x_nom)
+    return FaultReconstruction(xi0=xi0, v=v_hat, replay_residual=replay)
+
+
+# largest share of a sparse representative's norm left in its zeroed block
+_SPARSE_LEAK_BOUND = 0.3
 
 
 def select_representative(
-    recovery: FaultRecovery,
-    policy: str = "leading",
-    n_v: int | None = None,
-    feasibility: float = 0.3,
+    recovery: FaultRecovery, policy: str = "leading", n_v: int | None = None
 ) -> FaultPair:
     """Pick a concrete n_v-column fault pair from the recovered basis.
 
     "leading" takes the dominant right-singular directions of [F_hat; G_hat].
     "sparse-G" / "sparse-F" pick directions annihilating G_hat / F_hat, for
     use when prior structure (state-only or output-only faults) is known;
-    they fail when no sufficiently annihilating direction exists.
+    they fail when the chosen directions keep more than 0.3 of their norm in
+    the block they should annihilate.
     """
     stack = recovery.stack()
     n_x = recovery.F_hat.shape[0]
@@ -572,7 +578,7 @@ def select_representative(
         p = vt[n_z - n_v:].T
         rep = stack @ p
         leak = np.linalg.norm(target @ p) / max(np.linalg.norm(rep), 1e-300)
-        if leak > feasibility:
+        if leak > _SPARSE_LEAK_BOUND:
             raise ValueError(
                 f"policy {policy} infeasible: best directions leak {leak:.3g} "
                 f"of their energy into the structured block"

@@ -104,10 +104,6 @@ class ExperimentConfig:
     zero_counts: tuple = (0, 1, 2, 3)
     systems_per_count: int = 10
     rank_policy: str = "gap"
-    rank_tol: float = 1e-8
-    min_gap_ratio: float = 10.0
-    floor_scale: float = 3.0
-    ident_window: int | None = None
     out_dir: str | None = None
 
     def __post_init__(self):
@@ -123,15 +119,11 @@ class ExperimentConfig:
         # false for NaN and -inf, which set no noise level
         if self.snr_db is not None and not float(self.snr_db) > -np.inf:
             raise ValueError("snr_db must be finite, None, or +inf")
-        if self.rank_policy not in ("rel", "gap", "floor"):
-            raise ValueError("rank_policy must be 'rel', 'gap', or 'floor'")
+        if self.rank_policy not in ("gap", "floor"):
+            raise ValueError("rank_policy must be 'gap' or 'floor'")
 
     def policy(self) -> RankPolicy:
-        if self.rank_policy == "rel":
-            return RankPolicy.relative(self.rank_tol)
-        if self.rank_policy == "floor":
-            return RankPolicy.noise_floor(self.floor_scale)
-        return RankPolicy.gap(self.min_gap_ratio, fallback_tol=self.rank_tol)
+        return RankPolicy.noise_floor() if self.rank_policy == "floor" else RankPolicy.gap()
 
     @classmethod
     def example_defaults(cls, **overrides) -> "ExperimentConfig":
@@ -238,7 +230,7 @@ def markov_relative_error(est: StateSpace, true: StateSpace, count: int = 10) ->
     return float(num / den)
 
 
-def _identify(u, y, config: ExperimentConfig, true_order: int):
+def _identify(u, y, true_order: int):
     """Identification at the configured order, flagging an auto-order miss.
 
     The model is always identified at ``true_order``. The flag is set when
@@ -248,7 +240,7 @@ def _identify(u, y, config: ExperimentConfig, true_order: int):
     the QR and SVD behind that spectrum, depend only on the order hint, so
     one ``pi_moesp`` call serves both.
     """
-    result = pi_moesp(u, y, s=config.ident_window, order=true_order, demean=True)
+    result = pi_moesp(u, y, order=true_order, demean=True)
     sel = estimate_order(result.order_singular_values)
     return result, not sel.confident or sel.order != true_order
 
@@ -300,7 +292,7 @@ def run_example(config: ExperimentConfig | None = None) -> dict:
         u, y = _simulate_record(sys, fault, v, config, config.seed)
 
     with _stage("identify"):
-        ident, order_fallback = _identify(u, y, config, true_order=sys.n_x)
+        ident, order_fallback = _identify(u, y, true_order=sys.n_x)
         markov_err = markov_relative_error(ident.system, sys)
 
     branches = {}
@@ -457,7 +449,7 @@ def _montecarlo_instance(config: ExperimentConfig, index: int, zero_count: int) 
             v = _fault_trajectory(n_v, config.T, seed)
             u, y = _simulate_record(sys, fault, v, config, seed)
         with _stage("identify"):
-            ident, order_fallback = _identify(u, y, config, true_order=n_x)
+            ident, order_fallback = _identify(u, y, true_order=n_x)
             base["markov_rel_error"] = markov_relative_error(ident.system, sys)
             base["order_fallback"] = order_fallback
         with _stage("fault-recover"):

@@ -76,6 +76,9 @@ def fix_column_signs(m: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # rank machinery
 
+# least consecutive singular-value ratio read as a gap (rank and order)
+_GAP_RATIO = 10.0
+
 
 @dataclass(frozen=True)
 class RankPolicy:
@@ -89,17 +92,17 @@ class RankPolicy:
     kind "rel": count values above ``tol * sigma_1``.
     kind "gap": rank at the smallest index maximizing sigma_i / sigma_{i+1}
         over the values down to the first one at or below 1e-300 sigma_1;
-        the winning ratio must reach ``min_ratio``, otherwise the relative
-        rule with ``tol`` is used as fallback.
+        the winning ratio must reach ``_GAP_RATIO`` (10), otherwise the
+        relative rule with ``tol`` (1e-8) is used as fallback.
     kind "floor": count values above ``scale`` times the smallest singular
         value (at least 1e-15 sigma_1), treating the spectrum bottom as the
         noise floor. On exact-arithmetic data the bottom is the machine
         floor, so this reduces to counting all structurally nonzero values.
+        The scale is 3, or 1.2 in the annihilator.
     """
 
     kind: str = "rel"
     tol: float = 1e-8
-    min_ratio: float = 10.0
     scale: float = 3.0
 
     def __post_init__(self):
@@ -117,8 +120,8 @@ class RankPolicy:
         return cls(kind="rel", tol=tol)
 
     @classmethod
-    def gap(cls, min_ratio: float = 10.0, fallback_tol: float = 1e-8) -> "RankPolicy":
-        return cls(kind="gap", tol=fallback_tol, min_ratio=min_ratio)
+    def gap(cls) -> "RankPolicy":
+        return cls(kind="gap")
 
     @classmethod
     def noise_floor(cls, scale: float = 3.0) -> "RankPolicy":
@@ -141,7 +144,7 @@ class RankPolicy:
             return float(self.scale * floor)
         # gap: stop ranking once the spectrum hits exact zeros
         gap = _largest_gap(s[: RankPolicy.relative(1e-300).rank(s) + 1])
-        if gap is not None and gap[1] >= self.min_ratio:
+        if gap is not None and gap[1] >= _GAP_RATIO:
             hi, lo = s[gap[0]], s[gap[0] + 1]
             # geometric-mean cutoff between kept and dropped values
             return float(np.sqrt(hi * max(lo, hi * 1e-14)))
@@ -204,7 +207,7 @@ def block_hankel(signal, depth: int, width: int | None = None) -> np.ndarray:
 
 
 def extended_observability(a, c, s: int) -> np.ndarray:
-    """Stack [C; CA; ...; C A^(s-1)]."""
+    """Stack [C; CA; ...; C A^(s-1)], the Markov parameters C A^k B with B = I."""
     a = as_matrix(a, "A")
     c = as_matrix(c, "C")
     n = a.shape[0]
@@ -214,10 +217,8 @@ def extended_observability(a, c, s: int) -> np.ndarray:
         raise ValueError(f"C has {c.shape[1]} columns but A is {n}x{n}")
     if s < 1:
         raise ValueError("s must be at least 1")
-    blocks = [c]
-    for _ in range(s - 1):
-        blocks.append(blocks[-1] @ a)
-    return np.vstack(blocks)
+    p = c.shape[0]
+    return _markov_blocks(a, np.eye(n), c, np.zeros((p, n)), s + 1)[1:].reshape(s * p, n)
 
 
 def _markov_blocks(a, b, c, d, count: int) -> np.ndarray:
@@ -364,7 +365,7 @@ def range_equal(m1, m2, tol: float = 1e-8) -> bool:
 # least squares
 
 
-def min_norm_lsq(a, b, rcond: float | None = None) -> np.ndarray:
+def min_norm_lsq(a, b) -> np.ndarray:
     """Minimum-Frobenius-norm minimizer of ||A X - B||_F.
 
     Shape of X follows B: a 1-D right-hand side yields a 1-D solution.
@@ -375,7 +376,7 @@ def min_norm_lsq(a, b, rcond: float | None = None) -> np.ndarray:
     b2 = b_arr.reshape(-1, 1) if vector else b_arr
     if a.shape[0] != b2.shape[0]:
         raise ValueError(f"row counts differ: A has {a.shape[0]}, B has {b2.shape[0]}")
-    x, _, _, _ = scipy.linalg.lstsq(a, b2, cond=rcond, lapack_driver="gelsd")
+    x, _, _, _ = scipy.linalg.lstsq(a, b2, lapack_driver="gelsd")
     return x[:, 0] if vector else x
 
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from .matstack import (
     RankPolicy,
+    _GAP_RATIO,
     _input_output_arrays,
     _largest_gap,
     _lti_states,
@@ -63,22 +64,25 @@ class IdentResult:
 
     system: StateSpace
     order_singular_values: np.ndarray
-    chosen_order: int
     x_tilde_0: np.ndarray
     window_s: int
-    order_confident: bool = True
+    order_confident: bool
 
     def __post_init__(self):
         self.order_singular_values = np.asarray(self.order_singular_values, dtype=float)
         self.x_tilde_0 = np.asarray(self.x_tilde_0, dtype=float).reshape(-1)
 
+    @property
+    def chosen_order(self) -> int:
+        return self.system.n_x
 
-def estimate_order(singular_values, min_ratio: float = 10.0) -> OrderSelection:
+
+def estimate_order(singular_values) -> OrderSelection:
     """Order at the largest consecutive singular-value ratio.
 
-    Ties break toward the smaller order. When no ratio reaches ``min_ratio``
-    the full count of non-negligible values is returned with the confidence
-    flag cleared. All values negligible is an error.
+    Ties break toward the smaller order. When no ratio reaches ``_GAP_RATIO``
+    (10), the full count of non-negligible values is returned with the
+    confidence flag cleared. All values negligible is an error.
     """
     s = np.asarray(singular_values, dtype=float)
     if s.size == 0:
@@ -90,7 +94,7 @@ def estimate_order(singular_values, min_ratio: float = 10.0) -> OrderSelection:
     # drop the negligible tail before ranking gaps
     m = RankPolicy.relative(1e-12).rank(s)
     best_i, best_ratio = _largest_gap(s[:m]) or (None, 0.0)
-    if best_i is not None and best_ratio >= min_ratio:
+    if best_i is not None and best_ratio >= _GAP_RATIO:
         return OrderSelection(order=best_i + 1, gap_ratio=float(best_ratio), confident=True)
     return OrderSelection(order=m, gap_ratio=float(best_ratio), confident=False)
 
@@ -187,7 +191,6 @@ def pi_moesp(
     return IdentResult(
         system=system,
         order_singular_values=padded,
-        chosen_order=n,
         x_tilde_0=x0_hat,
         window_s=s,
         order_confident=confident,

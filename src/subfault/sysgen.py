@@ -57,8 +57,8 @@ def stack_channels(*signals) -> np.ndarray:
 
 
 def _controllability(a, b) -> np.ndarray:
-    """[B, AB, ..., A^(n_x-1) B]."""
-    return np.hstack([np.linalg.matrix_power(a, k) @ b for k in range(a.shape[0])])
+    """[B, AB, ..., A^(n_x-1) B], the transposed observability stack of (A^T, B^T)."""
+    return extended_observability(a.T, b.T, a.shape[0]).T
 
 
 @dataclass

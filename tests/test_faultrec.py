@@ -265,10 +265,10 @@ class TestRecoverFaultMatrices:
         spectra = dict(singular_values_s=np.ones(3), singular_values_s_plus_1=np.ones(5))
         # n_v = 5 - 3 = 2 from the ranks; a one-column basis is too small
         with pytest.raises(RecoveryError, match="smaller than the fault dimension"):
-            FaultRecovery(F_hat=np.ones((2, 1)), G_hat=np.ones((1, 1)), n_z=1, n_v_estimate=2,
+            FaultRecovery(F_hat=np.ones((2, 1)), G_hat=np.ones((1, 1)),
                           rank_s=3, rank_s_plus_1=5, window_s=2, **spectra)
         with pytest.raises(RecoveryError, match="linearly dependent"):
-            FaultRecovery(F_hat=np.ones((2, 2)), G_hat=np.ones((1, 2)), n_z=2, n_v_estimate=2,
+            FaultRecovery(F_hat=np.ones((2, 2)), G_hat=np.ones((1, 2)),
                           rank_s=3, rank_s_plus_1=5, window_s=2, **spectra)
 
 
@@ -345,7 +345,6 @@ class TestReconstruction:
         assert recon.replay_residual <= 1e-8
         corr = np.corrcoef(recon.v[:, 0], v[:, 0])[0, 1]
         assert abs(corr) >= 0.99
-        assert len(recon.x_full) == len(u) + 1
 
     def test_zero_residual_gives_zero_reconstruction(self, demo):
         sys, fault = demo

@@ -60,8 +60,10 @@ class TestConfig:
         assert cfg.T == 500 and cfg.seed == 9
 
     def test_policy_mapping(self):
-        assert ExperimentConfig(rank_policy="rel").policy().kind == "rel"
-        assert ExperimentConfig(rank_policy="floor").policy().kind == "floor"
+        assert ExperimentConfig(rank_policy="gap").policy() == RankPolicy.gap()
+        assert ExperimentConfig(rank_policy="floor").policy() == RankPolicy.noise_floor()
+        with pytest.raises(ValueError):
+            ExperimentConfig(rank_policy="rel")
 
 
 class TestMetrics:
@@ -297,8 +299,9 @@ class TestCli:
 
         monkeypatch.setattr("subfault.cli.recover", spy)
         self._write_demo_data(tmp_path)
-        for name in ("rel", "gap", "floor"):
-            code = cli_main([
+
+        def run(name):
+            return cli_main([
                 "--out", str(tmp_path / name),
                 "fault-recover",
                 "--u", str(tmp_path / "u.csv"),
@@ -307,8 +310,13 @@ class TestCli:
                 "--window", "5",
                 "--rank-policy", name,
             ])
-            assert code == 0
+
+        for name in ("gap", "floor"):
+            assert run(name) == 0
             assert seen[-1] == ExperimentConfig(rank_policy=name).policy()
+        with pytest.raises(SystemExit) as exc:
+            run("rel")
+        assert exc.value.code == 2
 
     def test_missing_file_is_input_error(self, tmp_path):
         code = cli_main([
@@ -328,6 +336,17 @@ class TestCli:
                 "montecarlo",
             ])
             assert code == 2
+
+    @pytest.mark.parametrize("key", ["rank_tol", "min_gap_ratio", "floor_scale", "ident_window"])
+    def test_removed_config_key_is_input_error(self, tmp_path, key):
+        (tmp_path / "cfg.json").write_text(json.dumps({"T": 200, key: 1}))
+        code = cli_main([
+            "--config", str(tmp_path / "cfg.json"),
+            "--out", str(tmp_path / "ex"),
+            "example",
+        ])
+        assert code == 2
+        assert not (tmp_path / "ex" / "example_report.json").exists()
 
     def test_numerical_failure_exit_code(self, tmp_path):
         sys, fault = demo_system()

@@ -354,7 +354,7 @@ class TestMatrixCsv:
         path = tmp_path / "m.csv"
         write_matrix_csv(path, m)
         assert np.array_equal(read_matrix_csv(path), m)
-        assert open(path).readline().strip() == "4,3"
+        assert path.read_text().splitlines()[0] == "4,3"
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -327,7 +327,7 @@ class TestTypesAndPersistence:
         tr = np.random.default_rng(0).standard_normal((7, 3))
         path = tmp_path / "traj.csv"
         write_trajectory_csv(path, tr)
-        header = open(path).readline().strip()
+        header = path.read_text().splitlines()[0]
         assert header == "t,ch0,ch1,ch2"
         back = read_trajectory_csv(path)
         assert np.array_equal(back, tr)
