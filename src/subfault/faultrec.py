@@ -12,12 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrf
+from scipy.linalg.lapack import dgeqrf, dormqr
 
 from .matstack import (
     RankPolicy,
     _input_output_arrays,
     _largest_gap,
+    _lti_states,
     as_matrix,
     block_hankel,
     block_toeplitz,
@@ -127,12 +128,18 @@ class FaultReconstruction:
     """Reconstructed residual-system initial state and fault signal.
 
     ``xi0`` has shape (n_x,), ``v`` shape (T, n_v); ``replay_residual`` is
-    the relative error of the channel replayed from them.
+    the relative error of the channel replayed from them. Two smoother
+    diagnostics ride along and enter no report: ``per_step_samples``, the
+    length of the per-step tail of the backward sweep (T when its factor
+    never became stationary), and ``v_information``, shape (T, n_v), the
+    |diagonal| of each step's v-block, i.e. how firmly the data pin v(k).
     """
 
     xi0: np.ndarray
     v: np.ndarray
     replay_residual: float
+    per_step_samples: int
+    v_information: np.ndarray
 
 
 def residual_hankel(y, u, sys: StateSpace, s: int, x_tilde_0=None) -> np.ndarray:
@@ -451,6 +458,57 @@ def window_in_behavior(a, f, c, g, window, tol: float = 1e-8) -> bool:
 # relative size of the damping that selects the minimum-norm reconstruction
 _DAMPING = 1e-10
 
+# the smoother's factor counts as stationary once its remaining drift stays
+# within this share of its size for _SETTLED_STEPS consecutive steps
+_STATIONARY_TOL = 8 * _EPS
+_SETTLED_STEPS = 3
+
+
+def _stationary(a, f, block, step: float) -> bool:
+    """Whether the smoother's factor has stopped moving to within rounding.
+
+    ``block`` is one step's data-independent triangle [R_v R_vx; 0 R_k] and
+    ``step`` is max|R_k - R_(k+1)|. The factor is a Riccati iterate; near its
+    limit each step shrinks the difference by about q = rho(A - F L_k)^2,
+    with L_k = R_v^-1 R_vx the step's feedback, so the drift still to come
+    is at most step / (1 - q). A bitwise repeat is stationary outright.
+    """
+    n_v = f.shape[1]
+    if step == 0.0:
+        return True
+    tol = _STATIONARY_TOL * np.abs(block[n_v:, n_v:]).max()
+    if step > tol:
+        return False
+    feedback = np.linalg.solve(block[:n_v, :n_v], block[:n_v, n_v:])
+    q = np.abs(np.linalg.eigvals(a - f @ feedback)).max() ** 2
+    return bool(q < 1.0 and step <= tol * (1.0 - q))
+
+
+def _stationary_sweep(stack, n_v: int, z_next, head):
+    """Backward pass of the stationary smoother over ``head`` = r(0..k-1).
+
+    ``stack`` is the stationary step's block (its last rows built from the
+    stationary R). Its Householder factor, taken once, maps the data column
+    [0; r(k); z_(k+1)] linearly to [R_v o_k; z_k]; applying Q^T to unit
+    columns (``dormqr``) gives that map as P = [P_r P_z]. Then z_k = P_z
+    z_(k+1) + P_r r(k) runs in reversed time through ``_lti_states`` from
+    ``z_next`` = z_k. Returns the triangle [R_v R_vx; 0 R], the offsets
+    o(0..k-1) with v(k) = o_k - R_v^-1 R_vx xi(k), and z_0.
+    """
+    n_rows, width = stack.shape
+    n_data = n_rows - n_v
+    n_y = head.shape[1]
+    qr, tau = dgeqrf(stack[:, :-1])[:2]
+    unit = np.zeros((n_rows, n_data))
+    unit[n_v:] = np.eye(n_data)
+    p = dormqr(b"L", b"T", qr, tau, unit, n_data)[0][: width - 1]
+    block = np.triu(qr[: width - 1])
+    drive = head[::-1] @ p[n_v:, :n_y].T
+    z = _lti_states(p[n_v:, n_y:], z_next[:, None], drive[:, :, None])[::-1, :, 0]
+    rhs = z[1:] @ p[:n_v, n_y:].T + head @ p[:n_v, :n_y].T
+    offset = np.linalg.solve(block[:n_v, :n_v], rhs.T).T
+    return block, offset, z[0].copy()
+
 
 def _fault_channel_smoother(a, f, c, g, resid):
     """Damped least-squares fault signal and initial state of one channel.
@@ -458,17 +516,33 @@ def _fault_channel_smoother(a, f, c, g, resid):
     Minimizes sum_k |r(k) - C xi(k) - G v(k)|^2 + rho^2 (|xi(0)|^2 + sum_k
     |v(k)|^2) over xi(k+1) = A xi(k) + F v(k) by a fixed-interval
     square-root information smoother (Paige & Saunders 1977). The backward
-    sweep keeps the cost-to-go from step k as |R_k xi - z_k|^2; at each step
-    one QR factorization triangularizes
+    sweep keeps the cost-to-go from step k as |R_k xi - z_k|^2; one QR
+    factorization triangularizes
 
         [ rho I       0           0       ]   acting on   [ v(k)  ]
         [ G           C           r(k)    ]               [ xi(k) ]
         [ R_{k+1} F   R_{k+1} A   z_{k+1} ]               [ -1    ]
 
     whose leading n_v rows give v(k) as an affine function of xi(k) and whose
-    next n_x rows are (R_k, z_k). The forward pass runs that feedback from
-    the damped xi(0). Storage is T per-step blocks of the system's own sizes.
-    Returns (xi0, v) with v of shape (T, n_v).
+    next n_x rows are (R_k, z_k).
+
+    The factor R_k depends on (A, F, C, G, rho) only, never on the data, and
+    converges from k = T-1 backward to a fixed R (a steady-state smoother,
+    Anderson & Moore 1979). So the sweep runs per step, from T-1 down, only
+    until R_k is stationary: its remaining drift, bounded by the step
+    difference over (1 - contraction) (see ``_stationary``), stays within
+    8 eps of |R| for 3 consecutive steps. Before that tail both passes are
+    linear time-invariant and run through ``_lti_states``: the Householder
+    factor is taken once (``dormqr`` on unit columns), giving z_k = P_z
+    z_(k+1) + P_r r(k) backward (in reversed time), and the forward pass is
+    xi(k+1) = (A - F L) xi(k) + F o_k with one stationary v-block solve. If
+    R never becomes stationary (an invariant zero on the unit circle, or a
+    convergence too slow to settle within rounding), the whole record stays
+    per step. Storage is a few arrays of T x (n_x or n_v) plus one block per
+    tail step.
+
+    Returns (xi0, v, per_step_samples, v_information) with v and
+    v_information of shape (T, n_v).
     """
     t = resid.shape[0]
     n_x, n_v = f.shape
@@ -484,16 +558,31 @@ def _fault_channel_smoother(a, f, c, g, resid):
     upper = np.triu(np.ones((width, width), dtype=bool))
     info_r = np.zeros((n_x, n_x))
     info_z = np.zeros(n_x)
-    gains = np.empty((t, n_v, width))
-    for k in range(t - 1, -1, -1):
+    # the tail's v-blocks in backward order, in a buffer grown by doubling
+    tail = np.empty((min(t, 256), n_v, width))
+    settled = 0
+    k = t
+    while k > 0 and settled < _SETTLED_STEPS:
+        k -= 1
         stack[n_v:n_v + n_y, -1] = resid[k]
         stack[n_v + n_y:, :-1] = info_r @ fa
         stack[n_v + n_y:, -1] = info_z
         # LAPACK directly: np.linalg.qr's dispatch costs more than this block
         tri = np.where(upper, dgeqrf(stack)[0][:width], 0.0)
-        gains[k] = tri[:n_v]
+        if t - 1 - k == len(tail):
+            tail = np.concatenate([tail, np.empty_like(tail)])
+        tail[t - 1 - k] = tri[:n_v]
+        step = np.abs(tri[n_v:-1, n_v:-1] - info_r).max()
+        settled = settled + 1 if _stationary(a, f, tri[:-1, :-1], step) else 0
         info_r = tri[n_v:-1, n_v:-1]
         info_z = tri[n_v:-1, -1]
+    info = np.empty((t, n_v))
+    if k:
+        stack[n_v + n_y:, :-1] = info_r @ fa
+        block, offset, info_z = _stationary_sweep(stack, n_v, info_z, resid[:k])
+        feedback = np.linalg.solve(block[:n_v, :n_v], block[:n_v, n_v:])
+        info_r = block[n_v:, n_v:]
+        info[:k] = np.abs(np.diag(block[:n_v, :n_v]))
     # the same damping on xi(0): min |R_0 xi - z_0|^2 + rho^2 |xi|^2
     init = np.zeros((2 * n_x, n_x + 1))
     init[:n_x, :n_x] = info_r
@@ -501,19 +590,27 @@ def _fault_channel_smoother(a, f, c, g, resid):
     init[n_x:, :n_x] = rho * np.eye(n_x)
     tri = np.linalg.qr(init, mode="r")
     xi0 = np.linalg.solve(tri[:n_x, :n_x], tri[:n_x, -1])
-    # v(k) = g_k - L_k xi(k), all gains solved at once
+    v = np.empty((t, n_v))
+    x = xi0
+    if k:
+        drive = (offset @ f.T)[:, :, None]
+        xs = _lti_states(a - f @ feedback, xi0[:, None], drive)[:, :, 0]
+        v[:k] = offset - xs[:-1] @ feedback.T
+        x = xs[-1]
+    # the tail: v(k) = g_k - L_k xi(k), its gains solved at once
+    gains = tail[t - k - 1::-1]
+    info[k:] = np.abs(np.diagonal(gains[:, :, :n_v], axis1=1, axis2=2))
     solved = np.linalg.solve(gains[:, :, :n_v], gains[:, :, n_v:])
     feedback = solved[:, :, :-1]
     offset = solved[:, :, -1]
     closed = a - f @ feedback
     drive = offset @ f.T
-    xs = np.empty((t, n_x))
-    x = xi0
-    for k in range(t):
-        xs[k] = x
-        x = closed[k] @ x + drive[k]
-    v = offset - np.einsum("kij,kj->ki", feedback, xs)
-    return xi0, v
+    xs = np.empty((t - k, n_x))
+    for j in range(t - k):
+        xs[j] = x
+        x = closed[j] @ x + drive[j]
+    v[k:] = offset - np.einsum("kij,kj->ki", feedback, xs)
+    return xi0, v, t - k, info
 
 
 def reconstruct_fault(y, u, sys: StateSpace, fg: FaultPair, x_tilde_0) -> FaultReconstruction:
@@ -525,10 +622,20 @@ def reconstruct_fault(y, u, sys: StateSpace, fg: FaultPair, x_tilde_0) -> FaultR
     rho^2 / sigma^2 on each singular direction sigma of [O_T T^f_T], where
     rho = 1e-10 max(|C|, |G|, |CF|). No rank decision is made. With
     invariant zeros in the channel the replay has a family of solutions and
-    the minimum-norm one is reported. Time and memory are linear in T: no
-    matrix square in T is formed, only T blocks of the system's own sizes.
-    ``replay_residual`` is the relative error of simulating the channel from
-    (xi0, v) against r.
+    the minimum-norm one is reported; inside that family the reported v is
+    decided by rounding at about the level a 1e-15 relative change of r
+    moves it.
+
+    Time and memory are linear in T, and no matrix square in T is formed.
+    The smoother's factor does not depend on the data, so only a short tail
+    near T runs per step, until that factor is stationary; the rest of the
+    record takes two lifted time-invariant passes (see
+    ``_fault_channel_smoother``). A channel whose factor never becomes
+    stationary, such as one with an invariant zero on the unit circle, runs
+    per step over the whole record. ``per_step_samples`` and
+    ``v_information`` on the result report the tail length and how firmly
+    each sample of v is determined. ``replay_residual`` is the relative
+    error of simulating the channel from (xi0, v) against r.
     """
     u_data, y_data = _input_output_arrays(u, y)
     fg.check_matches(sys)
@@ -536,11 +643,17 @@ def reconstruct_fault(y, u, sys: StateSpace, fg: FaultPair, x_tilde_0) -> FaultR
         raise ValueError("reconstruction needs at least one sample")
     y_nom, _ = simulate(sys, None, x_tilde_0, u_data)
     resid = y_data - y_nom
-    xi0, v_hat = _fault_channel_smoother(sys.A, fg.F, sys.C, fg.G, resid)
+    xi0, v_hat, per_step, info = _fault_channel_smoother(sys.A, fg.F, sys.C, fg.G, resid)
     y_fault, _ = simulate(StateSpace(sys.A, fg.F, sys.C, fg.G), None, xi0, v_hat)
     norm = np.linalg.norm(resid)
     replay = float(np.linalg.norm(y_fault - resid) / norm) if norm > 0 else 0.0
-    return FaultReconstruction(xi0=xi0, v=v_hat, replay_residual=replay)
+    return FaultReconstruction(
+        xi0=xi0,
+        v=v_hat,
+        replay_residual=replay,
+        per_step_samples=per_step,
+        v_information=info,
+    )
 
 
 # largest share of a sparse representative's norm left in its zeroed block

@@ -2,8 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgeqrf
 
-from subfault.harness import projection_residual
+from subfault.harness import demo_system, projection_residual
 from subfault.matstack import (
     RankPolicy,
     block_toeplitz,
@@ -15,6 +16,7 @@ from subfault.sysgen import (
     StateSpace,
     fault_signal,
     random_system,
+    _place_fault_pair,
     simulate,
     transmission_zeros,
     white_input,
@@ -420,6 +422,155 @@ class TestReconstruction:
         bad[17, 1] = np.nan
         with pytest.raises(ValueError, match="y contains non-finite"):
             reconstruct_fault(bad, u, sys, fault, x0)
+
+
+def _per_step_smoother(a, f, c, g, resid):
+    """Per-step reference for the smoother's tail and stationary passes: the
+    backward sweep and the forward feedback run once per sample, with every
+    step's gain block stored."""
+    t = resid.shape[0]
+    n_x, n_v = f.shape
+    n_y = c.shape[0]
+    width = n_v + n_x + 1
+    rho = faultrec._DAMPING * max(np.linalg.norm(c), np.linalg.norm(g), np.linalg.norm(c @ f))
+    rho = rho or faultrec._DAMPING
+    stack = np.zeros((n_v + n_y + n_x, width))
+    stack[:n_v, :n_v] = rho * np.eye(n_v)
+    stack[n_v:n_v + n_y, :n_v] = g
+    stack[n_v:n_v + n_y, n_v:-1] = c
+    fa = np.hstack([f, a])
+    upper = np.triu(np.ones((width, width), dtype=bool))
+    info_r = np.zeros((n_x, n_x))
+    info_z = np.zeros(n_x)
+    gains = np.empty((t, n_v, width))
+    for k in range(t - 1, -1, -1):
+        stack[n_v:n_v + n_y, -1] = resid[k]
+        stack[n_v + n_y:, :-1] = info_r @ fa
+        stack[n_v + n_y:, -1] = info_z
+        tri = np.where(upper, dgeqrf(stack)[0][:width], 0.0)
+        gains[k] = tri[:n_v]
+        info_r = tri[n_v:-1, n_v:-1]
+        info_z = tri[n_v:-1, -1]
+    init = np.zeros((2 * n_x, n_x + 1))
+    init[:n_x, :n_x] = info_r
+    init[:n_x, -1] = info_z
+    init[n_x:, :n_x] = rho * np.eye(n_x)
+    tri = np.linalg.qr(init, mode="r")
+    xi0 = np.linalg.solve(tri[:n_x, :n_x], tri[:n_x, -1])
+    solved = np.linalg.solve(gains[:, :, :n_v], gains[:, :, n_v:])
+    feedback = solved[:, :, :-1]
+    offset = solved[:, :, -1]
+    closed = a - f @ feedback
+    drive = offset @ f.T
+    xs = np.empty((t, n_x))
+    x = xi0
+    for k in range(t):
+        xs[k] = x
+        x = closed[k] @ x + drive[k]
+    return xi0, offset - np.einsum("kij,kj->ki", feedback, xs)
+
+
+def _channel_output(a, f, c, g, t, seed):
+    """Output of the fault channel itself from a random state and white v."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((t, f.shape[1]))
+    y, _ = simulate(StateSpace(a, f, c, g), None, rng.standard_normal(a.shape[0]), v)
+    return y
+
+
+def _replay(a, f, c, g, xi0, v, resid):
+    y, _ = simulate(StateSpace(a, f, c, g), None, xi0, v)
+    return np.linalg.norm(y - resid) / np.linalg.norm(resid)
+
+
+def _rel(x, ref):
+    scale = np.linalg.norm(ref)
+    return np.linalg.norm(x - ref) / scale if scale else np.linalg.norm(x)
+
+
+def _smoother_channels():
+    sys, fault = demo_system()
+    channels = [pytest.param(sys.A, fault.F, sys.C, fault.G, 0, id="demo")]
+    for zeros in range(4):
+        for seed in (0, 1):
+            s, fl = random_system(5, 1, 3, 2, zeros, seed=1000 * zeros + seed)
+            channels.append(
+                pytest.param(s.A, fl.F, s.C, fl.G, zeros, id=f"zeros{zeros}-seed{seed}")
+            )
+    return channels
+
+
+class TestStationarySmoother:
+    """The smoother against its per-step reference.
+
+    Zero-free channels must agree to 1e-12 relative. With invariant zeros the
+    minimum-norm v is decided by rounding, so there the replay must be as
+    good as the reference's and v must agree within the reference's own
+    sensitivity: the largest move of its v under three 1e-15 relative
+    perturbations of r. The bound allows 10x that move, because a single
+    draw undersamples what a change of arithmetic order does.
+    """
+
+    _EPS = float(np.finfo(float).eps)
+
+    @pytest.mark.parametrize("a, f, c, g, zeros", _smoother_channels())
+    def test_matches_per_step_reference(self, a, f, c, g, zeros):
+        t_full = 1000
+        resid_full = _channel_output(a, f, c, g, t_full, seed=[zeros, 3])
+        tail = faultrec._fault_channel_smoother(a, f, c, g, resid_full)[2]
+        lengths = sorted({1, 2, tail - 1, tail, tail + 1, t_full} & set(range(1, t_full + 1)))
+        rng = np.random.default_rng([zeros, 5])
+        for t in lengths:
+            resid = resid_full[:t]
+            xi0, v, per_step, info = faultrec._fault_channel_smoother(a, f, c, g, resid)
+            ref_xi0, ref_v = _per_step_smoother(a, f, c, g, resid)
+            assert v.shape == info.shape == (t, f.shape[1])
+            assert per_step == min(t, tail)
+            if zeros == 0:
+                assert _rel(v, ref_v) <= 1e-12, t
+                assert _rel(xi0, ref_xi0) <= 1e-12, t
+                continue
+            sensitivity = max(
+                _rel(_per_step_smoother(a, f, c, g, resid * (1 + 1e-15 * e))[1], ref_v)
+                for e in rng.standard_normal((3,) + resid.shape)
+            )
+            assert _rel(v, ref_v) <= 10 * sensitivity, t
+            replay = _replay(a, f, c, g, xi0, v, resid)
+            ref_replay = _replay(a, f, c, g, ref_xi0, ref_v, resid)
+            assert replay <= ref_replay + 16 * self._EPS, t
+
+    @pytest.mark.parametrize("zero", [1.0, -1.0])
+    def test_unit_circle_zero_stays_per_step(self, demo, zero):
+        # an invariant zero on the unit circle: the factor never settles, and
+        # the whole record runs the per-step sweep, arithmetic unchanged
+        sys, _ = demo
+        fault = _place_fault_pair(sys, 1, np.array([zero]), np.random.default_rng(3))
+        a, f, c, g = sys.A, fault.F, sys.C, fault.G
+        found = transmission_zeros(a, f, c, g).finite_zeros
+        assert np.allclose(found, [zero], atol=1e-9)
+        resid = _channel_output(a, f, c, g, 1000, seed=11)
+        xi0, v, per_step, _ = faultrec._fault_channel_smoother(a, f, c, g, resid)
+        ref_xi0, ref_v = _per_step_smoother(a, f, c, g, resid)
+        assert per_step == 1000
+        assert np.array_equal(v, ref_v)
+        assert np.array_equal(xi0, ref_xi0)
+
+    def test_memory_holds_no_per_step_blocks(self, demo):
+        # per-step storage over T=10^5 (gains, solved gains, closed loops)
+        # took 13.5x the residual's bytes; the stationary passes keep a few
+        # T x n arrays, and the short tail's blocks
+        sys, fault = demo
+        resid = _channel_output(sys.A, fault.F, sys.C, fault.G, 100_000, seed=13)
+        tracemalloc.start()
+        try:
+            _, _, per_step, _ = faultrec._fault_channel_smoother(
+                sys.A, fault.F, sys.C, fault.G, resid
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert per_step < 1000
+        assert peak <= 10 * resid.nbytes
 
 
 class TestSelectRepresentative:

@@ -17,7 +17,7 @@ from subfault.harness import (
     run_example,
     run_montecarlo,
 )
-from subfault.faultrec import recover
+from subfault.faultrec import reconstruct_fault, recover
 from subfault.matstack import RankPolicy
 from subfault.sysgen import (
     colored_noise,
@@ -123,6 +123,32 @@ class TestRunExample:
         assert report["identified"]["markov_relative_error"] <= 0.05
         assert idb["n_v"] == 1
         assert idb["grassmann_error_pct"] <= 2.0
+
+    def test_identified_last_sample_is_barely_determined(self, monkeypatch):
+        # the smoother's v-block diagonal says how firmly the data pin each
+        # v(k): on the identified branch the last sample is pinned more than
+        # 1e4 times more weakly than the one before, which is why v(T-1)
+        # comes out wild (about 1190 against a truth near 1)
+        from subfault import harness
+
+        recons = []
+
+        def keep(*args):
+            recons.append(reconstruct_fault(*args))
+            return recons[-1]
+
+        monkeypatch.setattr(harness, "reconstruct_fault", keep)
+        report = run_example(ExperimentConfig.example_defaults())
+        exact, identified = recons
+        info = identified.v_information[:, 0]
+        assert info.shape == (1000,)
+        assert info[-1] * 1e4 < info[-2]
+        assert np.argmax(np.abs(identified.v[:, 0])) == 999
+        assert abs(identified.v[-1, 0]) > 100
+        for recon in recons:
+            assert recon.per_step_samples < 1000
+        text = json.dumps(report)
+        assert "v_information" not in text and "per_step_samples" not in text
 
     def test_output_files(self, example_report):
         report, out = example_report
