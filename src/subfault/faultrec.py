@@ -464,24 +464,17 @@ _STATIONARY_TOL = 8 * _EPS
 _SETTLED_STEPS = 3
 
 
-def _stationary(a, f, block, step: float) -> bool:
-    """Whether the smoother's factor has stopped moving to within rounding.
+def _contraction(a, f, block) -> float:
+    """Rate q = rho(A - F L)^2 at which the smoother's factor settles.
 
-    ``block`` is one step's data-independent triangle [R_v R_vx; 0 R_k] and
-    ``step`` is max|R_k - R_(k+1)|. The factor is a Riccati iterate; near its
-    limit each step shrinks the difference by about q = rho(A - F L_k)^2,
-    with L_k = R_v^-1 R_vx the step's feedback, so the drift still to come
-    is at most step / (1 - q). A bitwise repeat is stationary outright.
+    ``block`` is one step's data-independent triangle [R_v R_vx; 0 R] and
+    L = R_v^-1 R_vx its feedback. The factor is a Riccati iterate, and near
+    its limit each step shrinks its change by about q, so the drift still
+    to come after a step of size d is at most d / (1 - q).
     """
     n_v = f.shape[1]
-    if step == 0.0:
-        return True
-    tol = _STATIONARY_TOL * np.abs(block[n_v:, n_v:]).max()
-    if step > tol:
-        return False
     feedback = np.linalg.solve(block[:n_v, :n_v], block[:n_v, n_v:])
-    q = np.abs(np.linalg.eigvals(a - f @ feedback)).max() ** 2
-    return bool(q < 1.0 and step <= tol * (1.0 - q))
+    return float(np.abs(np.linalg.eigvals(a - f @ feedback)).max() ** 2)
 
 
 def _stationary_sweep(stack, n_v: int, z_next, head):
@@ -530,16 +523,16 @@ def _fault_channel_smoother(a, f, c, g, resid):
     converges from k = T-1 backward to a fixed R (a steady-state smoother,
     Anderson & Moore 1979). So the sweep runs per step, from T-1 down, only
     until R_k is stationary: its remaining drift, bounded by the step
-    difference over (1 - contraction) (see ``_stationary``), stays within
+    difference over (1 - contraction) (see ``_contraction``), stays within
     8 eps of |R| for 3 consecutive steps. Before that tail both passes are
-    linear time-invariant and run through ``_lti_states``: the Householder
-    factor is taken once (``dormqr`` on unit columns), giving z_k = P_z
-    z_(k+1) + P_r r(k) backward (in reversed time), and the forward pass is
-    xi(k+1) = (A - F L) xi(k) + F o_k with one stationary v-block solve. If
-    R never becomes stationary (an invariant zero on the unit circle, or a
-    convergence too slow to settle within rounding), the whole record stays
-    per step. Storage is a few arrays of T x (n_x or n_v) plus one block per
-    tail step.
+    linear time-invariant and run through
+    ``_lti_states``: the Householder factor is taken once (``dormqr`` on
+    unit columns), giving z_k = P_z z_(k+1) + P_r r(k) backward (in
+    reversed time), and the forward pass is xi(k+1) = (A - F L) xi(k) +
+    F o_k with one stationary v-block solve. If R never becomes stationary
+    (an invariant zero on the unit circle, or a convergence too slow to
+    settle within rounding), the whole record stays per step. Storage is a
+    few arrays of T x (n_x or n_v) plus one block per tail step.
 
     Returns (xi0, v, per_step_samples, v_information) with v and
     v_information of shape (T, n_v).
@@ -561,6 +554,10 @@ def _fault_channel_smoother(a, f, c, g, resid):
     # the tail's v-blocks in backward order, in a buffer grown by doubling
     tail = np.empty((min(t, 256), n_v, width))
     settled = 0
+    # scale bounds max|R_k| from above (it grows by at most each step) and is
+    # made exact only where the step is small; the rate is taken once, there
+    scale = 0.0
+    rate = None
     k = t
     while k > 0 and settled < _SETTLED_STEPS:
         k -= 1
@@ -573,7 +570,16 @@ def _fault_channel_smoother(a, f, c, g, resid):
             tail = np.concatenate([tail, np.empty_like(tail)])
         tail[t - 1 - k] = tri[:n_v]
         step = np.abs(tri[n_v:-1, n_v:-1] - info_r).max()
-        settled = settled + 1 if _stationary(a, f, tri[:-1, :-1], step) else 0
+        scale += step
+        if step > _STATIONARY_TOL * scale:
+            settled = 0
+        else:
+            scale = np.abs(tri[n_v:-1, n_v:-1]).max()
+            if rate is None:
+                rate = _contraction(a, f, tri[:-1, :-1])
+            # a bitwise repeat is stationary whatever the rate
+            within = step <= _STATIONARY_TOL * scale * (1.0 - rate)
+            settled = settled + 1 if step == 0.0 or within else 0
         info_r = tri[n_v:-1, n_v:-1]
         info_z = tri[n_v:-1, -1]
     info = np.empty((t, n_v))
