@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrf, dormqr
+from scipy.linalg.lapack import dgeqrf
 
 from .matstack import (
     RankPolicy,
@@ -481,9 +481,10 @@ def _stationary_sweep(stack, n_v: int, z_next, head):
     """Backward pass of the stationary smoother over ``head`` = r(0..k-1).
 
     ``stack`` is the stationary step's block (its last rows built from the
-    stationary R). Its Householder factor, taken once, maps the data column
-    [0; r(k); z_(k+1)] linearly to [R_v o_k; z_k]; applying Q^T to unit
-    columns (``dormqr``) gives that map as P = [P_r P_z]. Then z_k = P_z
+    stationary R). Its Householder factor maps the data column [0; r(k);
+    z_(k+1)] linearly to [R_v o_k; z_k]; that map, P = [P_r P_z], is Q^T
+    applied to unit columns, which ride through the one QR as extra columns
+    just as the data column does in the per-step sweep. Then z_k = P_z
     z_(k+1) + P_r r(k) runs in reversed time through ``_lti_states`` from
     ``z_next`` = z_k. Returns the triangle [R_v R_vx; 0 R], the offsets
     o(0..k-1) with v(k) = o_k - R_v^-1 R_vx xi(k), and z_0.
@@ -491,11 +492,12 @@ def _stationary_sweep(stack, n_v: int, z_next, head):
     n_rows, width = stack.shape
     n_data = n_rows - n_v
     n_y = head.shape[1]
-    qr, tau = dgeqrf(stack[:, :-1])[:2]
-    unit = np.zeros((n_rows, n_data))
-    unit[n_v:] = np.eye(n_data)
-    p = dormqr(b"L", b"T", qr, tau, unit, n_data)[0][: width - 1]
-    block = np.triu(qr[: width - 1])
+    augmented = np.zeros((n_rows, width - 1 + n_data))
+    augmented[:, : width - 1] = stack[:, :-1]
+    augmented[n_v:, width - 1:] = np.eye(n_data)
+    qr = dgeqrf(augmented)[0][: width - 1]
+    block = np.triu(qr[:, : width - 1])
+    p = qr[:, width - 1:]
     drive = head[::-1] @ p[n_v:, :n_y].T
     z = _lti_states(p[n_v:, n_y:], z_next[:, None], drive[:, :, None])[::-1, :, 0]
     rhs = z[1:] @ p[:n_v, n_y:].T + head @ p[:n_v, :n_y].T
@@ -525,14 +527,14 @@ def _fault_channel_smoother(a, f, c, g, resid):
     until R_k is stationary: its remaining drift, bounded by the step
     difference over (1 - contraction) (see ``_contraction``), stays within
     8 eps of |R| for 3 consecutive steps. Before that tail both passes are
-    linear time-invariant and run through
-    ``_lti_states``: the Householder factor is taken once (``dormqr`` on
-    unit columns), giving z_k = P_z z_(k+1) + P_r r(k) backward (in
-    reversed time), and the forward pass is xi(k+1) = (A - F L) xi(k) +
-    F o_k with one stationary v-block solve. If R never becomes stationary
-    (an invariant zero on the unit circle, or a convergence too slow to
-    settle within rounding), the whole record stays per step. Storage is a
-    few arrays of T x (n_x or n_v) plus one block per tail step.
+    linear time-invariant and run through ``_lti_states``: the stationary
+    Householder factor is taken once and applied to unit columns, giving
+    z_k = P_z z_(k+1) + P_r r(k) backward (in reversed time), and the
+    forward pass is xi(k+1) = (A - F L) xi(k) + F o_k with one stationary
+    v-block solve. If R never becomes stationary (an invariant zero on the
+    unit circle, or a convergence too slow to settle within rounding), the
+    whole record stays per step. Storage is a few arrays of T x (n_x or
+    n_v) plus one block per tail step.
 
     Returns (xi0, v, per_step_samples, v_information) with v and
     v_information of shape (T, n_v).
