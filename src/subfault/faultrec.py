@@ -554,6 +554,8 @@ def _fault_channel_smoother(a, f, c, g, resid):
     info_r = np.zeros((n_x, n_x))
     info_z = np.zeros(n_x)
     # the tail's v-blocks in backward order, in a buffer grown by doubling
+    # (a list of small arrays would hold several times their bytes on a
+    # record that stays per step throughout)
     tail = np.empty((min(t, 256), n_v, width))
     settled = 0
     # scale bounds max|R_k| from above (it grows by at most each step) and is
