@@ -37,7 +37,6 @@ _NUMERICAL_ERRORS = (
     DegenerateDataError,
     RecoveryError,
     np.linalg.LinAlgError,
-    FloatingPointError,
     ArithmeticError,
 )
 

@@ -114,6 +114,14 @@ class ExperimentConfig:
             raise ValueError(f"need T > 2s: T={self.T}, s={self.s}")
         if not 2 * self.s > 2 * n_x:
             raise ValueError(f"need s > n_x: s={self.s}, n_x={n_x}")
+        s_id = _identification_window(n_x)
+        if not self.T > 2 * s_id:
+            raise ValueError(f"need T > 2 s_id for identification: T={self.T}, s_id={s_id}")
+        if self.T - 2 * s_id + 1 < 2 * s_id * self.dims[1]:
+            raise ValueError(
+                f"T={self.T} leaves too few input Hankel columns to excite the "
+                f"identification window s_id={s_id} with n_u={self.dims[1]}"
+            )
         if self.systems_per_count < 1:
             raise ValueError("systems_per_count must be at least 1")
         # false for NaN and -inf, which set no noise level
@@ -230,6 +238,11 @@ def markov_relative_error(est: StateSpace, true: StateSpace, count: int = 10) ->
     return float(num / den)
 
 
+def _identification_window(n_x: int) -> int:
+    """Window s_id of every identification run, 2 n_x + 2."""
+    return 2 * n_x + 2
+
+
 def _identify(u, y, true_order: int):
     """Identification at the configured order, flagging an auto-order miss.
 
@@ -237,10 +250,10 @@ def _identify(u, y, true_order: int):
     the automatic selection on the same order spectrum would have picked
     another order or found no confident gap, i.e. when identification with
     ``order="auto"`` falls back to the configured order. The window, and so
-    the QR and SVD behind that spectrum, depend only on the order hint, so
-    one ``pi_moesp`` call serves both.
+    the QR and SVD behind that spectrum, depend only on the order, so one
+    ``pi_moesp`` call serves both.
     """
-    result = pi_moesp(u, y, order=true_order, demean=True)
+    result = pi_moesp(u, y, s=_identification_window(true_order), order=true_order, demean=True)
     sel = estimate_order(result.order_singular_values)
     return result, not sel.confident or sel.order != true_order
 

@@ -145,19 +145,20 @@ def pi_moesp(
     u_fut = u_all[s * n_u :]
     y_fut = block_hankel(y_data[s:], s, n_cols)
 
-    # persistency of excitation: the input Hankel covariance must be full rank
-    cov = (u_all @ u_all.T) / n_cols
-    if numerical_rank(cov, RankPolicy.relative(1e-8)) < 2 * s * n_u:
+    stacked = np.vstack([u_fut, u_past, y_fut])
+    r_fac = np.linalg.qr(stacked.T, mode="r")
+    i1 = s * n_u
+    i2 = 2 * s * n_u
+    # persistency of excitation: the input Hankel covariance U U^T / N must
+    # be full rank; its singular values are those of the input block of R
+    # squared over N, so 1e-4 relative here is 1e-8 relative there
+    if numerical_rank(r_fac[:i2, :i2], RankPolicy.relative(1e-4)) < i2:
         raise ExcitationError(
             "input Hankel covariance is rank deficient; the input does not "
             "persistently excite the system"
         )
 
-    stacked = np.vstack([u_fut, u_past, y_fut])
-    r_fac = np.linalg.qr(stacked.T, mode="r")
     lower = r_fac.T
-    i1 = s * n_u
-    i2 = 2 * s * n_u
     l32 = lower[i2:, i1:i2]
 
     u_svd, s_svd, _ = np.linalg.svd(l32, full_matrices=False)

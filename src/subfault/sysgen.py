@@ -308,33 +308,21 @@ def _square_pencil_eigs(a, f, c, g) -> np.ndarray:
     return np.asarray(out)
 
 
-def _match_candidates(z1: np.ndarray, z2: np.ndarray, tol: float = 1e-6) -> list:
-    """Greedy multiset intersection of two candidate lists within tolerance."""
-    matched = []
-    pool = list(z2)
-    for z in z1:
-        best_i, best_d = None, np.inf
-        for i, other in enumerate(pool):
-            d = abs(z - other)
-            if d < best_d:
-                best_i, best_d = i, d
-        if best_i is not None and best_d <= tol * (1.0 + abs(z)):
-            matched.append(z)
-            pool.pop(best_i)
-    return matched
-
-
 def transmission_zeros(a, f, c, g, tol: float = 1e-8) -> ZeroReport:
     """Zero structure of the channel (A, F, C, G).
 
-    Finite zeros are the values where the Rosenbrock pencil [A-qI, F; C, G]
-    drops below its full column rank. For channels with more outputs than
-    inputs, candidates come from two independent random squarings of the
-    pencil and are confirmed by a direct rank test on the tall pencil, which
-    rejects spurious uncontrollable-mode candidates. Infinite zeros and the
-    inversion delay come from the rank increments of the impulse-response
-    Toeplitz matrices, which saturate at the input dimension exactly when
-    the channel is left invertible.
+    One rank sweep over the impulse-response Toeplitz matrices T_1 ...
+    T_(n_x+1) reads everything but the finite zeros. Its rank increments
+    rise to the normal rank of the transfer matrix, so the Rosenbrock
+    pencil [A-qI, F; C, G] has normal rank n_x plus the last increment. The
+    depth where an increment first reaches the input dimension gives the
+    inversion delay and the infinite-zero count; a channel whose increments
+    never reach it is not left invertible, and its count is the deficiency
+    of T_(n_x+1). Finite zeros are the values where the pencil drops below
+    its normal rank. Candidates are the eigenvalues of one square pencil,
+    the channel itself or, with more outputs than inputs, a fixed random
+    output mix of it; the rank test on the original pencil rejects the
+    eigenvalues the mix adds.
     """
     a = as_matrix(a, "A")
     f = as_matrix(f, "F")
@@ -350,25 +338,22 @@ def transmission_zeros(a, f, c, g, tol: float = 1e-8) -> ZeroReport:
     # its imaginary part, so every spectrum here is counted directly
     policy = RankPolicy.relative(tol)
 
-    # normal rank from two generic probe points
-    probe_rng = np.random.default_rng(1917)
-    normal_rank = 0
-    for _ in range(2):
-        q0 = complex(probe_rng.normal(scale=3.0), probe_rng.normal(scale=3.0))
-        pencil = _rosenbrock(a, f, c, g, q0)
-        normal_rank = max(normal_rank, policy.rank(np.linalg.svd(pencil, compute_uv=False)))
-    left_invertible_rank = normal_rank == n + nv
+    prev_rank = 0
+    for s in range(1, n + 2):
+        rank_s = policy.rank(np.linalg.svd(block_toeplitz(a, f, c, g, s), compute_uv=False))
+        step = rank_s - prev_rank
+        if step == nv:
+            break
+        prev_rank = rank_s
+    l_delay = s - 1 if step == nv else None
+    infinite = s * nv - rank_s
+    normal_rank = n + step
 
-    # finite-zero candidates
     if ny == nv:
-        candidates = list(_square_pencil_eigs(a, f, c, g))
+        candidates = _square_pencil_eigs(a, f, c, g)
     elif ny > nv:
-        srng = np.random.default_rng(24601)
-        cands = []
-        for _ in range(2):
-            s_mix = srng.standard_normal((nv, ny))
-            cands.append(_square_pencil_eigs(a, f, s_mix @ c, s_mix @ g))
-        candidates = _match_candidates(cands[0], cands[1])
+        s_mix = np.random.default_rng(24601).standard_normal((nv, ny))
+        candidates = _square_pencil_eigs(a, f, s_mix @ c, s_mix @ g)
     else:
         # wide channels are never left invertible; no finite-zero search
         candidates = []
@@ -381,25 +366,6 @@ def transmission_zeros(a, f, c, g, tol: float = 1e-8) -> ZeroReport:
                 z = complex(z.real, 0.0)
             finite.append(z)
     finite.sort(key=lambda z: (z.real, z.imag))
-
-    # infinite zeros and delay via Toeplitz rank increments
-    l_delay: int | None = None
-    infinite = 0
-    prev_rank = 0
-    for s in range(1, n + 2):
-        ts = block_toeplitz(a, f, c, g, s)
-        rank_s = policy.rank(np.linalg.svd(ts, compute_uv=False))
-        if rank_s - prev_rank == nv:
-            l_delay = s - 1
-            infinite = s * nv - rank_s
-            break
-        prev_rank = rank_s
-    if not left_invertible_rank:
-        l_delay = None
-    if l_delay is None:
-        # not left invertible: report the terminal deficiency for diagnostics
-        ts = block_toeplitz(a, f, c, g, n + 1)
-        infinite = (n + 1) * nv - policy.rank(np.linalg.svd(ts, compute_uv=False))
     return ZeroReport(finite_zeros=finite, infinite_zero_count=int(infinite), l_delay=l_delay)
 
 

@@ -363,6 +363,31 @@ class TestCli:
             ])
             assert code == 2
 
+    def test_record_shorter_than_identification_window_is_input_error(self, tmp_path):
+        # the example identifies at order 3, window s_id = 8, so T = 14 < 2 s_id
+        (tmp_path / "cfg.json").write_text(json.dumps({"T": 14, "s": 5}))
+        code = cli_main([
+            "--config", str(tmp_path / "cfg.json"),
+            "--out", str(tmp_path / "ex"),
+            "example",
+        ])
+        assert code == 2
+        assert not (tmp_path / "ex" / "example_report.json").exists()
+
+    def test_record_too_short_to_excite_identification_is_input_error(self, tmp_path):
+        # s_id = 12 for n_x = 5: T = 30 gives the input Hankel 7 columns for
+        # its 24 rows, so no instance could pass the excitation check
+        cfg = {"T": 30, "s": 6, "dims": [5, 1, 3, 2], "zero_counts": [0],
+               "systems_per_count": 1}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        code = cli_main([
+            "--config", str(tmp_path / "cfg.json"),
+            "--out", str(tmp_path / "mc"),
+            "montecarlo",
+        ])
+        assert code == 2
+        assert not (tmp_path / "mc" / "montecarlo_report.json").exists()
+
     @pytest.mark.parametrize("key", ["rank_tol", "min_gap_ratio", "floor_scale", "ident_window"])
     def test_removed_config_key_is_input_error(self, tmp_path, key):
         (tmp_path / "cfg.json").write_text(json.dumps({"T": 200, key: 1}))

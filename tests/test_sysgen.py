@@ -2,11 +2,20 @@ import numpy as np
 import pytest
 
 from subfault.faultrec import reconstruct_fault
-from subfault.matstack import as_matrix, block_hankel, block_toeplitz, extended_observability
+from subfault.matstack import (
+    RankPolicy,
+    as_matrix,
+    block_hankel,
+    block_toeplitz,
+    extended_observability,
+)
 from subfault.sysgen import (
     FaultPair,
     StateSpace,
+    ZeroReport,
     _place_fault_pair,
+    _rosenbrock,
+    _square_pencil_eigs,
     colored_noise,
     fault_signal,
     load_system_json,
@@ -19,6 +28,103 @@ from subfault.sysgen import (
     white_input,
     write_trajectory_csv,
 )
+
+
+def _match_candidates(z1, z2, tol=1e-6):
+    """Greedy multiset intersection of two candidate lists within tolerance."""
+    matched = []
+    pool = list(z2)
+    for z in z1:
+        best_i, best_d = None, np.inf
+        for i, other in enumerate(pool):
+            d = abs(z - other)
+            if d < best_d:
+                best_i, best_d = i, d
+        if best_i is not None and best_d <= tol * (1.0 + abs(z)):
+            matched.append(z)
+            pool.pop(best_i)
+    return matched
+
+
+def _two_probe_transmission_zeros(a, f, c, g, tol=1e-8):
+    """Reference for ``transmission_zeros``: the earlier routine that reads the
+    normal rank from two random complex pencil probes, intersects the
+    candidates of two random squarings, and redoes the terminal Toeplitz
+    SVD for channels that are not left invertible."""
+    a, f, c, g = (as_matrix(m) for m in (a, f, c, g))
+    n, nv, ny = a.shape[0], f.shape[1], c.shape[0]
+    policy = RankPolicy.relative(tol)
+
+    probe_rng = np.random.default_rng(1917)
+    normal_rank = 0
+    for _ in range(2):
+        q0 = complex(probe_rng.normal(scale=3.0), probe_rng.normal(scale=3.0))
+        pencil = _rosenbrock(a, f, c, g, q0)
+        normal_rank = max(normal_rank, policy.rank(np.linalg.svd(pencil, compute_uv=False)))
+    left_invertible_rank = normal_rank == n + nv
+
+    if ny == nv:
+        candidates = list(_square_pencil_eigs(a, f, c, g))
+    elif ny > nv:
+        srng = np.random.default_rng(24601)
+        cands = []
+        for _ in range(2):
+            s_mix = srng.standard_normal((nv, ny))
+            cands.append(_square_pencil_eigs(a, f, s_mix @ c, s_mix @ g))
+        candidates = _match_candidates(cands[0], cands[1])
+    else:
+        candidates = []
+
+    finite = []
+    for z in candidates:
+        pencil = _rosenbrock(a, f, c, g, z)
+        if policy.rank(np.linalg.svd(pencil, compute_uv=False)) < normal_rank:
+            if abs(z.imag) <= 1e-9 * (1.0 + abs(z.real)):
+                z = complex(z.real, 0.0)
+            finite.append(z)
+    finite.sort(key=lambda z: (z.real, z.imag))
+
+    l_delay = None
+    infinite = 0
+    prev_rank = 0
+    for s in range(1, n + 2):
+        rank_s = policy.rank(np.linalg.svd(block_toeplitz(a, f, c, g, s), compute_uv=False))
+        if rank_s - prev_rank == nv:
+            l_delay = s - 1
+            infinite = s * nv - rank_s
+            break
+        prev_rank = rank_s
+    if not left_invertible_rank:
+        l_delay = None
+    if l_delay is None:
+        ts = block_toeplitz(a, f, c, g, n + 1)
+        infinite = (n + 1) * nv - policy.rank(np.linalg.svd(ts, compute_uv=False))
+    return ZeroReport(finite_zeros=finite, infinite_zero_count=int(infinite), l_delay=l_delay)
+
+
+def _reference_channels():
+    """Random channels from ``random_system`` and degenerate ones around them."""
+    channels = {}
+    for dims, most_zeros in (((5, 1, 3, 2), 3), ((3, 1, 2, 1), 2), ((4, 2, 3, 1), 2)):
+        for zc in range(most_zeros + 1):
+            sys, fault = random_system(*dims, zc, seed=40 + zc)
+            channels[f"random {dims}, {zc} zeros"] = (sys.A, fault.F, sys.C, fault.G)
+    rng = np.random.default_rng(8)
+    for i in range(6):
+        a = 0.5 * rng.standard_normal((4, 4))
+        c = rng.standard_normal((3, 4))
+        f = rng.standard_normal((4, 2))
+        g = rng.standard_normal((3, 2))
+        unobservable, c_blind = a.copy(), c.copy()
+        unobservable[0, 1:] = unobservable[1:, 0] = 0.0
+        c_blind[:, 0] = 0.0
+        channels[f"square {i}"] = (a, f, c[:2], g[:2])
+        channels[f"wide {i}"] = (a, f, c[:1], g[:1])
+        channels[f"F = 0, {i}"] = (a, 0 * f, c, g)
+        channels[f"G = 0, {i}"] = (a, f, c, 0 * g)
+        channels[f"repeated fault column {i}"] = (a, f[:, [0, 0]], c, g[:, [0, 0]])
+        channels[f"unobservable mode {i}"] = (unobservable, f, c_blind, g)
+    return channels
 
 
 class TestSimulate:
@@ -239,6 +345,25 @@ class TestTransmissionZeros:
         zr = transmission_zeros(a, np.zeros((4, 2)), c, g)
         assert zr.zeta == 0
         assert zr.l_delay == 0
+
+    def test_matches_two_probe_reference(self):
+        not_invertible = 0
+        for name, channel in _reference_channels().items():
+            zr = transmission_zeros(*channel)
+            assert zr == _two_probe_transmission_zeros(*channel), name
+            not_invertible += not zr.left_invertible
+        assert not_invertible >= 12  # every wide and repeated-column channel
+
+    def test_not_left_invertible_channel(self, demo):
+        # doubling the demo's fault column leaves T_s the rank of the single
+        # column, s - 1, so the increments never reach n_v = 2 and T_4 keeps
+        # a deficiency of 4 * 2 - 3
+        sys, fault = demo
+        zr = transmission_zeros(sys.A, fault.F[:, [0, 0]], sys.C, fault.G[:, [0, 0]])
+        assert zr.l_delay is None
+        assert not zr.left_invertible
+        assert zr.infinite_zero_count == 5
+        assert zr.finite_zeros == []
 
     def test_zero_multiplicity_counted(self):
         # forcing both input directions to vanish at the same point gives a
