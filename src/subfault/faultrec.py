@@ -19,6 +19,7 @@ from .matstack import (
     _input_output_arrays,
     _largest_gap,
     _lti_states,
+    _residual_factors,
     as_matrix,
     block_hankel,
     block_toeplitz,
@@ -62,7 +63,8 @@ class RecoveryError(RuntimeError):
 @dataclass
 class FaultDimDiagnostics:
     """Spectra and ranks behind a fault-dimension estimate, with the
-    shallower residual Hankel R_s that ``recover`` goes on to read."""
+    lower-triangular factor L of R_s (L L^T = R_s R_s^T) that ``recover``
+    reads as ``residual_s`` and R_s's width T - s + 1 as ``residual_columns``."""
 
     rank_s: int
     rank_s_plus_1: int
@@ -70,6 +72,7 @@ class FaultDimDiagnostics:
     singular_values_s_plus_1: np.ndarray
     threshold: float
     residual_s: np.ndarray
+    residual_columns: int
 
 
 def _effective_zero_count(n_x: int, s: int, n_v: int, rank_s: int) -> int:
@@ -178,13 +181,14 @@ def estimate_fault_dim(y, u, sys: StateSpace, s: int, policy: RankPolicy | None 
 
     One absolute threshold, resolved by the policy on the deeper spectrum,
     is applied to both Hankels so the difference is taken consistently.
-    R_s and R_{s+1} are each built once, and R_s is kept on the diagnostics
-    (``residual_s``) so that ``recover`` reads the fault basis from the same
-    matrix. Returns (n_v, FaultDimDiagnostics).
+    Neither Hankel is formed: both spectra are read from their triangular
+    factors (``matstack._residual_factors``, one chunked pass), and R_s's is
+    kept on the diagnostics for ``recover``. Returns (n_v, diagnostics).
     """
-    r_s = residual_hankel(y, u, sys, s)
-    sv_s = np.linalg.svd(r_s, compute_uv=False)
-    sv_s1 = np.linalg.svd(residual_hankel(y, u, sys, s + 1), compute_uv=False)
+    u_data, y_data = _input_output_arrays(u, y)
+    factor, deep = _residual_factors(y_data, u_data, sys.A, sys.B, sys.C, sys.D, s)
+    sv_s = np.linalg.svd(factor, compute_uv=False)
+    sv_s1 = np.linalg.svd(deep, compute_uv=False)
     shared = RankPolicy.absolute((policy or RankPolicy.gap()).threshold(sv_s1))
     rank_s = shared.rank(sv_s)
     rank_s1 = shared.rank(sv_s1)
@@ -195,7 +199,8 @@ def estimate_fault_dim(y, u, sys: StateSpace, s: int, policy: RankPolicy | None 
         singular_values_s=sv_s,
         singular_values_s_plus_1=sv_s1,
         threshold=float(shared.tol),
-        residual_s=r_s,
+        residual_s=factor,
+        residual_columns=y_data.shape[0] - s + 1,
     )
     return n_v, diag
 
@@ -258,19 +263,20 @@ def recover_fault_matrices(r_s, sys: StateSpace, s: int, rank: int, n_z: int) ->
     constraints. The caller supplies ``n_z`` (``recover`` passes the theory
     count n_v + zeta_eff) because noisy data lifts the exact zeros of the
     constraint spectrum. The result has n_z columns, each [F_hat; G_hat]
-    column unit length with positive leading entry.
+    column unit length with positive leading entry. R_s (or its factor, as
+    ``recover`` passes) is compressed to its triangular factor first.
     """
-    r_mat = as_matrix(r_s, "R_s")
+    factor = np.linalg.qr(as_matrix(r_s, "R_s").T, mode="r").T
     if s < 2:
         raise ValueError("recovery needs a window of at least 2 block rows")
     if s < sys.n_x:
         raise ValueError(f"window s={s} below the state dimension {sys.n_x}")
     n_y, n_x = sys.n_y, sys.n_x
-    if r_mat.shape[0] != s * n_y:
+    if factor.shape[0] != s * n_y:
         raise ValueError(
-            f"residual Hankel has {r_mat.shape[0]} rows, expected s*n_y={s * n_y}"
+            f"residual Hankel has {factor.shape[0]} rows, expected s*n_y={s * n_y}"
         )
-    q = range_basis(r_mat, rank=rank)
+    q = range_basis(factor, rank=rank)
     r = q.shape[1]
     if r == 0:
         raise RecoveryError("residual Hankel is numerically zero; nothing to recover")
@@ -285,12 +291,15 @@ def recover_fault_matrices(r_s, sys: StateSpace, s: int, rank: int, n_z: int) ->
     vt = np.linalg.svd(m, full_matrices=True)[2]
     # the signs are fixed once, on the normalized stack below
     sol = vt[n_unknowns - n_z:].T
-    f_hat = sol[s * r:, :]
-    g_hat = q_blocks[0] @ sol[:r, :]
-    stack = np.vstack([f_hat, g_hat])
+    stack = np.vstack([sol[s * r:, :], q_blocks[0] @ sol[:r, :]])
+    return _unit_pair(stack, n_x, RecoveryError("recovered a fault direction with zero magnitude"))
+
+
+def _unit_pair(stack, n_x: int, error: Exception) -> FaultPair:
+    """Unit columns with fixed signs as (F, G), or ``error`` for a zero one."""
     norms = np.linalg.norm(stack, axis=0)
     if np.any(norms < 1e-12):
-        raise RecoveryError("recovered a fault direction with zero magnitude")
+        raise error
     stack = fix_column_signs(stack / norms)
     return FaultPair(stack[:n_x], stack[n_x:])
 
@@ -309,31 +318,37 @@ def annihilator_fault_basis(r_s, sys: StateSpace, s: int, n_z: int | None = None
     rows, which is far better conditioned against measurement noise.
 
     Every readout is a ``RankPolicy`` count. Exact data (the projected
-    spectrum reaches the machine floor, ``RankPolicy.relative(max(shape) *
-    eps)``): every direction at the floor is kept, and the default ``n_z`` is
-    the numerical nullity of the constraint matrix K under the same relative
-    rule, counting the columns a wide K has no singular value for. The
-    nullity tolerance widens eps to the directions' error bound (largest
-    floor value over the smallest value above it). Noisy data: the
+    spectrum reaches the machine floor, ``RankPolicy.relative(max(rows,
+    T - s + 1) * eps)``): every direction at the floor is kept, and the
+    default ``n_z`` is the numerical nullity of the constraint matrix K
+    under the same relative rule, counting the columns a wide K has no
+    singular value for. The nullity tolerance widens eps to the directions'
+    error bound (largest floor value over the smallest value above it).
+    Noisy data: the
     directions within a factor 1.2 of the smallest projected value are kept
     (``RankPolicy.noise_floor(1.2)``), and the default ``n_z`` is read at the
     first largest gap of the K spectrum above ``RankPolicy.relative(1e-14)``.
 
     ``n_z`` fixes the basis size in either case. The result has n_z columns.
+    R_s is compressed to its triangular factor first, as ``recover`` reads it.
     """
     r_mat = as_matrix(r_s, "R_s")
+    return _annihilator_basis(np.linalg.qr(r_mat.T, mode="r").T, r_mat.shape[1], sys, s, n_z)
+
+
+def _annihilator_basis(factor, n_cols: int, sys: StateSpace, s: int, n_z=None) -> FaultPair:
+    """``annihilator_fault_basis`` on the factor of an R_s of n_cols columns."""
     n_x, n_y = sys.n_x, sys.n_y
-    if s < 2 or r_mat.shape[0] != s * n_y:
+    if s < 2 or factor.shape[0] != s * n_y:
         raise ValueError("residual Hankel shape does not match the window")
     obs = extended_observability(sys.A, sys.C, s)
     u_o = np.linalg.svd(obs, full_matrices=True)[0]
     b_perp = u_o[:, n_x:]
-    proj = b_perp.T @ r_mat
-    # only U is read; its columns past the rank are needed only when proj is
-    # tall (a short record), so a wide proj takes the thin SVD and never
-    # forms its (T - s + 1)-square right factor
-    u2, s2, _ = np.linalg.svd(proj, full_matrices=proj.shape[1] < proj.shape[0])
-    machine = RankPolicy.relative(max(proj.shape) * _EPS)
+    # b_perp^T R_s has these left singular vectors and values; the rounding
+    # of R_s's own entries scales with its width, not the factor's
+    proj = b_perp.T @ factor
+    u2, s2, _ = np.linalg.svd(proj)
+    machine = RankPolicy.relative(max(proj.shape[0], n_cols) * _EPS)
     exact = machine.rank(s2) < s2.size
     keep = machine if exact else RankPolicy.noise_floor(_NOISE_FLOOR_SCALE)
     n_kept = keep.rank(s2)
@@ -357,12 +372,8 @@ def annihilator_fault_basis(r_s, sys: StateSpace, s: int, n_z: int | None = None
     n_z = int(n_z)
     if n_z < 1 or n_z > n_total:
         raise RecoveryError(f"annihilator constraints leave no solution basis (n_z={n_z})")
-    sol = fix_column_signs(vt[n_total - n_z:].T)
-    norms = np.linalg.norm(sol, axis=0)
-    if np.any(norms < 1e-12):
-        raise RecoveryError("annihilator produced a zero fault direction")
-    sol = sol / norms
-    return FaultPair(sol[:n_x], sol[n_x:])
+    error = RecoveryError("annihilator produced a zero fault direction")
+    return _unit_pair(vt[n_total - n_z:].T, n_x, error)
 
 
 def recover(
@@ -375,10 +386,10 @@ def recover(
 ) -> FaultRecovery:
     """Full pipeline: fault dimension, then the fault-matrix basis.
 
-    ``estimate_fault_dim`` builds the residual Hankels and reads n_v and the
-    ranks; the basis is recovered from the R_s it returns. The rank
-    threshold resolved on the R_{s+1} spectrum is shared by the rank
-    difference and by the structure method's truncation of R_s.
+    ``estimate_fault_dim`` reads n_v and the ranks, and the basis is
+    recovered from the factor of R_s it returns. The rank threshold
+    resolved on the R_{s+1} spectrum is shared by the rank difference and
+    by the structure method's truncation of R_s.
 
     method "structure" runs the constraint-matrix construction with the
     solution dimension pinned to the theory count n_v + zeta_eff (see
@@ -405,7 +416,7 @@ def recover(
             diag.residual_s, sys, s, rank=diag.rank_s, n_z=n_v + zeta_eff
         )
     elif method == "annihilator":
-        pair = annihilator_fault_basis(diag.residual_s, sys, s)
+        pair = _annihilator_basis(diag.residual_s, diag.residual_columns, sys, s)
     else:
         raise ValueError(f"unknown recovery method {method!r}")
     return FaultRecovery(
@@ -708,9 +719,4 @@ def select_representative(
             )
     else:
         raise ValueError(f"unknown representative policy {policy!r}")
-    rep = stack @ p
-    norms = np.linalg.norm(rep, axis=0)
-    if np.any(norms < 1e-12):
-        raise ValueError("selected representative has a zero column")
-    rep = fix_column_signs(rep / norms)
-    return FaultPair(rep[:n_x], rep[n_x:])
+    return _unit_pair(stack @ p, n_x, ValueError("selected representative has a zero column"))

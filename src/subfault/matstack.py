@@ -2,17 +2,20 @@
 
 Everything operates on plain float64 numpy arrays, and no sparse machinery
 is provided. Block Hankel data matrices have a few dozen rows but one
-column per sample, so their width grows with the record length T. Markov
-parameters are built in one place (``_markov_blocks``). A block Toeplitz
+column per sample, so their width grows with the record length T; the
+pipeline reads them only through their small triangular factors, which
+``_hankel_factor`` accumulates over chunks of columns so that no T-wide
+matrix is formed (``block_hankel`` builds the full matrix for tests and
+short spectra). Markov parameters are built in one place (``_markov_blocks``). A block Toeplitz
 matrix grows with the square of its depth, so the pipeline builds one only
 at a window depth (a few to a few dozen blocks), never at the record length.
 State recursions over a whole record run in one place (``_lti_states``),
-lifted by a block length of about sqrt(T) so that no Python loop runs once
-per sample: ``simulate``, the B/D/x0 regressors and both passes of the
-stationary fault smoother use it, and the smoother's only per-sample loop
-left is its data-independent tail near T. All decompositions are
-deterministic: singular-vector signs are normalized so that each column's
-first significant entry is positive.
+lifted by a block length of about sqrt(T) (or of the chunk) so that no
+Python loop runs once per sample: ``simulate``, the B/D/x0 regressors and
+both passes of the stationary fault smoother use it, and the smoother's
+only per-sample loop left is its data-independent tail near T. All
+decompositions are deterministic: singular-vector signs are normalized so
+that each column's first significant entry is positive.
 """
 
 from __future__ import annotations
@@ -297,6 +300,81 @@ def _lti_states(a, x0, drive) -> np.ndarray:
     out[1:1 + full * blk].reshape(full, blk, n, p)[:, :-1] += lift[:full]
     out[1 + full * blk:] += lift[full:, : t - full * blk].reshape(-1, n, p)
     return out
+
+
+# ---------------------------------------------------------------------------
+# triangular factors of tall data matrices
+
+# columns of a data matrix (samples of a regression) per chunk of a
+# triangular-factor pass; swept over T = 1e3 .. 1e6 (see CHANGES.md)
+_CHUNK = 2048
+
+
+def _fold_factor(r, rows) -> np.ndarray:
+    """Triangular factor R' of [r; rows], with R'^T R' = r^T r + rows^T rows.
+
+    One step of a sequential tall-skinny QR (TSQR, Demmel et al. 2012). A
+    Householder step maps a diagonal entry to minus its sign, so every fold
+    would flip the rows already in ``r``; they are flipped back, and a
+    factor keeps the row signs of the first QR that formed it. Folding into
+    an empty ``r`` (zero rows) gives ``np.linalg.qr(rows, mode="r")``
+    bitwise. Shape (min(rows so far, width), width).
+    """
+    out = np.linalg.qr(np.vstack([r, rows]), mode="r")
+    kept = np.diagonal(r)
+    out[: kept.size] *= np.where(np.diagonal(out)[: kept.size] * kept < 0, -1.0, 1.0)[:, None]
+    return out
+
+
+def _hankel_factor(signals, depth: int, width: int, rows) -> np.ndarray:
+    """Triangular factor R of a data matrix M built from block Hankels, with
+    M^T = Q R, accumulated over chunks of ``_CHUNK`` columns.
+
+    ``rows(h_1, ..., h_m)`` receives, for one run of columns j, the window
+    signal_i[j .. j + depth - 1] of each of the ``signals`` flattened sample
+    by sample (so h_i is block_hankel(signal_i, depth)[:, j].T), and returns
+    those columns of M as rows. Each chunk is folded into R by
+    ``_fold_factor``, so nothing wider than a chunk is formed; a matrix of
+    at most ``_CHUNK`` columns is one fold, np.linalg.qr of M^T itself. The
+    Gram matrix R^T R equals M M^T up to rounding.
+    """
+    if width < 1:
+        raise ValueError("width must be at least 1")
+    r = None
+    for j0 in range(0, width, _CHUNK):
+        n = min(_CHUNK, width - j0)
+        windows = [
+            np.lib.stride_tricks.sliding_window_view(x[j0 : j0 + n + depth - 1], depth, axis=0)
+            .transpose(0, 2, 1)
+            .reshape(n, -1)
+            for x in signals
+        ]
+        block = rows(*windows)
+        r = _fold_factor(block[:0] if r is None else r, block)
+    return r
+
+
+def _residual_factors(y, u, a, b, c, d, s: int):
+    """Lower-triangular factors of the residual Hankels R_s and R_(s+1) of a
+    record, R_k = Y_k - T_k U_k with T_k = block_toeplitz(a, b, c, d, k).
+
+    Each L has L L^T = R_k R_k^T, shape (k n_y, min(T - k + 1, k n_y)).
+    R_(s+1)^T's factor takes one ``_hankel_factor`` pass. R_s is R_(s+1)'s
+    leading s n_y rows plus one last column, the window from T - s, so its
+    factor is that factor's leading (s n_y)-square block with the column
+    folded in. Returns (L_s, L_(s+1)).
+    """
+    if y.shape[1] != c.shape[0] or u.shape[1] != b.shape[1]:
+        raise ValueError("trajectory channel counts do not match the system")
+    t, p = y.shape[0], s * c.shape[0]
+
+    def rows(depth):
+        t_k = block_toeplitz(a, b, c, d, depth)
+        return lambda h_y, h_u: h_y - h_u @ t_k.T
+
+    deep = _hankel_factor((y, u), s + 1, t - s, rows(s + 1))
+    last = rows(s)(y[t - s :].reshape(1, -1), u[t - s :].reshape(1, -1))
+    return _fold_factor(deep[:p, :p], last).T, deep.T
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,14 @@ import numpy as np
 
 from .matstack import (
     RankPolicy,
+    _CHUNK,
     _GAP_RATIO,
+    _fold_factor,
+    _hankel_factor,
     _input_output_arrays,
     _largest_gap,
     _lti_states,
     _markov_blocks,
-    block_hankel,
     block_toeplitz,
     extended_observability,
     min_norm_lsq,
@@ -109,14 +111,17 @@ def pi_moesp(
 ) -> IdentResult:
     """Identify (A, B, C, D) and the initial state from input/output data.
 
-    Builds past-input, future-input and future-output block Hankel matrices,
-    takes the triangular factor of the stacked data [U_f; U_p; Y_f], and
-    reads the column space of the extended observability matrix off the SVD
-    of the block of future outputs that is orthogonal to future inputs and
+    Takes the triangular factor R of the stacked past-input, future-input
+    and future-output block Hankel data [U_f; U_p; Y_f]^T, and reads the
+    column space of the extended observability matrix off the SVD of the
+    block of future outputs that is orthogonal to future inputs and
     correlated with the past-input instruments. C comes from the first block
     row, A from the shift-invariance least squares, and B, D together with
     the initial state from one joint linear least-squares pass over all
-    samples.
+    samples. Both the data and the regression are folded into their
+    triangular factors chunk by chunk (``matstack._hankel_factor``), so
+    memory does not grow with T beyond the record itself; a record of at
+    most ``_CHUNK`` (2048) data columns is one chunk, the one-shot QR.
 
     ``order`` is an integer or "auto" (largest singular-value gap). ``s`` is
     the identification window; default 2*order_hint + 2 when a hint is
@@ -126,11 +131,11 @@ def pi_moesp(
     independent either way.
     """
     u_data, y_data = _input_output_arrays(u, y)
-    if demean:
-        u_data = u_data - u_data.mean(axis=0)
-        y_data = y_data - y_data.mean(axis=0)
     t, n_u = u_data.shape
     n_y = y_data.shape[1]
+    # subtracted chunk by chunk, so no centred copy of the record is formed
+    u_mean = u_data.mean(axis=0) if demean else np.zeros(n_u)
+    y_mean = y_data.mean(axis=0) if demean else np.zeros(n_y)
     if s is None:
         hint = order_hint if order_hint is not None else (order if isinstance(order, int) else None)
         s = 2 * hint + 2 if hint else 10
@@ -139,16 +144,17 @@ def pi_moesp(
     if t <= 2 * s:
         raise ValueError(f"need T > 2s samples: T={t}, s={s}")
     n_cols = t - 2 * s + 1
-
-    u_all = block_hankel(u_data, 2 * s, n_cols)
-    u_past = u_all[: s * n_u]
-    u_fut = u_all[s * n_u :]
-    y_fut = block_hankel(y_data[s:], s, n_cols)
-
-    stacked = np.vstack([u_fut, u_past, y_fut])
-    r_fac = np.linalg.qr(stacked.T, mode="r")
     i1 = s * n_u
     i2 = 2 * s * n_u
+
+    # [U_f; U_p; Y_f] from the depth-2s windows of u and of y
+    centre = np.concatenate([np.tile(u_mean, 2 * s), np.tile(y_mean, s)])
+    r_fac = _hankel_factor(
+        (u_data, y_data),
+        2 * s,
+        n_cols,
+        lambda h_u, h_y: np.hstack([h_u[:, i1:], h_u[:, :i1], h_y[:, s * n_y :]]) - centre,
+    )
     # persistency of excitation: the input Hankel covariance U U^T / N must
     # be full rank; its singular values are those of the input block of R
     # squared over N, so 1e-4 relative here is 1e-8 relative there
@@ -187,7 +193,7 @@ def pi_moesp(
     c_hat = obs_est[:n_y, :]
     a_hat = min_norm_lsq(obs_est[: (s - 1) * n_y, :], obs_est[n_y:, :])
 
-    b_hat, d_hat, x0_hat = _estimate_b_d_x0(a_hat, c_hat, u_data, y_data)
+    b_hat, d_hat, x0_hat = _estimate_b_d_x0(a_hat, c_hat, u_data, y_data, u_mean, y_mean)
     system = StateSpace(a_hat, b_hat, c_hat, d_hat)
     return IdentResult(
         system=system,
@@ -198,34 +204,46 @@ def pi_moesp(
     )
 
 
-def _estimate_b_d_x0(a, c, u_data, y_data):
-    """Joint least squares for B, D and x0 given A and C.
+def _estimate_b_d_x0(a, c, u_data, y_data, u_mean=0.0, y_mean=0.0):
+    """Joint least squares for B, D and x0 given A and C, on the record less
+    the means ``u_mean`` and ``y_mean``.
 
     The regressors are C A^k (for x0), C Z_j(k) with Z_j(k+1) = A Z_j(k) +
     u_j(k) I (for column j of B), and u_j(k) I (for column j of D). A^k and
     the Z_j run as one recursion W(k+1) = A W(k) + [0, u(k)^T kron I],
-    W(0) = [I, 0], which ``matstack._lti_states`` lifts into about 2 sqrt(T)
-    batched steps.
+    W(0) = [I, 0], which ``matstack._lti_states`` lifts into batched steps.
+    It runs over chunks of ``_CHUNK`` samples from the carried block start
+    W, and each chunk's rows [Phi | y] are folded into one (n_params + 1)
+    square triangular factor [R_11 r_12; 0 r_22], so the solution is the
+    minimum-norm least-squares one of R_11 theta = r_12 with the same
+    relative cutoff, and no regressor array longer than a chunk is formed.
     """
     t, n_u = u_data.shape
     n_y = y_data.shape[1]
     n = a.shape[0]
-    n_params = n + n * n_u + n_y * n_u
+    n_w = n + n * n_u
+    n_params = n_w + n_y * n_u
     # an unstable A estimate would overflow the regressor recursion; fit on
     # the longest prefix where the state responses stay bounded
     horizon = t
     rho = float(np.abs(np.linalg.eigvals(a)).max())
     if rho > 1.0:
         horizon = min(t, max(4 * n, int(200.0 / np.log(rho))))
-    u_h = u_data[:horizon]
-    drive = np.zeros((horizon - 1, n, n + n * n_u))
-    drive[:, :, n:] = _unit_input_blocks(u_h[:-1], n)
-    w0 = np.hstack([np.eye(n), np.zeros((n, n * n_u))])
-    w_all = _lti_states(a, w0, drive)
-    phi = np.empty((horizon, n_y, n_params))
-    phi[:, :, : n + n * n_u] = c @ w_all
-    phi[:, :, n + n * n_u :] = _unit_input_blocks(u_h, n_y)
-    theta = min_norm_lsq(phi.reshape(horizon * n_y, n_params), y_data[:horizon].reshape(-1))
+    w = np.hstack([np.eye(n), np.zeros((n, n * n_u))])
+    r = np.empty((0, n_params + 1))
+    for k0 in range(0, horizon, _CHUNK):
+        k1 = min(k0 + _CHUNK, horizon)
+        u_h = u_data[k0:k1] - u_mean
+        drive = np.zeros((len(u_h), n, n_w))
+        drive[:, :, n:] = _unit_input_blocks(u_h, n)
+        w_all = _lti_states(a, w, drive)
+        rows = np.empty((len(u_h), n_y, n_params + 1))
+        rows[:, :, :n_w] = c @ w_all[:-1]
+        rows[:, :, n_w:-1] = _unit_input_blocks(u_h, n_y)
+        rows[:, :, -1] = y_data[k0:k1] - y_mean
+        r = _fold_factor(r, rows.reshape(-1, n_params + 1))
+        w = w_all[-1]
+    theta = min_norm_lsq(r[:n_params, :n_params], r[:n_params, -1])
     x0 = theta[:n]
     b = theta[n : n + n * n_u].reshape(n_u, n).T
     d = theta[n + n * n_u :].reshape(n_u, n_y).T

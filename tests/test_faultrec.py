@@ -21,7 +21,7 @@ from subfault.sysgen import (
     transmission_zeros,
     white_input,
 )
-from subfault import faultrec
+from subfault import faultrec, matstack
 from subfault.faultrec import (
     FaultRecovery,
     RecoveryError,
@@ -119,29 +119,35 @@ class TestFaultDim:
     def test_recover_reads_dimension_through_estimate_fault_dim(
         self, demo_run, monkeypatch, method
     ):
-        # recover takes n_v, the ranks and R_s from one estimate_fault_dim
-        # call, and each residual Hankel is built once
+        # recover takes n_v, the ranks and the factor of R_s from one
+        # estimate_fault_dim call, which builds one chunked factor and forms
+        # no residual Hankel
         sys, fault, x0, u, v, y, _ = demo_run
-        calls = {"estimate_fault_dim": 0, "residual_hankel": 0}
+        calls = {"estimate_fault_dim": 0, "residual_hankel": 0, "_hankel_factor": 0}
 
-        def counted(name):
-            original = getattr(faultrec, name)
+        def counted(module, name):
+            original = getattr(module, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 return original(*args, **kwargs)
 
-            monkeypatch.setattr(faultrec, name, wrapper)
+            monkeypatch.setattr(module, name, wrapper)
 
-        counted("estimate_fault_dim")
-        counted("residual_hankel")
+        counted(faultrec, "estimate_fault_dim")
+        counted(faultrec, "residual_hankel")
+        counted(matstack, "_hankel_factor")
         rec = recover(y, u, sys, s=5, method=method)
-        assert calls == {"estimate_fault_dim": 1, "residual_hankel": 2}
+        assert calls == {"estimate_fault_dim": 1, "residual_hankel": 0, "_hankel_factor": 1}
         n_v, diag = estimate_fault_dim(y, u, sys, 5)
         assert (rec.n_v_estimate, rec.rank_s, rec.rank_s_plus_1) == (
             n_v, diag.rank_s, diag.rank_s_plus_1
         )
-        assert np.array_equal(diag.residual_s, residual_hankel(y, u, sys, 5))
+        r_s = residual_hankel(y, u, sys, 5)
+        gram = r_s @ r_s.T
+        factor_gram = diag.residual_s @ diag.residual_s.T
+        assert np.abs(factor_gram - gram).max() <= 1e-12 * np.abs(gram).max()
+        assert diag.residual_columns == r_s.shape[1]
 
 
 class TestVerifyRankFormula:
@@ -225,6 +231,57 @@ class TestRecoverFaultMatrices:
             auto = annihilator_fault_basis(r_s, sys, s)
             assert auto.n_v == structural.n_z == n_v + zc
             assert range_equal(structural.stack(), auto.stack(), tol=1e-6)
+
+    @pytest.mark.parametrize(
+        "dims, s, n_v, t",
+        [
+            ((4, 2, 3), 7, 1, 1000),
+            ((6, 1, 4), 8, 2, 1000),
+            ((4, 2, 3), 7, 1, 22),
+            ((4, 2, 3), 7, 1, 100_000),
+        ],
+        ids=["dims0-7-1", "dims1-8-2", "short-record", "long-record"],
+    )
+    def test_annihilator_factor_keeps_machine_rule(self, dims, s, n_v, t):
+        # the cases above, and a record long enough that its machine floor
+        # (up to 3e-14 sigma_1) lies above s n_y eps: read through the factor
+        # of R_s, the annihilator keeps as many directions and reads the same
+        # n_z as on R_s itself, because its machine rule keeps R_s's width
+        # T - s + 1 rather than the factor's (at most s n_y)
+        eps = np.finfo(float).eps
+        for zc in (0, 1, 2):
+            sys, fault, u, v, y = _noise_free_run(
+                seed=300 + zc, zero_count=zc, n_v=n_v, t=t, dims=dims
+            )
+            r_s = residual_hankel(y, u, sys, s)
+            _, diag = estimate_fault_dim(y, u, sys, s)
+            assert diag.residual_columns == r_s.shape[1] == t - s + 1
+            b_perp = np.linalg.svd(extended_observability(sys.A, sys.C, s))[0][:, sys.n_x:]
+            full = np.linalg.svd(b_perp.T @ r_s, compute_uv=False)
+            # the parent rule on the full product, max(shape) * eps
+            machine = RankPolicy.relative(max(b_perp.shape[1], t - s + 1) * eps)
+            kept = machine.rank(full)
+            projected = np.linalg.svd(b_perp.T @ diag.residual_s, compute_uv=False)
+            assert machine.rank(projected) == kept
+            assert kept < full.size
+            via_factor = faultrec._annihilator_basis(diag.residual_s, t - s + 1, sys, s)
+            assert via_factor.n_v == annihilator_fault_basis(r_s, sys, s).n_v == n_v + zc
+
+    def test_recover_memory_independent_of_record_length(self, demo):
+        # at T = 1e5 R_s and R_(s+1) alone are 8 MB and 9.6 MB, and their
+        # full-width SVDs several times that; only chunks of them are formed
+        sys, fault = demo
+        t = 100_000
+        u = white_input(1, t, seed=[1, 1])
+        y, _ = simulate(sys, fault, np.zeros(3), u, fault_signal("v1", t))
+        for method in ("structure", "annihilator"):
+            tracemalloc.start()
+            try:
+                recover(y, u, sys, s=5, method=method)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2**20, method
 
     def test_annihilator_memory_independent_of_record_width(self):
         # at T=4000 the full right singular factor of the 13 x 3995 projected

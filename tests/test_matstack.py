@@ -3,10 +3,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from subfault.sysgen import fault_signal, simulate, white_input
+
 from subfault.matstack import (
+    _CHUNK,
     RankPolicy,
+    _hankel_factor,
     _largest_gap,
     _lti_states,
+    _residual_factors,
     block_hankel,
     block_toeplitz,
     extended_observability,
@@ -190,6 +195,72 @@ class TestLtiStates:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * drive.nbytes
+
+
+# record widths around the chunk of the triangular-factor pass: one short
+# chunk, one full chunk, a full chunk plus one column, two plus one
+CHUNK_WIDTHS = [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1]
+
+
+def _spectra_agree(factor, full):
+    """Singular values of a factor and of the matrix it compresses, within
+    1e-12 sigma_1."""
+    got = np.linalg.svd(factor, compute_uv=False)
+    ref = np.linalg.svd(full, compute_uv=False)
+    return got.shape == ref.shape and np.abs(got - ref).max() <= 1e-12 * ref[0]
+
+
+class TestChunkedFactor:
+    @pytest.mark.parametrize("width", CHUNK_WIDTHS)
+    def test_matches_one_shot_qr(self, width):
+        # the reference is the one-shot QR of the whole transposed Hankel
+        rng = np.random.default_rng(width)
+        depth = 4
+        signal = rng.standard_normal((width + depth - 1, 3))
+        full = block_hankel(signal, depth, width)
+        ref = np.linalg.qr(full.T, mode="r")
+        got = _hankel_factor((signal,), depth, width, lambda h: h)
+        assert got.shape == ref.shape
+        assert _spectra_agree(got, ref)
+        assert np.abs(got.T @ got - full @ full.T).max() <= 1e-12 * np.abs(full @ full.T).max()
+        # one chunk is the one-shot QR itself; folds keep the row signs of
+        # the first chunk's QR
+        if width <= _CHUNK:
+            assert np.array_equal(got, ref)
+        first = np.linalg.qr(full[:, :_CHUNK].T, mode="r")
+        assert np.array_equal(np.sign(np.diag(got)), np.sign(np.diag(first)))
+
+    def test_row_map_and_short_width(self):
+        # rows() sees every signal's windows; a matrix narrower than its
+        # height keeps the trapezoidal shape of the one-shot factor
+        rng = np.random.default_rng(5)
+        u = rng.standard_normal((12, 1))
+        y = rng.standard_normal((12, 2))
+        width = 12 - 4 + 1
+        full = np.vstack([block_hankel(y, 4, width), -2.0 * block_hankel(u, 4, width)])
+        got = _hankel_factor((y, u), 4, width, lambda h_y, h_u: np.hstack([h_y, -2.0 * h_u]))
+        assert got.shape == (width, 12)
+        assert _spectra_agree(got, full)
+        with pytest.raises(ValueError):
+            _hankel_factor((y,), 13, 0, lambda h: h)
+
+    @pytest.mark.parametrize("width", CHUNK_WIDTHS)
+    def test_residual_factors_match_full_hankels(self, demo, width):
+        # R_(s+1) has `width` columns; R_s one more, folded in last
+        sys, fault = demo
+        s = 5
+        t = width + s
+        u = white_input(1, t, seed=[width, 1])
+        y, _ = simulate(sys, fault, np.ones(3), u, fault_signal("v1", t))
+        y = y + 1e-3 * np.random.default_rng(width).standard_normal(y.shape)
+        a, b, c, d = sys.A, sys.B, sys.C, sys.D
+        low_s, low_s1 = _residual_factors(y, u, a, b, c, d, s)
+        for low, depth in ((low_s, s), (low_s1, s + 1)):
+            t_k = block_toeplitz(a, b, c, d, depth)
+            full = block_hankel(y, depth) - t_k @ block_hankel(u, depth)
+            assert low.shape == (depth * 2, min(full.shape))
+            assert not np.triu(low, 1).any()
+            assert _spectra_agree(low, full)
 
 
 class TestNumericalRank:
