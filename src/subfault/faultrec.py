@@ -5,6 +5,9 @@ satisfies R_s = O_s X + T^f_s V. Its column space therefore carries the
 fault channel: the rank difference between R_{s+1} and R_s is the minimal
 fault dimension, and the Toeplitz structure of T^f_s pins down every fault
 matrix pair compatible with the data, up to output-behavioral equivalence.
+Both basis methods read R_s only from ``estimate_fault_dim``'s readout (its
+triangular factor, ranks and window); ``residual_hankel`` forms the full
+matrix, for checks.
 """
 
 from __future__ import annotations
@@ -62,9 +65,9 @@ class RecoveryError(RuntimeError):
 
 @dataclass
 class FaultDimDiagnostics:
-    """Spectra and ranks behind a fault-dimension estimate, with the
-    lower-triangular factor L of R_s (L L^T = R_s R_s^T) that ``recover``
-    reads as ``residual_s`` and R_s's width T - s + 1 as ``residual_columns``."""
+    """Fault-dimension readout, the one form in which R_s reaches the basis
+    methods: spectra and ranks, R_s's lower-triangular factor L (L L^T =
+    R_s R_s^T) as ``residual_s``, its width T - s + 1 and its window s."""
 
     rank_s: int
     rank_s_plus_1: int
@@ -73,6 +76,11 @@ class FaultDimDiagnostics:
     threshold: float
     residual_s: np.ndarray
     residual_columns: int
+    window_s: int
+
+    @property
+    def n_v_estimate(self) -> int:
+        return self.rank_s_plus_1 - self.rank_s
 
 
 def _effective_zero_count(n_x: int, s: int, n_v: int, rank_s: int) -> int:
@@ -81,17 +89,12 @@ def _effective_zero_count(n_x: int, s: int, n_v: int, rank_s: int) -> int:
 
 
 @dataclass
-class FaultRecovery:
-    """Full fault-recovery result with rank diagnostics; ``n_z`` and
-    ``n_v_estimate`` are read off the basis and the ranks."""
+class FaultRecovery(FaultDimDiagnostics):
+    """Fault-pair basis (F_hat, G_hat) on top of the readout it was
+    recovered from; ``n_z`` is read off the basis."""
 
     F_hat: np.ndarray
     G_hat: np.ndarray
-    rank_s: int
-    rank_s_plus_1: int
-    singular_values_s: np.ndarray
-    singular_values_s_plus_1: np.ndarray
-    window_s: int
 
     def __post_init__(self):
         if self.n_z < self.n_v_estimate:
@@ -109,10 +112,6 @@ class FaultRecovery:
     @property
     def n_z(self) -> int:
         return self.F_hat.shape[1]
-
-    @property
-    def n_v_estimate(self) -> int:
-        return self.rank_s_plus_1 - self.rank_s
 
     @property
     def zeta_eff(self) -> int:
@@ -183,7 +182,7 @@ def estimate_fault_dim(y, u, sys: StateSpace, s: int, policy: RankPolicy | None 
     is applied to both Hankels so the difference is taken consistently.
     Neither Hankel is formed: both spectra are read from their triangular
     factors (``matstack._residual_factors``, one chunked pass), and R_s's is
-    kept on the diagnostics for ``recover``. Returns (n_v, diagnostics).
+    kept on the readout for the basis methods. Returns (n_v, readout).
     """
     u_data, y_data = _input_output_arrays(u, y)
     factor, deep = _residual_factors(y_data, u_data, sys.A, sys.B, sys.C, sys.D, s)
@@ -201,6 +200,7 @@ def estimate_fault_dim(y, u, sys: StateSpace, s: int, policy: RankPolicy | None 
         threshold=float(shared.tol),
         residual_s=factor,
         residual_columns=y_data.shape[0] - s + 1,
+        window_s=s,
     )
     return n_v, diag
 
@@ -252,34 +252,35 @@ def _structure_constraints(q_blocks, obs, s: int, r: int, n_x: int, n_y: int) ->
     return np.vstack(rows)
 
 
-def recover_fault_matrices(r_s, sys: StateSpace, s: int, rank: int, n_z: int) -> FaultPair:
+def recover_fault_matrices(dims: FaultDimDiagnostics, sys: StateSpace) -> FaultPair:
     """Basis (F_hat, G_hat) of the fault pairs explaining a residual Hankel.
 
-    Writes R_s = Q Z with Q the leading ``rank`` left singular vectors of
-    R_s, imposes on the unknown blocks the strictly-upper-zero and
-    constant-block-diagonal structure of the fault Toeplitz matrix together
-    with the observability coupling of its first block column, and returns
-    the ``n_z`` weakest right singular directions of the assembled
-    constraints. The caller supplies ``n_z`` (``recover`` passes the theory
-    count n_v + zeta_eff) because noisy data lifts the exact zeros of the
-    constraint spectrum. The result has n_z columns, each [F_hat; G_hat]
-    column unit length with positive leading entry. R_s (or its factor, as
-    ``recover`` passes) is compressed to its triangular factor first.
+    Writes R_s = Q Z with Q the leading ``dims.rank_s`` left singular
+    vectors of the readout's factor of R_s, imposes on the unknown blocks
+    the strictly-upper-zero and constant-block-diagonal structure of the
+    fault Toeplitz matrix together with the observability coupling of its
+    first block column, and returns the n_z weakest right singular
+    directions of the assembled constraints. n_z is the theory count
+    n_v + zeta_eff of the readout's ranks (see ``FaultRecovery.zeta_eff``),
+    because noisy data lifts the exact zeros of the constraint spectrum.
+    The result has n_z columns, each [F_hat; G_hat] column unit length with
+    positive leading entry.
     """
-    factor = np.linalg.qr(as_matrix(r_s, "R_s").T, mode="r").T
+    factor, s, n_y, n_x = dims.residual_s, dims.window_s, sys.n_y, sys.n_x
     if s < 2:
         raise ValueError("recovery needs a window of at least 2 block rows")
-    if s < sys.n_x:
-        raise ValueError(f"window s={s} below the state dimension {sys.n_x}")
-    n_y, n_x = sys.n_y, sys.n_x
+    if s < n_x:
+        raise ValueError(f"window s={s} below the state dimension {n_x}")
     if factor.shape[0] != s * n_y:
         raise ValueError(
             f"residual Hankel has {factor.shape[0]} rows, expected s*n_y={s * n_y}"
         )
-    q = range_basis(factor, rank=rank)
+    q = range_basis(factor, rank=dims.rank_s)
     r = q.shape[1]
     if r == 0:
         raise RecoveryError("residual Hankel is numerically zero; nothing to recover")
+    n_v = dims.n_v_estimate
+    n_z = n_v + _effective_zero_count(n_x, s, n_v, dims.rank_s)
     n_unknowns = s * r + n_x
     if n_z < 1 or n_z > n_unknowns:
         raise RecoveryError(
@@ -304,7 +305,7 @@ def _unit_pair(stack, n_x: int, error: Exception) -> FaultPair:
     return FaultPair(stack[:n_x], stack[n_x:])
 
 
-def annihilator_fault_basis(r_s, sys: StateSpace, s: int, n_z: int | None = None) -> FaultPair:
+def annihilator_fault_basis(dims: FaultDimDiagnostics, sys: StateSpace) -> FaultPair:
     """Fault-pair basis from the annihilator of the residual column space.
 
     Every direction orthogonal to the structural range of R_s kills the
@@ -317,27 +318,19 @@ def annihilator_fault_basis(r_s, sys: StateSpace, s: int, n_z: int | None = None
     formulation, but the few unknowns are averaged over many constraint
     rows, which is far better conditioned against measurement noise.
 
-    Every readout is a ``RankPolicy`` count. Exact data (the projected
+    Every count is a ``RankPolicy`` count. Exact data (the projected
     spectrum reaches the machine floor, ``RankPolicy.relative(max(rows,
-    T - s + 1) * eps)``): every direction at the floor is kept, and the
-    default ``n_z`` is the numerical nullity of the constraint matrix K
-    under the same relative rule, counting the columns a wide K has no
-    singular value for. The nullity tolerance widens eps to the directions'
-    error bound (largest floor value over the smallest value above it).
-    Noisy data: the
-    directions within a factor 1.2 of the smallest projected value are kept
-    (``RankPolicy.noise_floor(1.2)``), and the default ``n_z`` is read at the
-    first largest gap of the K spectrum above ``RankPolicy.relative(1e-14)``.
-
-    ``n_z`` fixes the basis size in either case. The result has n_z columns.
-    R_s is compressed to its triangular factor first, as ``recover`` reads it.
+    T - s + 1) * eps)`` with R_s's width from the readout): every direction
+    at the floor is kept, and n_z is the numerical nullity of the constraint
+    matrix K under the same relative rule, counting the columns a wide K has
+    no singular value for. The nullity tolerance widens eps to the
+    directions' error bound (largest floor value over the smallest value
+    above it). Noisy data: the directions within a factor 1.2 of the
+    smallest projected value are kept (``RankPolicy.noise_floor(1.2)``), and
+    n_z is read at the first largest gap of the K spectrum above
+    ``RankPolicy.relative(1e-14)``. The result has n_z columns.
     """
-    r_mat = as_matrix(r_s, "R_s")
-    return _annihilator_basis(np.linalg.qr(r_mat.T, mode="r").T, r_mat.shape[1], sys, s, n_z)
-
-
-def _annihilator_basis(factor, n_cols: int, sys: StateSpace, s: int, n_z=None) -> FaultPair:
-    """``annihilator_fault_basis`` on the factor of an R_s of n_cols columns."""
+    factor, s = dims.residual_s, dims.window_s
     n_x, n_y = sys.n_x, sys.n_y
     if s < 2 or factor.shape[0] != s * n_y:
         raise ValueError("residual Hankel shape does not match the window")
@@ -348,7 +341,7 @@ def _annihilator_basis(factor, n_cols: int, sys: StateSpace, s: int, n_z=None) -
     # of R_s's own entries scales with its width, not the factor's
     proj = b_perp.T @ factor
     u2, s2, _ = np.linalg.svd(proj)
-    machine = RankPolicy.relative(max(proj.shape[0], n_cols) * _EPS)
+    machine = RankPolicy.relative(max(proj.shape[0], dims.residual_columns) * _EPS)
     exact = machine.rank(s2) < s2.size
     keep = machine if exact else RankPolicy.noise_floor(_NOISE_FLOOR_SCALE)
     n_kept = keep.rank(s2)
@@ -360,17 +353,16 @@ def _annihilator_basis(factor, n_cols: int, sys: StateSpace, s: int, n_z=None) -
     k_mat = np.hstack([(dirs @ lag_map).reshape(-1, n_x), dirs.reshape(-1, n_y)])
     _, svals, vt = np.linalg.svd(k_mat, full_matrices=True)
     n_total = vt.shape[0]
-    if n_z is None and exact:
+    if exact:
         # every direction at machine floor annihilates R_s exactly; by Wedin's
         # bound each is accurate to the largest floor value over the gap
         dir_err = max(_EPS, s2[n_kept] / s2[n_kept - 1]) if n_kept else _EPS
         n_z = n_total - RankPolicy.relative(max(k_mat.shape) * dir_err).rank(svals)
-    elif n_z is None:
+    else:
         pos = svals[: RankPolicy.relative(1e-14).rank(svals)]
         gap = _largest_gap(pos)
         n_z = n_total - (gap[0] + 1 if gap else pos.size)
-    n_z = int(n_z)
-    if n_z < 1 or n_z > n_total:
+    if n_z < 1:
         raise RecoveryError(f"annihilator constraints leave no solution basis (n_z={n_z})")
     error = RecoveryError("annihilator produced a zero fault direction")
     return _unit_pair(vt[n_total - n_z:].T, n_x, error)
@@ -386,48 +378,35 @@ def recover(
 ) -> FaultRecovery:
     """Full pipeline: fault dimension, then the fault-matrix basis.
 
-    ``estimate_fault_dim`` reads n_v and the ranks, and the basis is
-    recovered from the factor of R_s it returns. The rank threshold
+    ``estimate_fault_dim`` reads n_v, the ranks and the factor of R_s, and
+    the basis method reads R_s from that readout alone. The rank threshold
     resolved on the R_{s+1} spectrum is shared by the rank difference and
     by the structure method's truncation of R_s.
 
-    method "structure" runs the constraint-matrix construction with the
-    solution dimension pinned to the theory count n_v + zeta_eff (see
-    ``FaultRecovery.zeta_eff``), which matches the exact nullspace dimension
-    on clean data. method "annihilator" uses the noise-robust annihilator
+    method "structure" (``recover_fault_matrices``) runs the
+    constraint-matrix construction with the solution dimension pinned to
+    the theory count n_v + zeta_eff, which matches the exact nullspace
+    dimension on clean data. method "annihilator"
+    (``annihilator_fault_basis``) uses the noise-robust annihilator
     formulation with its own solution count; both compute the same solution
-    set on clean data. ``FaultRecovery`` reads n_z and n_v off the basis and
-    the ranks, and flags a basis wider than n_v + max(zeta_eff, 0) by
+    set on clean data. The ``FaultRecovery`` carries the readout, reads n_z
+    off the basis, and flags a basis wider than n_v + max(zeta_eff, 0) by
     ``excess_basis``.
     """
-    n_v, diag = estimate_fault_dim(y, u, sys, s, policy)
+    n_v, dims = estimate_fault_dim(y, u, sys, s, policy)
     if n_v < 1:
         raise RecoveryError(
             "no fault detected (rank difference is zero); nothing to recover"
         )
+    # looked up per call, so that a rebinding of either name is seen
     if method == "structure":
-        zeta_eff = _effective_zero_count(sys.n_x, s, n_v, diag.rank_s)
-        if n_v + zeta_eff < 1:
-            raise RecoveryError(
-                f"no fault directions to recover (n_v estimate {n_v}, "
-                f"effective zero count {zeta_eff})"
-            )
-        pair = recover_fault_matrices(
-            diag.residual_s, sys, s, rank=diag.rank_s, n_z=n_v + zeta_eff
-        )
+        basis = recover_fault_matrices
     elif method == "annihilator":
-        pair = _annihilator_basis(diag.residual_s, diag.residual_columns, sys, s)
+        basis = annihilator_fault_basis
     else:
         raise ValueError(f"unknown recovery method {method!r}")
-    return FaultRecovery(
-        F_hat=pair.F,
-        G_hat=pair.G,
-        rank_s=diag.rank_s,
-        rank_s_plus_1=diag.rank_s_plus_1,
-        singular_values_s=diag.singular_values_s,
-        singular_values_s_plus_1=diag.singular_values_s_plus_1,
-        window_s=s,
-    )
+    pair = basis(dims, sys)
+    return FaultRecovery(**vars(dims), F_hat=pair.F, G_hat=pair.G)
 
 
 def behaviorally_equivalent(a, c, fg1: FaultPair, fg2: FaultPair, tol: float = 1e-8) -> bool:

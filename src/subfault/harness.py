@@ -20,6 +20,7 @@ import numpy as np
 
 from .matstack import (
     RankPolicy,
+    _residual_factors,
     as_matrix,
     extended_observability,
     min_norm_lsq,
@@ -40,12 +41,7 @@ from .sysgen import (
     write_trajectory_csv,
 )
 from .subid import estimate_initial_state, estimate_order, markov_params, pi_moesp
-from .faultrec import (
-    recover,
-    reconstruct_fault,
-    residual_hankel,
-    select_representative,
-)
+from .faultrec import recover, reconstruct_fault, select_representative
 
 __all__ = [
     "ExperimentConfig",
@@ -109,7 +105,14 @@ class ExperimentConfig:
     def __post_init__(self):
         self.dims = tuple(int(d) for d in self.dims)
         self.zero_counts = tuple(int(z) for z in self.zero_counts)
-        n_x = self.dims[0]
+        # a study that no instance could run is an input error
+        if len(self.dims) != 4:
+            raise ValueError(f"dims must be (n_x, n_u, n_y, n_v), got {list(self.dims)}")
+        n_x, _, n_y, n_v = self.dims
+        if n_y <= n_v:
+            raise ValueError(f"need more outputs than fault channels: n_y={n_y}, n_v={n_v}")
+        if any(not 0 <= z <= n_x for z in self.zero_counts):
+            raise ValueError(f"zero counts must be between 0 and n_x={n_x}")
         if not self.T > 2 * self.s:
             raise ValueError(f"need T > 2s: T={self.T}, s={self.s}")
         if not 2 * self.s > 2 * n_x:
@@ -286,6 +289,17 @@ def _as_seed_list(seed) -> list:
 # the single-system example
 
 
+def _compensated_spectra(y, u, model: StateSpace, x0, s: int) -> list:
+    """Singular values of the Hankels R_s and R_(s+1) of y less the nominal
+    response of ``model`` from x0, as two lists. That difference is the
+    output of the input-free model (A, 0, C, 0), so the two are its residual
+    Hankels, read from their factors without forming either."""
+    y_free = y - simulate(model, None, x0, u)[0]
+    zero_b, zero_d = np.zeros_like(model.B), np.zeros_like(model.D)
+    factors = _residual_factors(y_free, u, model.A, zero_b, model.C, zero_d, s)
+    return [np.linalg.svd(f, compute_uv=False).tolist() for f in factors]
+
+
 def run_example(config: ExperimentConfig | None = None) -> dict:
     """Full pipeline on the bundled benchmark system.
 
@@ -339,14 +353,9 @@ def run_example(config: ExperimentConfig | None = None) -> dict:
             # input-driven state directions removed these show the fault
             # directions over the mismatch floor (the usual spectrum picture)
             x_comp = x_tilde_0 if x_tilde_0 is not None else np.zeros(sys.n_x)
-            comp_s = residual_hankel(y, u, model, config.s, x_tilde_0=x_comp)
-            comp_s1 = residual_hankel(y, u, model, config.s + 1, x_tilde_0=x_comp)
-            branch["compensated_singular_values_s"] = np.linalg.svd(
-                comp_s, compute_uv=False
-            ).tolist()
-            branch["compensated_singular_values_s_plus_1"] = np.linalg.svd(
-                comp_s1, compute_uv=False
-            ).tolist()
+            sv_s, sv_s1 = _compensated_spectra(y, u, model, x_comp, config.s)
+            branch["compensated_singular_values_s"] = sv_s
+            branch["compensated_singular_values_s_plus_1"] = sv_s1
         with _stage(f"reconstruct-{label}"):
             if x_tilde_0 is None:
                 x_tilde_0 = estimate_initial_state(model, u, y, horizon=min(config.T, 50))

@@ -5,8 +5,9 @@ is provided. Block Hankel data matrices have a few dozen rows but one
 column per sample, so their width grows with the record length T; the
 pipeline reads them only through their small triangular factors, which
 ``_hankel_factor`` accumulates over chunks of columns so that no T-wide
-matrix is formed (``block_hankel`` builds the full matrix for tests and
-short spectra). Markov parameters are built in one place (``_markov_blocks``). A block Toeplitz
+matrix is formed (``block_hankel`` builds the full matrix, which only
+tests and the public ``faultrec.residual_hankel`` use). Markov
+parameters are built in one place (``_markov_blocks``). A block Toeplitz
 matrix grows with the square of its depth, so the pipeline builds one only
 at a window depth (a few to a few dozen blocks), never at the record length.
 State recursions over a whole record run in one place (``_lti_states``),
@@ -362,7 +363,9 @@ def _residual_factors(y, u, a, b, c, d, s: int):
     R_(s+1)^T's factor takes one ``_hankel_factor`` pass. R_s is R_(s+1)'s
     leading s n_y rows plus one last column, the window from T - s, so its
     factor is that factor's leading (s n_y)-square block with the column
-    folded in. Returns (L_s, L_(s+1)).
+    folded in. Returns (L_s, L_(s+1)). Both the fault-dimension readout
+    and the example's compensated spectra (an input-free model, B = 0 and
+    D = 0) take their factors from here.
     """
     if y.shape[1] != c.shape[0] or u.shape[1] != b.shape[1]:
         raise ValueError("trajectory channel counts do not match the system")

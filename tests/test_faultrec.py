@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -204,13 +205,12 @@ class TestRecoverFaultMatrices:
     def test_annihilator_matches_structure_solution(self):
         for seed, zc in ((51, 0), (52, 2)):
             sys, fault, u, v, y = _noise_free_run(seed=seed, zero_count=zc)
-            r_s = residual_hankel(y, u, sys, 6)
+            _, readout = estimate_fault_dim(y, u, sys, 6)
             structural = recover(y, u, sys, s=6, policy=RankPolicy.relative(1e-8))
-            annihilator = annihilator_fault_basis(r_s, sys, 6, n_z=structural.n_z)
-            assert range_equal(structural.stack(), annihilator.stack(), tol=1e-6)
             # the spectral-gap dimension readout agrees on clean data
-            auto = annihilator_fault_basis(r_s, sys, 6)
+            auto = annihilator_fault_basis(readout, sys)
             assert auto.n_v == structural.n_z
+            assert range_equal(structural.stack(), auto.stack(), tol=1e-6)
 
     @pytest.mark.parametrize(
         "dims, s, n_v, t",
@@ -226,9 +226,9 @@ class TestRecoverFaultMatrices:
             sys, fault, u, v, y = _noise_free_run(
                 seed=300 + zc, zero_count=zc, n_v=n_v, t=t, dims=dims
             )
-            r_s = residual_hankel(y, u, sys, s)
+            _, readout = estimate_fault_dim(y, u, sys, s)
             structural = recover(y, u, sys, s=s, policy=RankPolicy.relative(1e-8))
-            auto = annihilator_fault_basis(r_s, sys, s)
+            auto = annihilator_fault_basis(readout, sys)
             assert auto.n_v == structural.n_z == n_v + zc
             assert range_equal(structural.stack(), auto.stack(), tol=1e-6)
 
@@ -264,8 +264,29 @@ class TestRecoverFaultMatrices:
             projected = np.linalg.svd(b_perp.T @ diag.residual_s, compute_uv=False)
             assert machine.rank(projected) == kept
             assert kept < full.size
-            via_factor = faultrec._annihilator_basis(diag.residual_s, t - s + 1, sys, s)
-            assert via_factor.n_v == annihilator_fault_basis(r_s, sys, s).n_v == n_v + zc
+            assert annihilator_fault_basis(diag, sys).n_v == n_v + zc
+
+    @pytest.mark.parametrize(
+        "method, basis",
+        [("structure", "recover_fault_matrices"), ("annihilator", "annihilator_fault_basis")],
+    )
+    def test_recover_calls_the_public_basis_function(self, demo_run, monkeypatch, method, basis):
+        # recover reads the basis function through the module attribute at
+        # call time, so a rebinding (a tracing span, say) sees every call,
+        # and hands it the readout it built
+        sys, fault, x0, u, v, y, _ = demo_run
+        seen = []
+        original = getattr(faultrec, basis)
+
+        def wrapper(dims, model):
+            seen.append(dims)
+            return original(dims, model)
+
+        monkeypatch.setattr(faultrec, basis, wrapper)
+        rec = recover(y, u, sys, s=5, method=method)
+        assert len(seen) == 1
+        assert (seen[0].window_s, seen[0].residual_columns) == (5, 996)
+        assert rec.rank_s == seen[0].rank_s and rec.residual_s is seen[0].residual_s
 
     def test_recover_memory_independent_of_record_length(self, demo):
         # at T = 1e5 R_s and R_(s+1) alone are 8 MB and 9.6 MB, and their
@@ -285,12 +306,12 @@ class TestRecoverFaultMatrices:
 
     def test_annihilator_memory_independent_of_record_width(self):
         # at T=4000 the full right singular factor of the 13 x 3995 projected
-        # residual alone would take 128 MB; only its left factor is used
+        # residual alone would take 128 MB; the readout carries R_s's factor
         sys, fault, u, v, y = _noise_free_run(seed=71, zero_count=1, t=4000)
-        r_s = residual_hankel(y, u, sys, 6)
+        _, readout = estimate_fault_dim(y, u, sys, 6)
         tracemalloc.start()
         try:
-            annihilator_fault_basis(r_s, sys, 6)
+            annihilator_fault_basis(readout, sys)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -306,29 +327,34 @@ class TestRecoverFaultMatrices:
 
     def test_window_too_small_rejected(self, demo_run):
         sys, fault, x0, u, v, y, _ = demo_run
-        r = residual_hankel(y, u, sys, 2)
+        _, readout = estimate_fault_dim(y, u, sys, 2)
         with pytest.raises(ValueError):
-            recover_fault_matrices(r, sys, 2, rank=1, n_z=1)
+            recover_fault_matrices(readout, sys)
 
     def test_solution_dimension_out_of_range_rejected(self, demo_run):
         sys, fault, x0, u, v, y, _ = demo_run
-        r = residual_hankel(y, u, sys, 5)
-        # rank(R_5) = 7 on the demo, so the constraints have 5 * 7 + n_x unknowns
-        n_unknowns = 5 * 7 + sys.n_x
-        for n_z in (0, n_unknowns + 1):
+        _, readout = estimate_fault_dim(y, u, sys, 5)
+        # the readout's ranks give n_z = n_v + zeta_eff = 6 n_v + n_x - rank_s
+        # against 5 rank_s + n_x unknowns: ranks (3, 3) give n_z = 0, and
+        # ranks (7, 15) the first n_z above the 38 unknowns, 44
+        assert (readout.rank_s, readout.rank_s_plus_1) == (7, 8)
+        for rank_s, rank_s1 in ((3, 3), (7, 15)):
             with pytest.raises(RecoveryError, match="not available"):
-                recover_fault_matrices(r, sys, 5, rank=7, n_z=n_z)
-        assert recover_fault_matrices(r, sys, 5, rank=7, n_z=2).n_v == 2
+                recover_fault_matrices(replace(readout, rank_s=rank_s, rank_s_plus_1=rank_s1), sys)
+        assert recover_fault_matrices(readout, sys).n_v == 2
 
     def test_rank_inconsistent_result_is_recovery_error(self):
-        spectra = dict(singular_values_s=np.ones(3), singular_values_s_plus_1=np.ones(5))
+        readout = dict(
+            singular_values_s=np.ones(3), singular_values_s_plus_1=np.ones(5), threshold=0.5,
+            residual_s=np.ones((2, 2)), residual_columns=2, window_s=2,
+        )
         # n_v = 5 - 3 = 2 from the ranks; a one-column basis is too small
         with pytest.raises(RecoveryError, match="smaller than the fault dimension"):
             FaultRecovery(F_hat=np.ones((2, 1)), G_hat=np.ones((1, 1)),
-                          rank_s=3, rank_s_plus_1=5, window_s=2, **spectra)
+                          rank_s=3, rank_s_plus_1=5, **readout)
         with pytest.raises(RecoveryError, match="linearly dependent"):
             FaultRecovery(F_hat=np.ones((2, 2)), G_hat=np.ones((1, 2)),
-                          rank_s=3, rank_s_plus_1=5, window_s=2, **spectra)
+                          rank_s=3, rank_s_plus_1=5, **readout)
 
 
 class TestBehavioralEquivalence:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,8 +8,10 @@ import pytest
 from subfault.cli import main as cli_main
 from subfault.harness import (
     ExperimentConfig,
+    _compensated_spectra,
     _fault_trajectory,
     _montecarlo_instance,
+    _simulate_record,
     _tukey_stats,
     demo_system,
     emit_plot_data,
@@ -17,9 +20,11 @@ from subfault.harness import (
     run_example,
     run_montecarlo,
 )
-from subfault.faultrec import reconstruct_fault, recover
+from subfault import faultrec, harness, matstack
+from subfault.faultrec import reconstruct_fault, recover, residual_hankel
 from subfault.matstack import RankPolicy
 from subfault.sysgen import (
+    StateSpace,
     colored_noise,
     fault_signal,
     random_system,
@@ -169,6 +174,62 @@ class TestRunExample:
         rec = recover(y, u, sys, s=5, policy=RankPolicy.gap())
         assert rec.n_z == report["exact_branch"]["n_z"]
         assert np.allclose(rec.stack(), np.array(report["exact_branch"]["fault_basis"]))
+
+    @pytest.mark.parametrize("t", [1000, 5000])
+    def test_compensated_spectra_match_full_hankel(self, example_report, t):
+        # both branches' compensated spectra, read from the residual factors
+        # (one chunk at T=1000, three at T=5000), against the SVD of the full
+        # compensated Hankel
+        config = ExperimentConfig.example_defaults(T=t)
+        report = example_report[0] if t == 1000 else run_example(config)
+        sys, fault = demo_system()
+        u, y = _simulate_record(sys, fault, fault_signal("v1", t), config, config.seed)
+        ident = report["identified"]
+        models = {
+            "exact_branch": (sys, np.zeros(sys.n_x)),
+            "identified_branch": (
+                StateSpace(*(ident[k] for k in "ABCD")), np.array(ident["x_tilde_0"])
+            ),
+        }
+        for label, (model, x0) in models.items():
+            for depth, key in ((5, "compensated_singular_values_s"),
+                               (6, "compensated_singular_values_s_plus_1")):
+                full = residual_hankel(y, u, model, depth, x_tilde_0=x0)
+                want = np.linalg.svd(full, compute_uv=False)
+                got = np.array(report[label][key])
+                assert got.shape == want.shape
+                assert np.abs(got - want).max() <= 1e-12 * want[0], (label, key)
+
+    def test_compensated_spectra_memory_independent_of_record_length(self, demo):
+        # at T = 1e5 the two compensated Hankels alone are 8 MB and 9.6 MB;
+        # only their chunks and the record less its nominal response are held
+        sys, fault = demo
+        t = 100_000
+        u = white_input(1, t, seed=[1, 1])
+        y, _ = simulate(sys, fault, np.zeros(3), u, fault_signal("v1", t))
+        tracemalloc.start()
+        try:
+            sv_s, sv_s1 = _compensated_spectra(y, u, sys, np.zeros(3), 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (len(sv_s), len(sv_s1)) == (10, 12)
+        assert peak < 16 * 2**20
+
+    def test_example_forms_no_full_hankel(self, monkeypatch):
+        calls = []
+        for module in (faultrec, harness, matstack):
+            for name in ("residual_hankel", "block_hankel"):
+                if hasattr(module, name):
+                    original = getattr(module, name)
+
+                    def wrapper(*args, _original=original, _name=name, **kwargs):
+                        calls.append(_name)
+                        return _original(*args, **kwargs)
+
+                    monkeypatch.setattr(module, name, wrapper)
+        run_example(ExperimentConfig.example_defaults())
+        assert calls == []
 
 
 class TestPlotData:
@@ -398,6 +459,30 @@ class TestCli:
         ])
         assert code == 2
         assert not (tmp_path / "ex" / "example_report.json").exists()
+
+    @pytest.mark.parametrize("dims", [[3, 1, 1, 1], [3, 1, 2]])
+    def test_study_dims_no_instance_can_run_is_input_error(self, tmp_path, dims):
+        # n_y <= n_v, or no n_v at all: every instance would fail
+        (tmp_path / "cfg.json").write_text(json.dumps({"dims": dims}))
+        code = cli_main([
+            "--config", str(tmp_path / "cfg.json"),
+            "--out", str(tmp_path / "mc"),
+            "montecarlo",
+        ])
+        assert code == 2
+        assert not (tmp_path / "mc" / "montecarlo_report.json").exists()
+
+    @pytest.mark.parametrize("zero_counts", [[4], [0, -1]])
+    def test_zero_count_outside_state_dimension_is_input_error(self, tmp_path, zero_counts):
+        # random_system places at most n_x = 3 zeros
+        (tmp_path / "cfg.json").write_text(json.dumps({"zero_counts": zero_counts}))
+        code = cli_main([
+            "--config", str(tmp_path / "cfg.json"),
+            "--out", str(tmp_path / "mc"),
+            "montecarlo",
+        ])
+        assert code == 2
+        assert not (tmp_path / "mc" / "montecarlo_report.json").exists()
 
     def test_numerical_failure_exit_code(self, tmp_path):
         sys, fault = demo_system()
