@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrf
 
 from .matstack import (
     RankPolicy,
@@ -23,6 +22,7 @@ from .matstack import (
     _largest_gap,
     _lti_states,
     _residual_factors,
+    _triangle,
     as_matrix,
     block_hankel,
     block_toeplitz,
@@ -156,12 +156,24 @@ def residual_hankel(y, u, sys: StateSpace, s: int, x_tilde_0=None) -> np.ndarray
     if y_data.shape[1] != sys.n_y or u_data.shape[1] != sys.n_u:
         raise ValueError("trajectory channel counts do not match the system")
     if x_tilde_0 is not None:
-        y_nom, _ = simulate(sys, None, x_tilde_0, u_data)
-        return block_hankel(y_data - y_nom, s)
+        return block_hankel(_nominal_residual(y_data, u_data, sys, x_tilde_0), s)
     y_h = block_hankel(y_data, s)
     u_h = block_hankel(u_data, s)
     t_s = block_toeplitz(sys.A, sys.B, sys.C, sys.D, s)
     return y_h - t_s @ u_h
+
+
+def _nominal_residual(y, u, sys: StateSpace, x0) -> np.ndarray:
+    """y less the nominal response of ``sys`` from x0 (None: zero) to u, for
+    (T, n_y) and (T, n_u) arrays of equal length. The response of an
+    input-free model (B = 0, D = 0) from x0 = None is exactly zero, so ``y``
+    is returned as it is, unsimulated: a record already compensated passes
+    through."""
+    if x0 is None and not (sys.B.any() or sys.D.any()):
+        if u.shape[1] != sys.n_u:
+            raise ValueError(f"u has {u.shape[1]} channels, system expects {sys.n_u}")
+        return y
+    return y - simulate(sys, None, x0, u)[0]
 
 
 def fault_dim_from_ranks(rank_s: int, rank_s_plus_1: int) -> int:
@@ -482,12 +494,14 @@ def _stationary_sweep(stack, n_v: int, z_next, head):
     n_rows, width = stack.shape
     n_data = n_rows - n_v
     n_y = head.shape[1]
-    augmented = np.zeros((n_rows, width - 1 + n_data))
+    augmented = np.zeros((n_rows, width - 1 + n_data), order="F")
     augmented[:, : width - 1] = stack[:, :-1]
     augmented[n_v:, width - 1:] = np.eye(n_data)
-    qr = dgeqrf(augmented)[0][: width - 1]
-    block = np.triu(qr[:, : width - 1])
-    p = qr[:, width - 1:]
+    qr = _triangle(augmented)[: width - 1]
+    block = qr[:, : width - 1]
+    # column-major, as dgeqrf lays it out: the map's layout picks the
+    # product kernels below, and so the bits of z
+    p = np.asfortranarray(qr[:, width - 1:])
     drive = head[::-1] @ p[n_v:, :n_y].T
     z = _lti_states(p[n_v:, n_y:], z_next[:, None], drive[:, :, None])[::-1, :, 0]
     rhs = z[1:] @ p[:n_v, n_y:].T + head @ p[:n_v, :n_y].T
@@ -540,7 +554,6 @@ def _fault_channel_smoother(a, f, c, g, resid):
     stack[n_v:n_v + n_y, :n_v] = g
     stack[n_v:n_v + n_y, n_v:-1] = c
     fa = np.hstack([f, a])
-    upper = np.triu(np.ones((width, width), dtype=bool))
     info_r = np.zeros((n_x, n_x))
     info_z = np.zeros(n_x)
     # the tail's v-blocks in backward order, in a buffer grown by doubling
@@ -558,8 +571,10 @@ def _fault_channel_smoother(a, f, c, g, resid):
         stack[n_v:n_v + n_y, -1] = resid[k]
         stack[n_v + n_y:, :-1] = info_r @ fa
         stack[n_v + n_y:, -1] = info_z
-        # LAPACK directly: np.linalg.qr's dispatch costs more than this block
-        tri = np.where(upper, dgeqrf(stack)[0][:width], 0.0)
+        # matstack._triangle, the package's one QR kernel (direct LAPACK:
+        # np.linalg.qr's dispatch costs more than this block); it factors a
+        # copy of the C-ordered ``stack``, which stays intact for the next step
+        tri = _triangle(stack)
         if t - 1 - k == len(tail):
             tail = np.concatenate([tail, np.empty_like(tail)])
         tail[t - 1 - k] = tri[:n_v]
@@ -584,11 +599,11 @@ def _fault_channel_smoother(a, f, c, g, resid):
         info_r = block[n_v:, n_v:]
         info[:k] = np.abs(np.diag(block[:n_v, :n_v]))
     # the same damping on xi(0): min |R_0 xi - z_0|^2 + rho^2 |xi|^2
-    init = np.zeros((2 * n_x, n_x + 1))
+    init = np.zeros((2 * n_x, n_x + 1), order="F")
     init[:n_x, :n_x] = info_r
     init[:n_x, -1] = info_z
     init[n_x:, :n_x] = rho * np.eye(n_x)
-    tri = np.linalg.qr(init, mode="r")
+    tri = _triangle(init)
     xi0 = np.linalg.solve(tri[:n_x, :n_x], tri[:n_x, -1])
     v = np.empty((t, n_v))
     x = xi0
@@ -641,8 +656,7 @@ def reconstruct_fault(y, u, sys: StateSpace, fg: FaultPair, x_tilde_0) -> FaultR
     fg.check_matches(sys)
     if y_data.shape[0] < 1:
         raise ValueError("reconstruction needs at least one sample")
-    y_nom, _ = simulate(sys, None, x_tilde_0, u_data)
-    resid = y_data - y_nom
+    resid = _nominal_residual(y_data, u_data, sys, x_tilde_0)
     xi0, v_hat, per_step, info = _fault_channel_smoother(sys.A, fg.F, sys.C, fg.G, resid)
     y_fault, _ = simulate(StateSpace(sys.A, fg.F, sys.C, fg.G), None, xi0, v_hat)
     norm = np.linalg.norm(resid)

@@ -41,7 +41,7 @@ from .sysgen import (
     write_trajectory_csv,
 )
 from .subid import estimate_initial_state, estimate_order, markov_params, pi_moesp
-from .faultrec import recover, reconstruct_fault, select_representative
+from .faultrec import _nominal_residual, recover, reconstruct_fault, select_representative
 
 __all__ = [
     "ExperimentConfig",
@@ -167,6 +167,9 @@ class ExperimentConfig:
         out = asdict(self)
         out["dims"] = list(self.dims)
         out["zero_counts"] = list(self.zero_counts)
+        # +inf means clean data, as None does; strict JSON has no infinity
+        if self.snr_db is not None and float(self.snr_db) == np.inf:
+            out["snr_db"] = None
         # unspecified scales assumed unit and recorded here
         out["input_variance"] = 1.0
         out["initial_state_variance"] = 1.0
@@ -293,8 +296,9 @@ def _compensated_spectra(y, u, model: StateSpace, x0, s: int) -> list:
     """Singular values of the Hankels R_s and R_(s+1) of y less the nominal
     response of ``model`` from x0, as two lists. That difference is the
     output of the input-free model (A, 0, C, 0), so the two are its residual
-    Hankels, read from their factors without forming either."""
-    y_free = y - simulate(model, None, x0, u)[0]
+    Hankels, read from their factors without forming either. An input-free
+    ``model`` with x0 None takes y as already compensated."""
+    y_free = _nominal_residual(y, u, model, x0)
     zero_b, zero_d = np.zeros_like(model.B), np.zeros_like(model.D)
     factors = _residual_factors(y_free, u, model.A, zero_b, model.C, zero_d, s)
     return [np.linalg.svd(f, compute_uv=False).tolist() for f in factors]
@@ -352,14 +356,21 @@ def run_example(config: ExperimentConfig | None = None) -> dict:
             # spectra of the nominal-response-compensated residual; with the
             # input-driven state directions removed these show the fault
             # directions over the mismatch floor (the usual spectrum picture)
-            x_comp = x_tilde_0 if x_tilde_0 is not None else np.zeros(sys.n_x)
-            sv_s, sv_s1 = _compensated_spectra(y, u, model, x_comp, config.s)
+            if x_tilde_0 is None:
+                record, nominal, x_comp = y, model, np.zeros(sys.n_x)
+            else:
+                # compensated once: the spectra and the reconstruction both
+                # read it as the output of the input-free model from rest
+                record = _nominal_residual(y, u, model, x_tilde_0)
+                zero_b, zero_d = np.zeros_like(model.B), np.zeros_like(model.D)
+                nominal, x_comp = StateSpace(model.A, zero_b, model.C, zero_d), None
+            sv_s, sv_s1 = _compensated_spectra(record, u, nominal, x_comp, config.s)
             branch["compensated_singular_values_s"] = sv_s
             branch["compensated_singular_values_s_plus_1"] = sv_s1
         with _stage(f"reconstruct-{label}"):
             if x_tilde_0 is None:
-                x_tilde_0 = estimate_initial_state(model, u, y, horizon=min(config.T, 50))
-            recon = reconstruct_fault(y, u, model, rep, x_tilde_0)
+                x_comp = estimate_initial_state(model, u, y, horizon=min(config.T, 50))
+            recon = reconstruct_fault(record, u, nominal, rep, x_comp)
             corr = np.corrcoef(recon.v[:, 0], v[:, 0])[0, 1]
             branch["replay_residual"] = recon.replay_residual
             branch["fault_correlation"] = float(abs(corr))
@@ -423,7 +434,8 @@ class MonteCarloReport:
     config: dict
     records: list
     per_count: dict
-    overall_median_pct: float
+    # None when no instance succeeded
+    overall_median_pct: float | None
 
 
 def _tukey_stats(values: np.ndarray) -> dict:
@@ -512,7 +524,7 @@ def run_montecarlo(config: ExperimentConfig | None = None) -> MonteCarloReport:
     for zero_count in config.zero_counts:
         vals = np.asarray([r.error_pct for r in ok if r.zero_count == zero_count])
         per_count[zero_count] = _tukey_stats(vals) if vals.size else None
-    overall = float(np.median([r.error_pct for r in ok])) if ok else float("nan")
+    overall = float(np.median([r.error_pct for r in ok])) if ok else None
     report = MonteCarloReport(
         config=config.echo(),
         records=records,
@@ -593,6 +605,8 @@ def emit_plot_data(report, kind: str, path) -> None:
 
 
 def _write_json(path, obj) -> None:
+    """Write strict JSON: a NaN or infinity raises instead of being written
+    as a token no JSON parser accepts."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

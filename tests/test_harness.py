@@ -232,6 +232,71 @@ class TestRunExample:
         assert calls == []
 
 
+    def test_simulates_each_nominal_response_once(self, monkeypatch):
+        # the record, then per branch the compensated spectra's nominal
+        # response and the replay; the exact branch also simulates from its
+        # estimated initial state, while the identified branch reuses the
+        # record it compensated for its spectra
+        calls = []
+        for module in (faultrec, harness):
+            original = module.simulate
+
+            def counting(*args, _original=original, **kwargs):
+                calls.append(args[0])
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, "simulate", counting)
+        run_example(ExperimentConfig.example_defaults())
+        assert len(calls) == 6
+
+    def test_identified_branch_matches_public_reconstruction(self, monkeypatch):
+        # the compensated-once path gives the bytes of simulating the
+        # identified model's nominal response separately for each use
+        kept, idents = [], []
+
+        def keep(*args):
+            kept.append((args, reconstruct_fault(*args)))
+            return kept[-1][1]
+
+        def identify(*args, **kwargs):
+            result = original_identify(*args, **kwargs)
+            idents.append(result[0])
+            return result
+
+        original_identify = harness._identify
+        monkeypatch.setattr(harness, "reconstruct_fault", keep)
+        monkeypatch.setattr(harness, "_identify", identify)
+        config = ExperimentConfig.example_defaults()
+        report = run_example(config)
+        sys, fault = demo_system()
+        u, y = _simulate_record(sys, fault, fault_signal("v1", config.T), config, config.seed)
+        model, x0 = idents[0].system, idents[0].x_tilde_0
+        rep = kept[1][0][3]
+        want = reconstruct_fault(y, u, model, rep, x0)
+        got = kept[1][1]
+        assert np.array_equal(got.v, want.v) and np.array_equal(got.xi0, want.xi0)
+        assert got.replay_residual == want.replay_residual
+        sv_s, sv_s1 = _compensated_spectra(y, u, model, x0, config.s)
+        branch = report["identified_branch"]
+        assert branch["compensated_singular_values_s"] == sv_s
+        assert branch["compensated_singular_values_s_plus_1"] == sv_s1
+
+    def test_pipeline_takes_no_triangular_factor_from_numpy(self, monkeypatch):
+        # every triangular factor comes from matstack's LAPACK kernel;
+        # sysgen's orthogonal draw, which needs Q, may still use numpy
+        modes = []
+        original = np.linalg.qr
+
+        def guard(a, mode="reduced"):
+            modes.append(mode)
+            return original(a, mode=mode)
+
+        monkeypatch.setattr(np.linalg, "qr", guard)
+        run_example(ExperimentConfig.example_defaults())
+        run_montecarlo(ExperimentConfig.montecarlo_defaults(systems_per_count=1))
+        assert modes and "r" not in modes
+
+
 class TestPlotData:
     def test_singular_values_csv_from_reference_data(self, tmp_path):
         report = {"identified_branch": {
@@ -546,3 +611,35 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "mc" / "montecarlo_report.json").exists()
         assert (tmp_path / "mc" / "montecarlo_boxplot.csv").exists()
+
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_all_failed_study_writes_strict_json(self, tmp_path, seed):
+        # at -40 dB every instance of this one-system study fails; the
+        # report must still be JSON that a strict parser accepts
+        cfg = {"T": 200, "s": 6, "dims": [5, 1, 3, 2], "zero_counts": [0],
+               "systems_per_count": 1, "snr_db": -40, "rank_policy": "gap"}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        code = cli_main([
+            "--config", str(tmp_path / "cfg.json"),
+            "--out", str(tmp_path / "mc"),
+            "--seed", str(seed),
+            "montecarlo",
+        ])
+        assert code == 0
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        text = (tmp_path / "mc" / "montecarlo_report.json").read_text()
+        report = json.loads(text, parse_constant=reject)
+        assert all(r["failure"] is not None for r in report["records"])
+        assert report["overall_median_pct"] is None
+
+    def test_infinite_snr_is_echoed_as_clean(self, tmp_path):
+        # +inf and None both mean noise-free data; the echo must stay JSON
+        report = run_montecarlo(ExperimentConfig.montecarlo_defaults(
+            snr_db=float("inf"), zero_counts=(0,), systems_per_count=1, out_dir=str(tmp_path)
+        ))
+        assert report.config["snr_db"] is None
+        json.loads((tmp_path / "montecarlo_report.json").read_text(),
+                   parse_constant=lambda token: pytest.fail(token))

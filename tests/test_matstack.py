@@ -2,16 +2,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from subfault.sysgen import fault_signal, simulate, white_input
 
 from subfault.matstack import (
     _CHUNK,
     RankPolicy,
+    _fold_factor,
     _hankel_factor,
     _largest_gap,
     _lti_states,
     _residual_factors,
+    _triangle,
     block_hankel,
     block_toeplitz,
     extended_observability,
@@ -261,6 +264,59 @@ class TestChunkedFactor:
             assert low.shape == (depth * 2, min(full.shape))
             assert not np.triu(low, 1).any()
             assert _spectra_agree(low, full)
+
+
+class TestTriangleKernel:
+    def test_fold_leaves_its_inputs_intact(self):
+        rng = np.random.default_rng(3)
+        r = np.linalg.qr(rng.standard_normal((30, 6)), mode="r")
+        for rows in (rng.standard_normal((40, 6)), np.asfortranarray(rng.standard_normal((40, 6)))):
+            r_before, rows_before = r.copy(), rows.copy()
+            _fold_factor(r, rows)
+            assert np.array_equal(r, r_before)
+            assert np.array_equal(rows, rows_before)
+
+    def test_c_ordered_buffer_is_copied(self):
+        # the smoother factors one C-ordered stack per step and rewrites
+        # only some of its rows, so the kernel must not overwrite it
+        buf = np.random.default_rng(4).standard_normal((9, 5))
+        before = buf.copy()
+        got = _triangle(buf)
+        assert np.array_equal(buf, before)
+        assert np.array_equal(got, np.linalg.qr(before, mode="r"))
+
+    def test_trapezoidal_factor(self):
+        # fewer rows than columns: R is (rows, width), upper trapezoidal
+        rng = np.random.default_rng(6)
+        rows = rng.standard_normal((3, 7))
+        got = _fold_factor(rows[:0], rows)
+        assert got.shape == (3, 7)
+        assert not np.tril(got, -1).any()
+        assert _spectra_agree(got, rows)
+        more = rng.standard_normal((2, 7))
+        folded = _fold_factor(got, more)
+        full = np.vstack([rows, more])
+        assert folded.shape == (5, 7)
+        assert not np.tril(folded, -1).any()
+        assert _spectra_agree(folded, full)
+        assert np.array_equal(np.sign(np.diag(folded))[:3], np.sign(np.diag(got)))
+
+    def test_factor_wider_than_blocking_crossover(self):
+        # past 128 columns dgeqrf takes its blocked path only with LAPACK's
+        # optimal workspace; the fold agrees with the one-shot factor and
+        # keeps the first QR's row signs
+        rng = np.random.default_rng(7)
+        full = rng.standard_normal((700, 200))
+        first = _fold_factor(full[:0], full[:300])
+        got = _fold_factor(first, full[300:])
+        ref = np.linalg.qr(full, mode="r")
+        assert got.shape == ref.shape == (200, 200)
+        assert _spectra_agree(got, ref)
+        assert np.abs(got.T @ got - full.T @ full).max() <= 1e-12 * np.abs(full.T @ full).max()
+        assert np.array_equal(np.sign(np.diag(got)), np.sign(np.diag(first)))
+        # scipy.linalg.qr queries the same optimal workspace from the same
+        # LAPACK, so its factor is the kernel's bit for bit
+        assert np.array_equal(first, scipy.linalg.qr(full[:300], mode="r")[0][:200])
 
 
 class TestNumericalRank:
