@@ -2,7 +2,8 @@
 
 Subcommands: simulate, identify, fault-recover, example, montecarlo.
 Exit codes: 0 success, 2 input/config error, 3 numerical failure (the stage
-label goes to standard error).
+label goes to standard error), 4 a Monte-Carlo worker process died before
+returning its instance (no report is written).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
 import numpy as np
@@ -226,6 +228,9 @@ def main(argv=None) -> int:
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except BrokenExecutor as exc:
+        print(f"worker failure: {exc}", file=sys.stderr)
+        return 4
     except (ValueError, KeyError, OSError, json.JSONDecodeError, TypeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

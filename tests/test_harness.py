@@ -1,6 +1,15 @@
 import json
+import multiprocessing
+import os
+import shutil
+import signal
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from concurrent.futures import BrokenExecutor
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +49,40 @@ FIG_SV_R5 = [26.5500789412737, 24.5755309469592, 17.464565160419, 16.81785532340
 FIG_SV_R6 = [26.6613566971983, 26.2480832086168, 20.6959018289427, 17.2298675859753,
              13.9731111147254, 13.3147972062507, 9.23786667136778, 0.674689402948074,
              0.473886886786674, 0.271201768646024, 0.184044483183736, 0.157473233749879]
+
+
+def _pool_of_two(monkeypatch):
+    """Make _study_workers pick two workers: two CPUs, BLAS pinned to one."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+
+
+def _unpinned(monkeypatch):
+    """Make _study_workers pick one worker: BLAS threads left at one per CPU."""
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+
+
+@contextmanager
+def _deadline(seconds):
+    """Fail the test instead of hanging when the block outlives the deadline."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _instance_that_kills_its_worker(config, index, zero_count):
+    # module level, so that the pool can send it to a worker by name
+    if index == 1:
+        os._exit(1)
+    return _montecarlo_instance(config, index, zero_count)
 
 
 @pytest.fixture(scope="module")
@@ -292,9 +335,29 @@ class TestRunExample:
             return original(a, mode=mode)
 
         monkeypatch.setattr(np.linalg, "qr", guard)
+        _unpinned(monkeypatch)
+        assert harness._study_workers(4) == 1  # the study runs in this process
         run_example(ExperimentConfig.example_defaults())
         run_montecarlo(ExperimentConfig.montecarlo_defaults(systems_per_count=1))
         assert modes and "r" not in modes
+
+    def test_study_workers_take_no_triangular_factor_from_numpy(self, monkeypatch):
+        # the pool's workers are forked, so they inherit the guard; a call
+        # there fails its instance, and the failure names the guard
+        original = np.linalg.qr
+
+        def guard(a, mode="reduced"):
+            if mode == "r":
+                raise AssertionError("numpy QR factor taken in a study worker")
+            return original(a, mode=mode)
+
+        monkeypatch.setattr(np.linalg, "qr", guard)
+        _pool_of_two(monkeypatch)
+        assert harness._study_workers(4) == 2
+        report = run_montecarlo(ExperimentConfig.montecarlo_defaults(systems_per_count=1))
+        assert len(report.records) == 4
+        assert not any("numpy QR factor" in (r.failure or "") for r in report.records)
+        assert multiprocessing.active_children() == []
 
 
 class TestPlotData:
@@ -384,6 +447,109 @@ class TestMonteCarlo:
             records = [_montecarlo_instance(cfg, index, 1) for index in range(3)]
         assert [r.failure for r in records] == [None, None, None]
         assert [r.excess_basis for r in records] == [False, True, False]
+
+
+class TestStudyWorkers:
+    @pytest.fixture(autouse=True)
+    def set_cpus(self, monkeypatch):
+        """Set the affinity the rule reads (two CPUs first); no process starts."""
+        _unpinned(monkeypatch)
+
+        def set_cpus(count):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+        set_cpus(2)
+        return set_cpus
+
+    def test_unpinned_blas_gets_one_worker(self):
+        assert harness._study_workers(40) == 1
+
+    @pytest.mark.parametrize("cpus, n, workers", [(2, 40, 2), (64, 40, 40), (64, 4, 4)])
+    def test_pinned_blas_gets_a_worker_per_cpu_up_to_the_instances(
+        self, set_cpus, monkeypatch, cpus, n, workers
+    ):
+        set_cpus(cpus)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert harness._study_workers(n) == workers
+
+    def test_openblas_variable_wins_over_omp(self, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        assert harness._study_workers(40) == 2
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        assert harness._study_workers(40) == 1
+
+    @pytest.mark.parametrize("value", ["", "x", "1.5", "0", "-1"])
+    def test_unparsable_thread_count_gets_one_worker(self, monkeypatch, value):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", value)
+        assert harness._study_workers(40) == 1
+
+    def test_one_cpu_or_one_instance_gets_one_worker(self, set_cpus, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert harness._study_workers(1) == 1
+        set_cpus(1)
+        assert harness._study_workers(40) == 1
+
+
+class TestStudyPool:
+    # default dims at -10 dB: instances 1, 2 and 3 fail, instance 0 succeeds
+    FAILING = {"T": 300, "s": 6, "seed": 4, "dims": [5, 1, 3, 2], "zero_counts": [0, 1, 2, 3],
+               "systems_per_count": 1, "snr_db": -10, "rank_policy": "gap"}
+
+    def test_pool_and_loop_record_the_same_instances(self, monkeypatch):
+        config = ExperimentConfig(**self.FAILING)
+        _unpinned(monkeypatch)
+        serial = montecarlo_report_dict(run_montecarlo(config))
+        _pool_of_two(monkeypatch)
+        pooled = montecarlo_report_dict(run_montecarlo(config))
+        assert pooled == serial
+        assert [r["index"] for r in pooled["records"]] == [0, 1, 2, 3]
+        assert sum(r["failure"] is not None for r in pooled["records"]) == 3
+        assert multiprocessing.active_children() == []
+
+    def test_cli_writes_the_same_bytes_pinned_and_unpinned(self, tmp_path):
+        # pinned, the study runs on a pool of two; unpinned, in one process
+        (tmp_path / "cfg.json").write_text(json.dumps(self.FAILING))
+        out = tmp_path / "mc"
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = str(Path(harness.__file__).resolve().parents[1])
+        two_cpus = sorted(os.sched_getaffinity(0))[:2]
+        runs = []
+        for pinned in ({"OPENBLAS_NUM_THREADS": "1"}, {}):
+            proc = subprocess.run(
+                [sys.executable, "-m", "subfault.cli", "--config", str(tmp_path / "cfg.json"),
+                 "--out", str(out), "montecarlo"],
+                env={**env, **pinned}, capture_output=True, text=True, timeout=120,
+                preexec_fn=lambda: os.sched_setaffinity(0, two_cpus),
+            )
+            assert proc.returncode == 0, proc.stderr
+            files = {name: (out / name).read_bytes()
+                     for name in ("montecarlo_report.json", "montecarlo_boxplot.csv")}
+            failures = [line for line in proc.stderr.splitlines() if line.startswith("instance ")]
+            runs.append((files, failures))
+            shutil.rmtree(out)
+        assert runs[0] == runs[1]
+        assert len(runs[0][1]) == 3
+
+    def test_dead_worker_raises_and_leaves_no_process(self, monkeypatch, tmp_path, capsys):
+        _pool_of_two(monkeypatch)
+        monkeypatch.setattr(harness, "_montecarlo_instance", _instance_that_kills_its_worker)
+        config = ExperimentConfig.montecarlo_defaults(
+            T=200, systems_per_count=1, out_dir=str(tmp_path / "lib")
+        )
+        with _deadline(60), pytest.raises(BrokenExecutor):
+            run_montecarlo(config)
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "lib").exists()
+        (tmp_path / "cfg.json").write_text(json.dumps({"T": 200, "systems_per_count": 1}))
+        with _deadline(60):
+            code = cli_main(["--config", str(tmp_path / "cfg.json"),
+                             "--out", str(tmp_path / "cli"), "montecarlo"])
+        assert code == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("worker failure: ")
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "cli" / "montecarlo_report.json").exists()
 
 
 class TestCli:
