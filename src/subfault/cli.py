@@ -26,6 +26,7 @@ from .sysgen import (
 from .subid import DegenerateDataError, ExcitationError, estimate_initial_state, pi_moesp
 from .faultrec import RecoveryError, recover, reconstruct_fault, select_representative
 from .harness import (
+    _RANK_POLICIES,
     ExperimentConfig,
     PipelineError,
     _write_json,
@@ -76,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fr.add_argument("--y", required=True)
     p_fr.add_argument("--system", required=True, help="identified-system JSON")
     p_fr.add_argument("--window", type=int, required=True, help="residual window s")
-    p_fr.add_argument("--rank-policy", choices=("gap", "floor"), default="gap")
+    p_fr.add_argument("--rank-policy", choices=tuple(_RANK_POLICIES), default="gap")
     p_fr.add_argument(
         "--policy", choices=("leading", "sparse-G", "sparse-F"), default="leading"
     )
@@ -153,7 +154,7 @@ def _cmd_fault_recover(args) -> int:
     u = read_trajectory_csv(args.u)
     y = read_trajectory_csv(args.y)
     system, _ = load_system_json(args.system)
-    policy = ExperimentConfig(rank_policy=args.rank_policy).policy()
+    policy = _RANK_POLICIES[args.rank_policy]
     rec = recover(y, u, system, s=args.window, policy=policy, method=args.method)
     rep = select_representative(rec, policy=args.policy, n_v=rec.n_v_estimate)
     x_tilde_0 = estimate_initial_state(system, u, y, horizon=min(len(u), 50))

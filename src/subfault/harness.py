@@ -41,7 +41,7 @@ from .sysgen import (
     white_input,
     write_trajectory_csv,
 )
-from .subid import estimate_initial_state, estimate_order, markov_params, pi_moesp
+from .subid import _identification_window, estimate_initial_state, markov_params, pi_moesp
 from .faultrec import _nominal_residual, recover, reconstruct_fault, select_representative
 
 __all__ = [
@@ -89,6 +89,10 @@ def demo_system():
     return sys, fault
 
 
+# the rank policies a config or the CLI names
+_RANK_POLICIES = {"gap": RankPolicy.gap(), "floor": RankPolicy.noise_floor()}
+
+
 @dataclass
 class ExperimentConfig:
     """Settings shared by the example run and the Monte-Carlo study."""
@@ -131,11 +135,11 @@ class ExperimentConfig:
         # false for NaN and -inf, which set no noise level
         if self.snr_db is not None and not float(self.snr_db) > -np.inf:
             raise ValueError("snr_db must be finite, None, or +inf")
-        if self.rank_policy not in ("gap", "floor"):
-            raise ValueError("rank_policy must be 'gap' or 'floor'")
+        if self.rank_policy not in _RANK_POLICIES:
+            raise ValueError(f"rank_policy must be one of {sorted(_RANK_POLICIES)}")
 
     def policy(self) -> RankPolicy:
-        return RankPolicy.noise_floor() if self.rank_policy == "floor" else RankPolicy.gap()
+        return _RANK_POLICIES[self.rank_policy]
 
     @classmethod
     def example_defaults(cls, **overrides) -> "ExperimentConfig":
@@ -245,26 +249,6 @@ def markov_relative_error(est: StateSpace, true: StateSpace, count: int = 10) ->
     return float(num / den)
 
 
-def _identification_window(n_x: int) -> int:
-    """Window s_id of every identification run, 2 n_x + 2."""
-    return 2 * n_x + 2
-
-
-def _identify(u, y, true_order: int):
-    """Identification at the configured order, flagging an auto-order miss.
-
-    The model is always identified at ``true_order``. The flag is set when
-    the automatic selection on the same order spectrum would have picked
-    another order or found no confident gap, i.e. when identification with
-    ``order="auto"`` falls back to the configured order. The window, and so
-    the QR and SVD behind that spectrum, depend only on the order, so one
-    ``pi_moesp`` call serves both.
-    """
-    result = pi_moesp(u, y, s=_identification_window(true_order), order=true_order, demean=True)
-    sel = estimate_order(result.order_singular_values)
-    return result, not sel.confident or sel.order != true_order
-
-
 def _simulate_record(sys: StateSpace, fault: FaultPair, v, config: ExperimentConfig, seed):
     """(u, y) of one faulted record: a random initial state, a white input
     and, when ``config.snr_db`` sets a level, colored measurement noise."""
@@ -279,29 +263,21 @@ def _simulate_record(sys: StateSpace, fault: FaultPair, v, config: ExperimentCon
 def _fault_trajectory(n_v: int, t: int, seed) -> np.ndarray:
     """Per-channel built-in fault waveforms (odd channels get the noisy ramp)."""
     channels = [
-        fault_signal("v1" if i % 2 == 0 else "v2", t, seed=[*_as_seed_list(seed), 2, i])
-        for i in range(n_v)
+        fault_signal("v1" if i % 2 == 0 else "v2", t, seed=[seed, 2, i]) for i in range(n_v)
     ]
     return stack_channels(*channels)
-
-
-def _as_seed_list(seed) -> list:
-    return list(seed) if isinstance(seed, (list, tuple)) else [int(seed)]
 
 
 # ---------------------------------------------------------------------------
 # the single-system example
 
 
-def _compensated_spectra(y, u, model: StateSpace, x0, s: int) -> list:
-    """Singular values of the Hankels R_s and R_(s+1) of y less the nominal
-    response of ``model`` from x0, as two lists. That difference is the
-    output of the input-free model (A, 0, C, 0), so the two are its residual
-    Hankels, read from their factors without forming either. An input-free
-    ``model`` with x0 None takes y as already compensated."""
-    y_free = _nominal_residual(y, u, model, x0)
-    zero_b, zero_d = np.zeros_like(model.B), np.zeros_like(model.D)
-    factors = _residual_factors(y_free, u, model.A, zero_b, model.C, zero_d, s)
+def _compensated_spectra(record, u, free: StateSpace, s: int) -> list:
+    """Singular values of the Hankels R_s and R_(s+1) of a record already
+    less a model's nominal response, as two lists. That record is the output
+    of the input-free model ``free`` = (A, 0, C, 0), so the two are its
+    residual Hankels, read from their factors without forming either."""
+    factors = _residual_factors(record, u, free.A, free.B, free.C, free.D, s)
     return [np.linalg.svd(f, compute_uv=False).tolist() for f in factors]
 
 
@@ -324,7 +300,7 @@ def run_example(config: ExperimentConfig | None = None) -> dict:
         u, y = _simulate_record(sys, fault, v, config, config.seed)
 
     with _stage("identify"):
-        ident, order_fallback = _identify(u, y, true_order=sys.n_x)
+        ident = pi_moesp(u, y, order=sys.n_x, demean=True)
         markov_err = markov_relative_error(ident.system, sys)
 
     branches = {}
@@ -333,6 +309,7 @@ def run_example(config: ExperimentConfig | None = None) -> dict:
         ("exact", sys, None),
         ("identified", ident.system, ident.x_tilde_0),
     ):
+        free = StateSpace(model.A, np.zeros_like(model.B), model.C, np.zeros_like(model.D))
         with _stage(f"fault-recover-{label}"):
             rec = recover(y, u, model, s=config.s, policy=policy)
             rep = select_representative(rec, policy="sparse-G", n_v=rec.n_v_estimate)
@@ -356,22 +333,19 @@ def run_example(config: ExperimentConfig | None = None) -> dict:
         with _stage(f"residual-spectra-{label}"):
             # spectra of the nominal-response-compensated residual; with the
             # input-driven state directions removed these show the fault
-            # directions over the mismatch floor (the usual spectrum picture)
-            if x_tilde_0 is None:
-                record, nominal, x_comp = y, model, np.zeros(sys.n_x)
-            else:
-                # compensated once: the spectra and the reconstruction both
-                # read it as the output of the input-free model from rest
-                record = _nominal_residual(y, u, model, x_tilde_0)
-                zero_b, zero_d = np.zeros_like(model.B), np.zeros_like(model.D)
-                nominal, x_comp = StateSpace(model.A, zero_b, model.C, zero_d), None
-            sv_s, sv_s1 = _compensated_spectra(record, u, nominal, x_comp, config.s)
+            # directions over the mismatch floor (the usual spectrum picture).
+            # The record less the nominal response (from rest on the exact
+            # branch) is the output of the input-free model from rest.
+            record = _nominal_residual(y, u, model, x_tilde_0)
+            sv_s, sv_s1 = _compensated_spectra(record, u, free, config.s)
             branch["compensated_singular_values_s"] = sv_s
             branch["compensated_singular_values_s_plus_1"] = sv_s1
         with _stage(f"reconstruct-{label}"):
             if x_tilde_0 is None:
-                x_comp = estimate_initial_state(model, u, y, horizon=min(config.T, 50))
-            recon = reconstruct_fault(record, u, nominal, rep, x_comp)
+                # the exact model carries no initial state: estimate one
+                x0 = estimate_initial_state(model, u, y, horizon=min(config.T, 50))
+                record = _nominal_residual(y, u, model, x0)
+            recon = reconstruct_fault(record, u, free, rep, None)
             corr = np.corrcoef(recon.v[:, 0], v[:, 0])[0, 1]
             branch["replay_residual"] = recon.replay_residual
             branch["fault_correlation"] = float(abs(corr))
@@ -387,7 +361,7 @@ def run_example(config: ExperimentConfig | None = None) -> dict:
             "D": ident.system.D.tolist(),
             "x_tilde_0": ident.x_tilde_0.tolist(),
             "chosen_order": ident.chosen_order,
-            "order_fallback": order_fallback,
+            "order_fallback": not ident.order_confident,
             "order_singular_values": ident.order_singular_values.tolist(),
             "markov_relative_error": markov_err,
         },
@@ -415,19 +389,22 @@ def run_example(config: ExperimentConfig | None = None) -> dict:
 
 @dataclass
 class MonteCarloRecord:
+    """One study instance; the defaults describe an instance that failed
+    before any stage filled a field."""
+
     index: int
     seed: int
     zero_count: int
-    error_pct: float | None
     n_v_true: int
-    n_v_estimate: int | None
-    n_v_correct: bool
-    n_z: int | None
-    markov_rel_error: float | None
-    order_fallback: bool
-    excess_basis: bool
-    failure: str | None
-    runtime_s: float
+    error_pct: float | None = None
+    n_v_estimate: int | None = None
+    n_v_correct: bool = False
+    n_z: int | None = None
+    markov_rel_error: float | None = None
+    order_fallback: bool = False
+    excess_basis: bool = False
+    failure: str | None = None
+    runtime_s: float = 0.0
 
 
 @dataclass
@@ -468,15 +445,7 @@ def _montecarlo_instance(config: ExperimentConfig, index: int, zero_count: int) 
     n_x, n_u, n_y, n_v = config.dims
     seed = config.seed ^ index
     start = time.perf_counter()
-    base = dict(
-        index=index,
-        seed=seed,
-        zero_count=zero_count,
-        n_v_true=n_v,
-        markov_rel_error=None,
-        order_fallback=False,
-        excess_basis=False,
-    )
+    record = MonteCarloRecord(index=index, seed=seed, zero_count=zero_count, n_v_true=n_v)
     try:
         with _stage("generate"):
             sys, fault = random_system(n_x, n_u, n_y, n_v, zero_count, seed=seed)
@@ -484,31 +453,22 @@ def _montecarlo_instance(config: ExperimentConfig, index: int, zero_count: int) 
             v = _fault_trajectory(n_v, config.T, seed)
             u, y = _simulate_record(sys, fault, v, config, seed)
         with _stage("identify"):
-            ident, order_fallback = _identify(u, y, true_order=n_x)
-            base["markov_rel_error"] = markov_relative_error(ident.system, sys)
-            base["order_fallback"] = order_fallback
+            ident = pi_moesp(u, y, order=n_x, demean=True)
+            record.markov_rel_error = markov_relative_error(ident.system, sys)
+            record.order_fallback = not ident.order_confident
         with _stage("fault-recover"):
             rec = recover(y, u, sys, s=config.s, policy=config.policy(), method="annihilator")
-            err = representative_error_pct(fault.stack(), rec.stack(), rec.n_v_estimate)
-        return MonteCarloRecord(
-            error_pct=err,
-            n_v_estimate=rec.n_v_estimate,
-            n_v_correct=rec.n_v_estimate == n_v,
-            n_z=rec.n_z,
-            failure=None,
-            runtime_s=time.perf_counter() - start,
-            **{**base, "excess_basis": rec.excess_basis},
-        )
+            record.error_pct = representative_error_pct(
+                fault.stack(), rec.stack(), rec.n_v_estimate
+            )
+        # a failed recovery or scoring leaves the readout unset
+        record.n_v_estimate, record.n_z = rec.n_v_estimate, rec.n_z
+        record.n_v_correct = rec.n_v_estimate == n_v
+        record.excess_basis = rec.excess_basis
     except Exception as exc:  # recorded, never silently dropped
-        return MonteCarloRecord(
-            error_pct=None,
-            n_v_estimate=None,
-            n_v_correct=False,
-            n_z=None,
-            failure=str(exc),
-            runtime_s=time.perf_counter() - start,
-            **base,
-        )
+        record.failure = str(exc)
+    record.runtime_s = time.perf_counter() - start
+    return record
 
 
 def _study_workers(n: int) -> int:
@@ -613,10 +573,8 @@ def emit_plot_data(report, kind: str, path) -> None:
         if not isinstance(report, dict) or "identified_branch" not in report:
             raise ValueError("singular_values needs an example report")
         branch = report["identified_branch"]
-        sv_s = branch.get("compensated_singular_values_s", branch["singular_values_s"])
-        sv_s1 = branch.get(
-            "compensated_singular_values_s_plus_1", branch["singular_values_s_plus_1"]
-        )
+        sv_s = branch["compensated_singular_values_s"]
+        sv_s1 = branch["compensated_singular_values_s_plus_1"]
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("index,sv_Rs,sv_Rs1\n")
             for i in range(max(len(sv_s), len(sv_s1))):

@@ -62,7 +62,12 @@ class OrderSelection:
 
 @dataclass
 class IdentResult:
-    """Output of the subspace identification step."""
+    """Output of the subspace identification step.
+
+    ``order_confident`` is set when the automatic order selection
+    (``estimate_order``) on ``order_singular_values`` finds a confident gap
+    at the order this model has, whether that order was selected or given.
+    """
 
     system: StateSpace
     order_singular_values: np.ndarray
@@ -101,6 +106,11 @@ def estimate_order(singular_values) -> OrderSelection:
     return OrderSelection(order=m, gap_ratio=float(best_ratio), confident=False)
 
 
+def _identification_window(order: int) -> int:
+    """Window s of an identification at a known order, 2 order + 2."""
+    return 2 * order + 2
+
+
 def pi_moesp(
     u,
     y,
@@ -123,12 +133,15 @@ def pi_moesp(
     memory does not grow with T beyond the record itself; a record of at
     most ``_CHUNK`` (2048) data columns is one chunk, the one-shot QR.
 
-    ``order`` is an integer or "auto" (largest singular-value gap). ``s`` is
-    the identification window; default 2*order_hint + 2 when a hint is
-    available, else 10, and T > 2s is required. ``demean`` removes sample
-    means first, which suppresses the bias a non-zero-mean fault would
-    otherwise leak into the estimates; the identified quadruple is offset
-    independent either way.
+    ``order`` is an integer or "auto" (largest singular-value gap); the
+    automatic selection runs on the spectrum either way and gives
+    ``order_confident``, so an all-negligible spectrum raises
+    ``DegenerateDataError`` for an integer order too. ``s`` is the
+    identification window; default ``_identification_window`` of order_hint
+    (or of an integer order) when one is available, else 10, and T > 2s is
+    required. ``demean`` removes sample means first, which suppresses the
+    bias a non-zero-mean fault would otherwise leak into the estimates; the
+    identified quadruple is offset independent either way.
     """
     u_data, y_data = _input_output_arrays(u, y)
     t, n_u = u_data.shape
@@ -138,7 +151,7 @@ def pi_moesp(
     y_mean = y_data.mean(axis=0) if demean else np.zeros(n_y)
     if s is None:
         hint = order_hint if order_hint is not None else (order if isinstance(order, int) else None)
-        s = 2 * hint + 2 if hint else 10
+        s = _identification_window(hint) if hint else 10
     if s < 1:
         raise ValueError("window s must be positive")
     if t <= 2 * s:
@@ -173,19 +186,13 @@ def pi_moesp(
     padded = np.zeros(s * n_y)
     padded[: svals.size] = svals
 
-    confident = True
-    if order == "auto":
-        sel = estimate_order(svals)
-        n = sel.order
-        confident = sel.confident
-    else:
-        n = int(order)
-        if n < 1:
-            raise ValueError("order must be positive")
-        if n > min(l32.shape):
-            raise ValueError(
-                f"order {n} exceeds the singular-value plateau ({min(l32.shape)})"
-            )
+    n = None if order == "auto" else int(order)
+    if n is not None and n < 1:
+        raise ValueError("order must be positive")
+    if n is not None and n > min(l32.shape):
+        raise ValueError(f"order {n} exceeds the singular-value plateau ({min(l32.shape)})")
+    sel = estimate_order(svals)
+    n = sel.order if n is None else n
     if n >= s * n_y:
         raise ValueError("order too large for the identification window")
 
@@ -200,7 +207,7 @@ def pi_moesp(
         order_singular_values=padded,
         x_tilde_0=x0_hat,
         window_s=s,
-        order_confident=confident,
+        order_confident=sel.confident and sel.order == n,
     )
 
 

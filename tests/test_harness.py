@@ -250,9 +250,11 @@ class TestRunExample:
         t = 100_000
         u = white_input(1, t, seed=[1, 1])
         y, _ = simulate(sys, fault, np.zeros(3), u, fault_signal("v1", t))
+        free = StateSpace(sys.A, np.zeros_like(sys.B), sys.C, np.zeros_like(sys.D))
         tracemalloc.start()
         try:
-            sv_s, sv_s1 = _compensated_spectra(y, u, sys, np.zeros(3), 5)
+            record = y - simulate(sys, None, np.zeros(3), u)[0]
+            sv_s, sv_s1 = _compensated_spectra(record, u, free, 5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -302,13 +304,12 @@ class TestRunExample:
             return kept[-1][1]
 
         def identify(*args, **kwargs):
-            result = original_identify(*args, **kwargs)
-            idents.append(result[0])
-            return result
+            idents.append(original_identify(*args, **kwargs))
+            return idents[-1]
 
-        original_identify = harness._identify
+        original_identify = harness.pi_moesp
         monkeypatch.setattr(harness, "reconstruct_fault", keep)
-        monkeypatch.setattr(harness, "_identify", identify)
+        monkeypatch.setattr(harness, "pi_moesp", identify)
         config = ExperimentConfig.example_defaults()
         report = run_example(config)
         sys, fault = demo_system()
@@ -319,7 +320,9 @@ class TestRunExample:
         got = kept[1][1]
         assert np.array_equal(got.v, want.v) and np.array_equal(got.xi0, want.xi0)
         assert got.replay_residual == want.replay_residual
-        sv_s, sv_s1 = _compensated_spectra(y, u, model, x0, config.s)
+        free = StateSpace(model.A, np.zeros_like(model.B), model.C, np.zeros_like(model.D))
+        record = y - simulate(model, None, x0, u)[0]
+        sv_s, sv_s1 = _compensated_spectra(record, u, free, config.s)
         branch = report["identified_branch"]
         assert branch["compensated_singular_values_s"] == sv_s
         assert branch["compensated_singular_values_s_plus_1"] == sv_s1
@@ -437,6 +440,20 @@ class TestMonteCarlo:
                 r.markov_rel_error is not None and r.n_v_estimate is not None
             )
 
+
+    def test_scoring_failure_keeps_only_the_identification_fields(self, monkeypatch):
+        # recovery succeeded, scoring raised: the record keeps what
+        # identification filled and none of the recovery readout
+        def fail(*args):
+            raise FloatingPointError("scoring failed")
+
+        monkeypatch.setattr(harness, "representative_error_pct", fail)
+        cfg = ExperimentConfig.montecarlo_defaults(zero_counts=(0,), systems_per_count=1)
+        record = _montecarlo_instance(cfg, 0, 0)
+        assert record.failure == "[stage fault-recover] scoring failed"
+        assert record.markov_rel_error is not None
+        assert (record.error_pct, record.n_v_estimate, record.n_z) == (None, None, None)
+        assert (record.n_v_correct, record.excess_basis) == (False, False)
 
     def test_excess_basis_flag_without_warning(self):
         # on the default seed with one zero, only instance 1 reads a basis
@@ -607,6 +624,21 @@ class TestCli:
         assert rec["n_v"] == 1
         assert rec["excess_basis"] is False
         assert (tmp_path / "rec" / "v_reconstructed.csv").exists()
+
+    def test_identify_writes_the_order_verdict(self, tmp_path):
+        # the demo record's spectrum confirms order 3, not a given order 2
+        self._write_demo_data(tmp_path)
+        code = cli_main([
+            "--out", str(tmp_path / "ident"),
+            "identify",
+            "--u", str(tmp_path / "u.csv"),
+            "--y", str(tmp_path / "y.csv"),
+            "--order", "2",
+        ])
+        assert code == 0
+        ident = json.loads((tmp_path / "ident" / "identified.json").read_text())
+        assert ident["chosen_order"] == 2
+        assert ident["order_confident"] is False
 
     def test_fault_recover_rank_policy_flag(self, tmp_path, monkeypatch):
         seen = []

@@ -69,6 +69,23 @@ class TestPiMoesp:
             assert np.array_equal(getattr(got.system, name), getattr(ref.system, name)), name
         assert np.array_equal(got.x_tilde_0, ref.x_tilde_0)
 
+    @pytest.mark.parametrize("order, confident", [(2, False), (3, True), (4, False)])
+    def test_given_order_is_confident_only_at_the_spectrum_gap(self, demo, order, confident):
+        # the demo record from rest: the order spectrum's one confident gap
+        # is after the third value, so only order 3 is confirmed
+        sys, fault = demo
+        u = white_input(1, 1000, seed=[20240, 1])
+        y, _ = simulate(sys, fault, np.zeros(3), u, fault_signal("v1", 1000))
+        assert pi_moesp(u, y, order=order).order_confident is confident
+
+    def test_given_order_on_negligible_spectrum_raises(self):
+        u = white_input(1, 400, seed=[1, 1])
+        with pytest.raises(DegenerateDataError):
+            pi_moesp(u, np.zeros((400, 2)), order=2)
+        # a non-positive order is still an input error, checked first
+        with pytest.raises(ValueError):
+            pi_moesp(u, np.zeros((400, 2)), order=0)
+
     def test_zero_input_raises_excitation_error(self):
         t = 200
         y = np.random.default_rng(0).standard_normal((t, 2))
