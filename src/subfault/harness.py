@@ -11,10 +11,12 @@ timings are kept out of the canonical report).
 from __future__ import annotations
 
 import json
+import operator
 import os
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +95,14 @@ def demo_system():
 _RANK_POLICIES = {"gap": RankPolicy.gap(), "floor": RankPolicy.noise_floor()}
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int: ``operator.index`` must take it, a bool is refused."""
+    if not isinstance(value, bool):
+        with suppress(TypeError):
+            return operator.index(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass
 class ExperimentConfig:
     """Settings shared by the example run and the Monte-Carlo study."""
@@ -108,8 +118,10 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
-        self.dims = tuple(int(d) for d in self.dims)
-        self.zero_counts = tuple(int(z) for z in self.zero_counts)
+        for name in ("T", "s", "seed", "systems_per_count"):
+            setattr(self, name, _integer(name, getattr(self, name)))
+        self.dims = tuple(_integer("dims entry", d) for d in self.dims)
+        self.zero_counts = tuple(_integer("zero_counts entry", z) for z in self.zero_counts)
         # a study that no instance could run is an input error
         if len(self.dims) != 4:
             raise ValueError(f"dims must be (n_x, n_u, n_y, n_v), got {list(self.dims)}")
@@ -132,8 +144,11 @@ class ExperimentConfig:
             )
         if self.systems_per_count < 1:
             raise ValueError("systems_per_count must be at least 1")
+        snr_db = self.snr_db
+        if snr_db is not None and (isinstance(snr_db, bool) or not isinstance(snr_db, Real)):
+            raise ValueError(f"snr_db must be a number or None, got {snr_db!r}")
         # false for NaN and -inf, which set no noise level
-        if self.snr_db is not None and not float(self.snr_db) > -np.inf:
+        if snr_db is not None and not float(snr_db) > -np.inf:
             raise ValueError("snr_db must be finite, None, or +inf")
         if self.rank_policy not in _RANK_POLICIES:
             raise ValueError(f"rank_policy must be one of {sorted(_RANK_POLICIES)}")
@@ -165,6 +180,8 @@ class ExperimentConfig:
     def from_json(cls, path, **overrides) -> "ExperimentConfig":
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"config file {path} does not hold a JSON object")
         data.update(overrides)
         return cls(**data)
 

@@ -723,6 +723,29 @@ class TestCli:
         assert code == 2
         assert not (tmp_path / "ex" / "example_report.json").exists()
 
+    @pytest.mark.parametrize("command, cfg", [
+        ("example", [{"T": 300}]),  # a list, not an object
+        ("example", {"T": 300.5}),
+        ("example", {"s": 5.5}),
+        ("example", {"seed": 1.5}),
+        ("example", {"T": True}),
+        ("montecarlo", {"systems_per_count": 1.5}),
+        ("montecarlo", {"dims": [5.7, 1, 3, 2], "s": 6, "systems_per_count": 1}),
+        ("montecarlo", {"zero_counts": [0, 1.5], "systems_per_count": 1}),
+        ("montecarlo", {"snr_db": "40", "systems_per_count": 1}),
+        ("montecarlo", {"snr_db": True, "systems_per_count": 1}),
+    ])
+    def test_config_value_of_wrong_type_is_input_error(self, tmp_path, command, cfg):
+        # checked before any stage runs, never truncated or echoed
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        code = cli_main([
+            "--config", str(tmp_path / "cfg.json"),
+            "--out", str(tmp_path / "out"),
+            command,
+        ])
+        assert code == 2
+        assert not list((tmp_path / "out").glob("*.json"))
+
     @pytest.mark.parametrize("dims", [[3, 1, 1, 1], [3, 1, 2]])
     def test_study_dims_no_instance_can_run_is_input_error(self, tmp_path, dims):
         # n_y <= n_v, or no n_v at all: every instance would fail
