@@ -1,6 +1,8 @@
 """Command-line interface.
 
 Subcommands: simulate, identify, fault-recover, example, montecarlo.
+The global --config and --seed are read by example and montecarlo only; the
+other subcommands refuse them as input errors.
 Exit codes: 0 success, 2 input/config error, 3 numerical failure (the stage
 label goes to standard error), 4 a Monte-Carlo worker process died before
 returning its instance (no report is written).
@@ -225,6 +227,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.command not in ("example", "montecarlo"):
+            for flag in ("config", "seed"):
+                if getattr(args, flag) is not None:
+                    raise ValueError(f"{args.command} does not read --{flag}")
         return _HANDLERS[args.command](args)
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

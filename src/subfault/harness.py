@@ -304,10 +304,16 @@ def run_example(config: ExperimentConfig | None = None) -> dict:
     Simulates the faulted system, identifies the nominal quadruple from the
     faulty data, runs fault-dimension estimation and fault-matrix recovery
     with both the exact and the identified model, reconstructs the fault
-    signal, and reports Grassmannian errors for both branches.
+    signal, and reports Grassmannian errors for both branches. The system
+    is always the demo's, so ``config.dims`` other than its (3, 1, 2, 1)
+    raise ``ValueError`` before any stage runs.
     """
     config = config or ExperimentConfig.example_defaults()
     sys, fault = demo_system()
+    demo_dims = (sys.n_x, sys.n_u, sys.n_y, fault.n_v)
+    if config.dims != demo_dims:
+        raise ValueError(f"the example runs the demo system, dims {list(demo_dims)}, "
+                         f"not {list(config.dims)}")
     true_stack = fault.stack() / np.linalg.norm(fault.stack())
     n_true = fault.n_v
     policy = config.policy()

@@ -198,6 +198,18 @@ class TestRunExample:
         text = json.dumps(report)
         assert "v_information" not in text and "per_step_samples" not in text
 
+    def test_refuses_dims_other_than_the_demo_system(self, tmp_path):
+        # the example always runs the (3, 1, 2, 1) demo system
+        config = ExperimentConfig.example_defaults(s=5, dims=(4, 1, 3, 2), out_dir=str(tmp_path))
+        with pytest.raises(ValueError, match="demo system"):
+            run_example(config)
+        assert not list(tmp_path.iterdir())
+        (tmp_path / "cfg.json").write_text(json.dumps({"dims": [4, 1, 3, 2]}))
+        code = cli_main(["--config", str(tmp_path / "cfg.json"),
+                         "--out", str(tmp_path / "ex"), "example"])
+        assert code == 2
+        assert not (tmp_path / "ex" / "example_report.json").exists()
+
     def test_output_files(self, example_report):
         report, out = example_report
         for name in ("example_report.json", "identified_system.json",
@@ -667,6 +679,21 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             run("rel")
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--system", "s.json", "--u", "u.csv"],
+        ["identify", "--u", "u.csv", "--y", "y.csv"],
+        ["fault-recover", "--u", "u.csv", "--y", "y.csv", "--system", "s.json", "--window", "5"],
+    ])
+    @pytest.mark.parametrize("flag", [["--seed", "3"], ["--config", "nonexist.json"]])
+    def test_global_flag_nothing_reads_is_input_error(self, tmp_path, capsys, command, flag):
+        # refused before any file is opened: the message names the flag,
+        # not the missing input files
+        code = cli_main(flag + ["--out", str(tmp_path / "out")] + command)
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"input error: {command[0]} does not read {flag[0]}"]
+        assert not (tmp_path / "out").exists()
 
     def test_missing_file_is_input_error(self, tmp_path):
         code = cli_main([
