@@ -695,6 +695,17 @@ class TestCli:
         assert err == [f"input error: {command[0]} does not read {flag[0]}"]
         assert not (tmp_path / "out").exists()
 
+    def test_import_loads_neither_the_pool_nor_scipy_signal(self):
+        # the pool's modules load only when a study forks, and scipy.signal
+        # (0.7-1.0 s) not at all: start-up cost is what every run pays
+        lazy = ("multiprocessing", "concurrent.futures.process", "scipy.signal")
+        code = f"import sys, subfault.cli; print([m for m in {lazy!r} if m in sys.modules])"
+        env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_missing_file_is_input_error(self, tmp_path):
         code = cli_main([
             "identify", "--u", str(tmp_path / "none.csv"), "--y", str(tmp_path / "none.csv"),
