@@ -19,18 +19,22 @@ from pathlib import Path
 import numpy as np
 
 from .sysgen import (
+    _read_system_json,
+    _system_json,
     load_system_json,
     read_trajectory_csv,
-    save_system_json,
     simulate,
     write_trajectory_csv,
 )
-from .subid import DegenerateDataError, ExcitationError, estimate_initial_state, pi_moesp
-from .faultrec import RecoveryError, recover, reconstruct_fault, select_representative
+from .subid import DegenerateDataError, ExcitationError, pi_moesp
+from .faultrec import RecoveryError
 from .harness import (
     _RANK_POLICIES,
     ExperimentConfig,
     PipelineError,
+    _fault_stages,
+    _model_fields,
+    _read_config_file,
     _write_json,
     run_example,
     run_montecarlo,
@@ -94,14 +98,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args, defaults) -> ExperimentConfig:
-    overrides = {}
+    # the file lies over the subcommand's defaults, and the flags over both
+    fields = _read_config_file(args.config) if args.config else {}
     if args.seed is not None:
-        overrides["seed"] = args.seed
+        fields["seed"] = args.seed
     if args.out is not None:
-        overrides["out_dir"] = args.out
-    if args.config:
-        return ExperimentConfig.from_json(args.config, **overrides)
-    return defaults(**overrides)
+        fields["out_dir"] = args.out
+    config = defaults(**fields)
+    if config.out_dir is None:
+        config.out_dir = str(_out_dir(args))
+    return config
 
 
 def _out_dir(args) -> Path:
@@ -131,22 +137,18 @@ def _cmd_identify(args) -> int:
     u = read_trajectory_csv(args.u)
     y = read_trajectory_csv(args.y)
     order = args.order if args.order == "auto" else int(args.order)
-    result = pi_moesp(u, y, s=args.window, order=order)
+    result = pi_moesp(u, y, s=args.window, order=order, demean=True)
     out = _out_dir(args)
     payload = {
-        "A": result.system.A.tolist(),
-        "B": result.system.B.tolist(),
-        "C": result.system.C.tolist(),
-        "D": result.system.D.tolist(),
-        "chosen_order": result.chosen_order,
+        **_model_fields(result),
         "order_confident": result.order_confident,
-        "order_singular_values": result.order_singular_values.tolist(),
-        "x_tilde_0": result.x_tilde_0.tolist(),
         "window_s": result.window_s,
     }
     path = out / "identified.json"
     _write_json(path, payload)
-    save_system_json(out / "identified_system.json", result.system)
+    # fault-recover compensates with the identified initial state
+    system = {**_system_json(result.system), "x_tilde_0": payload["x_tilde_0"]}
+    _write_json(out / "identified_system.json", system)
     if args.verbose:
         print(f"wrote {path}")
     return 0
@@ -155,30 +157,23 @@ def _cmd_identify(args) -> int:
 def _cmd_fault_recover(args) -> int:
     u = read_trajectory_csv(args.u)
     y = read_trajectory_csv(args.y)
-    system, _ = load_system_json(args.system)
-    policy = _RANK_POLICIES[args.rank_policy]
-    rec = recover(y, u, system, s=args.window, policy=policy, method=args.method)
-    rep = select_representative(rec, policy=args.policy, n_v=rec.n_v_estimate)
-    x_tilde_0 = estimate_initial_state(system, u, y, horizon=min(len(u), 50))
-    recon = reconstruct_fault(y, u, system, rep, x_tilde_0)
+    system, _, x_tilde_0 = _read_system_json(args.system)
+    rec, rep, recon, fields = _fault_stages(
+        y, u, system, args.window, _RANK_POLICIES[args.rank_policy], args.policy,
+        method=args.method, x_tilde_0=x_tilde_0,
+    )
     out = _out_dir(args)
     v_path = out / "v_reconstructed.csv"
     write_trajectory_csv(v_path, recon.v)
     payload = {
+        **fields,
         "F_hat": rec.F_hat.tolist(),
         "G_hat": rec.G_hat.tolist(),
-        "n_z": rec.n_z,
-        "n_v": rec.n_v_estimate,
         "excess_basis": rec.excess_basis,
-        "rank_s": rec.rank_s,
-        "rank_s_plus_1": rec.rank_s_plus_1,
-        "singular_values_s": rec.singular_values_s.tolist(),
-        "singular_values_s_plus_1": rec.singular_values_s_plus_1.tolist(),
         "representative_policy": args.policy,
         "representative_F": rep.F.tolist(),
         "representative_G": rep.G.tolist(),
         "xi0": recon.xi0.tolist(),
-        "replay_residual": recon.replay_residual,
         "v_csv": v_path.name,
     }
     path = out / "fault_recovery.json"
@@ -189,10 +184,7 @@ def _cmd_fault_recover(args) -> int:
 
 
 def _cmd_example(args) -> int:
-    config = _load_config(args, ExperimentConfig.example_defaults)
-    if config.out_dir is None:
-        config.out_dir = str(_out_dir(args))
-    report = run_example(config)
+    report = run_example(_load_config(args, ExperimentConfig.example_defaults))
     if args.verbose:
         print(json.dumps({"markov_relative_error": report["identified"]["markov_relative_error"],
                           "exact_n_v": report["exact_branch"]["n_v"],
@@ -201,10 +193,7 @@ def _cmd_example(args) -> int:
 
 
 def _cmd_montecarlo(args) -> int:
-    config = _load_config(args, ExperimentConfig.montecarlo_defaults)
-    if config.out_dir is None:
-        config.out_dir = str(_out_dir(args))
-    report = run_montecarlo(config)
+    report = run_montecarlo(_load_config(args, ExperimentConfig.montecarlo_defaults))
     if args.verbose:
         print(json.dumps({"overall_median_pct": report.overall_median_pct}, indent=2))
     failures = [r for r in report.records if r.failure is not None]

@@ -150,15 +150,20 @@ class ExperimentConfig:
         # false for NaN and -inf, which set no noise level
         if snr_db is not None and not float(snr_db) > -np.inf:
             raise ValueError("snr_db must be finite, None, or +inf")
-        if self.rank_policy not in _RANK_POLICIES:
-            raise ValueError(f"rank_policy must be one of {sorted(_RANK_POLICIES)}")
+        if not isinstance(self.rank_policy, str) or self.rank_policy not in _RANK_POLICIES:
+            raise ValueError(f"rank_policy must be one of {sorted(_RANK_POLICIES)}, "
+                             f"got {self.rank_policy!r}")
+        if self.out_dir is not None and not isinstance(self.out_dir, str):
+            raise ValueError(f"out_dir must be a string or None, got {self.out_dir!r}")
 
     def policy(self) -> RankPolicy:
         return _RANK_POLICIES[self.rank_policy]
 
     @classmethod
     def example_defaults(cls, **overrides) -> "ExperimentConfig":
-        # the field defaults are the example's settings
+        # the field defaults are the example's settings; dims other than the
+        # demo system's are refused before the checks that read them
+        _demo_system_for(overrides.get("dims", cls.dims))
         return cls(**overrides)
 
     @classmethod
@@ -178,12 +183,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path, **overrides) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise ValueError(f"config file {path} does not hold a JSON object")
-        data.update(overrides)
-        return cls(**data)
+        return cls(**{**_read_config_file(path), **overrides})
 
     def echo(self) -> dict:
         out = asdict(self)
@@ -198,6 +198,15 @@ class ExperimentConfig:
         out["noise_filter_pole"] = 0.7
         out["zero_location_variance"] = 1.0
         return out
+
+
+def _read_config_file(path) -> dict:
+    """The fields of a config file, which holds one JSON object."""
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"config file {path} does not hold a JSON object")
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +307,67 @@ def _compensated_spectra(record, u, free: StateSpace, s: int) -> list:
     return [np.linalg.svd(f, compute_uv=False).tolist() for f in factors]
 
 
+def _model_fields(ident) -> dict:
+    """An identified model as the example report and ``identify`` write it:
+    A-D, x~0, the chosen order and the order spectrum."""
+    return {
+        **{name: getattr(ident.system, name).tolist() for name in "ABCD"},
+        "x_tilde_0": ident.x_tilde_0.tolist(),
+        "chosen_order": ident.chosen_order,
+        "order_singular_values": ident.order_singular_values.tolist(),
+    }
+
+
+def _fault_stages(y, u, model: StateSpace, s: int, policy: RankPolicy, representative: str,
+                  method: str = "structure", x_tilde_0=None):
+    """The stages after identification, with ``model`` as the nominal system:
+    ``recover`` at window s, the ``representative`` pair of the family, the
+    record less the model's nominal response from x~0 (from rest without
+    one) and that record's compensated spectra, then ``reconstruct_fault``
+    on the record less the response from x~0, or without one from the
+    least-squares initial state of its first min(T, 50) samples.
+
+    Both example branches and ``fault-recover`` run these stages. Returns
+    the ``FaultRecovery``, the representative, the ``FaultReconstruction``
+    and the report fields they share: n_v, n_z, the ranks and spectra of the
+    readout, the compensated spectra and the replay residual.
+    """
+    rec = recover(y, u, model, s=s, policy=policy, method=method)
+    rep = select_representative(rec, policy=representative, n_v=rec.n_v_estimate)
+    # the record less the nominal response is the output of the input-free
+    # model from rest: its spectra show the fault directions over the
+    # mismatch floor, and the reconstruction replays it
+    free = StateSpace(model.A, np.zeros_like(model.B), model.C, np.zeros_like(model.D))
+    record = _nominal_residual(y, u, model, x_tilde_0)
+    sv_s, sv_s1 = _compensated_spectra(record, u, free, s)
+    if x_tilde_0 is None:
+        x0 = estimate_initial_state(model, u, y, horizon=min(len(u), 50))
+        record = _nominal_residual(y, u, model, x0)
+    recon = reconstruct_fault(record, u, free, rep, None)
+    fields = {
+        "n_v": rec.n_v_estimate,
+        "n_z": rec.n_z,
+        "rank_s": rec.rank_s,
+        "rank_s_plus_1": rec.rank_s_plus_1,
+        "singular_values_s": rec.singular_values_s.tolist(),
+        "singular_values_s_plus_1": rec.singular_values_s_plus_1.tolist(),
+        "compensated_singular_values_s": sv_s,
+        "compensated_singular_values_s_plus_1": sv_s1,
+        "replay_residual": recon.replay_residual,
+    }
+    return rec, rep, recon, fields
+
+
+def _demo_system_for(dims):
+    """The demo system and fault, which the example runs: ``dims`` other
+    than theirs are an input error."""
+    sys, fault = demo_system()
+    demo = [sys.n_x, sys.n_u, sys.n_y, fault.n_v]
+    if list(dims) != demo:
+        raise ValueError(f"the example runs the demo system, dims {demo}, not {list(dims)}")
+    return sys, fault
+
+
 def run_example(config: ExperimentConfig | None = None) -> dict:
     """Full pipeline on the bundled benchmark system.
 
@@ -309,14 +379,9 @@ def run_example(config: ExperimentConfig | None = None) -> dict:
     raise ``ValueError`` before any stage runs.
     """
     config = config or ExperimentConfig.example_defaults()
-    sys, fault = demo_system()
-    demo_dims = (sys.n_x, sys.n_u, sys.n_y, fault.n_v)
-    if config.dims != demo_dims:
-        raise ValueError(f"the example runs the demo system, dims {list(demo_dims)}, "
-                         f"not {list(config.dims)}")
+    sys, fault = _demo_system_for(config.dims)
     true_stack = fault.stack() / np.linalg.norm(fault.stack())
     n_true = fault.n_v
-    policy = config.policy()
 
     with _stage("simulate"):
         v = fault_signal("v1", config.T)
@@ -332,19 +397,15 @@ def run_example(config: ExperimentConfig | None = None) -> dict:
         ("exact", sys, None),
         ("identified", ident.system, ident.x_tilde_0),
     ):
-        free = StateSpace(model.A, np.zeros_like(model.B), model.C, np.zeros_like(model.D))
         with _stage(f"fault-recover-{label}"):
-            rec = recover(y, u, model, s=config.s, policy=policy)
-            rep = select_representative(rec, policy="sparse-G", n_v=rec.n_v_estimate)
+            rec, rep, recons[label], branch = _fault_stages(
+                y, u, model, config.s, config.policy(), "sparse-G", x_tilde_0=x_tilde_0
+            )
             rec_aligned = aligned_stack(sys, model, rec.F_hat, rec.G_hat)
             rep_aligned = aligned_stack(sys, model, rep.F, rep.G)
-            branch = {
-                "n_v": rec.n_v_estimate,
-                "n_z": rec.n_z,
-                "rank_s": rec.rank_s,
-                "rank_s_plus_1": rec.rank_s_plus_1,
-                "singular_values_s": rec.singular_values_s.tolist(),
-                "singular_values_s_plus_1": rec.singular_values_s_plus_1.tolist(),
+            corr = np.corrcoef(recons[label].v[:, 0], v[:, 0])[0, 1]
+            branches[label] = {
+                **branch,
                 "fault_basis": rec.stack().tolist(),
                 "representative_sparse_g": rep.stack().ravel().tolist(),
                 "grassmann_error_pct": representative_error_pct(true_stack, rec_aligned, n_true),
@@ -352,40 +413,14 @@ def run_example(config: ExperimentConfig | None = None) -> dict:
                 "representative_error_pct": representative_error_pct(
                     true_stack, rep_aligned, n_true
                 ),
+                "fault_correlation": float(abs(corr)),
             }
-        with _stage(f"residual-spectra-{label}"):
-            # spectra of the nominal-response-compensated residual; with the
-            # input-driven state directions removed these show the fault
-            # directions over the mismatch floor (the usual spectrum picture).
-            # The record less the nominal response (from rest on the exact
-            # branch) is the output of the input-free model from rest.
-            record = _nominal_residual(y, u, model, x_tilde_0)
-            sv_s, sv_s1 = _compensated_spectra(record, u, free, config.s)
-            branch["compensated_singular_values_s"] = sv_s
-            branch["compensated_singular_values_s_plus_1"] = sv_s1
-        with _stage(f"reconstruct-{label}"):
-            if x_tilde_0 is None:
-                # the exact model carries no initial state: estimate one
-                x0 = estimate_initial_state(model, u, y, horizon=min(config.T, 50))
-                record = _nominal_residual(y, u, model, x0)
-            recon = reconstruct_fault(record, u, free, rep, None)
-            corr = np.corrcoef(recon.v[:, 0], v[:, 0])[0, 1]
-            branch["replay_residual"] = recon.replay_residual
-            branch["fault_correlation"] = float(abs(corr))
-            recons[label] = recon
-        branches[label] = branch
 
     report = {
         "config": config.echo(),
         "identified": {
-            "A": ident.system.A.tolist(),
-            "B": ident.system.B.tolist(),
-            "C": ident.system.C.tolist(),
-            "D": ident.system.D.tolist(),
-            "x_tilde_0": ident.x_tilde_0.tolist(),
-            "chosen_order": ident.chosen_order,
+            **_model_fields(ident),
             "order_fallback": not ident.order_confident,
-            "order_singular_values": ident.order_singular_values.tolist(),
             "markov_relative_error": markov_err,
         },
         "exact_branch": branches["exact"],

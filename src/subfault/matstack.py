@@ -54,8 +54,10 @@ __all__ = [
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite 2-D float array; 1-D input becomes one column, so a
-    (T,) time series becomes a (T, 1) signal."""
+    """Coerce to a finite, C-contiguous 2-D float array; 1-D input becomes one
+    column, so a (T,) time series becomes a (T, 1) signal. A strided view is
+    copied, so a matrix computes with the same bits whether it came from a
+    decomposition or was read back from a file."""
     m = np.asarray(a, dtype=float)
     if m.ndim == 1:
         m = m[:, None]
@@ -63,7 +65,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} must be 1-D or 2-D, got shape {m.shape}")
     if m.size and not np.all(np.isfinite(m)):
         raise ValueError(f"{name} contains non-finite entries")
-    return m
+    return np.ascontiguousarray(m)
 
 
 def _input_output_arrays(u, y):

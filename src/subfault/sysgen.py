@@ -517,21 +517,24 @@ def write_trajectory_csv(path, traj) -> None:
 
 
 def read_trajectory_csv(path) -> np.ndarray:
+    """The (T, dim) signal of a trajectory CSV: a ``t,ch0,...`` header, then
+    one sample per line after its index. Blank lines are skipped; an empty
+    or ragged body and a non-finite sample are refused."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
-        if not header or header[0] != "t":
+        if header[0] != "t":
             raise ValueError(f"bad trajectory CSV header in {path}")
-        rows = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            rows.append([float(x) for x in parts[1:]])
-    return as_matrix(rows, "trajectory")
+        body = (line for line in fh if line.strip())
+        first = next(body, None)
+        if first is None:
+            raise ValueError(f"no samples in {path}")
+        data = np.loadtxt(itertools.chain([first], body), delimiter=",", comments=None, ndmin=2)
+    return as_matrix(data[:, 1:], "trajectory")
 
 
-def save_system_json(path, sys: StateSpace, fault: FaultPair | None = None, seed=None) -> None:
+def _system_json(sys: StateSpace, fault: FaultPair | None = None) -> dict:
+    """The object of a system file: A, B, C, D, their dims and, given a
+    fault, F and G."""
     obj = {
         "A": sys.A.tolist(),
         "B": sys.B.tolist(),
@@ -543,6 +546,11 @@ def save_system_json(path, sys: StateSpace, fault: FaultPair | None = None, seed
         obj["F"] = fault.F.tolist()
         obj["G"] = fault.G.tolist()
         obj["dims"]["n_v"] = fault.n_v
+    return obj
+
+
+def save_system_json(path, sys: StateSpace, fault: FaultPair | None = None, seed=None) -> None:
+    obj = _system_json(sys, fault)
     if seed is not None:
         obj["seed"] = seed
     with open(path, "w", encoding="utf-8") as fh:
@@ -550,12 +558,23 @@ def save_system_json(path, sys: StateSpace, fault: FaultPair | None = None, seed
         fh.write("\n")
 
 
-def load_system_json(path):
-    """Returns (StateSpace, FaultPair or None)."""
+def _read_system_json(path):
+    """(StateSpace, FaultPair or None, x~0 or None) of a system file; the
+    optional ``x_tilde_0`` key is the initial state ``identify`` writes."""
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     sys = StateSpace(obj["A"], obj["B"], obj["C"], obj["D"])
     fault = None
     if "F" in obj and "G" in obj:
         fault = FaultPair(obj["F"], obj["G"])
-    return sys, fault
+    x_tilde_0 = None
+    if "x_tilde_0" in obj:
+        x_tilde_0 = as_matrix(obj["x_tilde_0"], "x_tilde_0").ravel()
+        if x_tilde_0.size != sys.n_x:
+            raise ValueError(f"x_tilde_0 must have {sys.n_x} entries, got {x_tilde_0.size}")
+    return sys, fault, x_tilde_0
+
+
+def load_system_json(path):
+    """Returns (StateSpace, FaultPair or None)."""
+    return _read_system_json(path)[:2]

@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+import shlex
 import shutil
 import signal
 import subprocess
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from subfault.cli import main as cli_main
+from subfault.cli import _build_parser, main as cli_main
 from subfault.harness import (
     ExperimentConfig,
     _compensated_spectra,
@@ -198,17 +199,25 @@ class TestRunExample:
         text = json.dumps(report)
         assert "v_information" not in text and "per_step_samples" not in text
 
-    def test_refuses_dims_other_than_the_demo_system(self, tmp_path):
-        # the example always runs the (3, 1, 2, 1) demo system
-        config = ExperimentConfig.example_defaults(s=5, dims=(4, 1, 3, 2), out_dir=str(tmp_path))
+    def test_refuses_dims_other_than_the_demo_system(self, tmp_path, capsys):
+        # the example always runs the (3, 1, 2, 1) demo system; example_defaults
+        # refuses other dims itself, so a config built without it is run here
+        config = ExperimentConfig(s=5, dims=(4, 1, 3, 2), out_dir=str(tmp_path))
         with pytest.raises(ValueError, match="demo system"):
             run_example(config)
         assert not list(tmp_path.iterdir())
-        (tmp_path / "cfg.json").write_text(json.dumps({"dims": [4, 1, 3, 2]}))
-        code = cli_main(["--config", str(tmp_path / "cfg.json"),
-                         "--out", str(tmp_path / "ex"), "example"])
-        assert code == 2
-        assert not (tmp_path / "ex" / "example_report.json").exists()
+        # {"T": 400, "dims": [5, 1, 3, 2]} also breaks the window rule s > n_x,
+        # which must not be the message: the demo's dims are refused first
+        for cfg in ({"dims": [4, 1, 3, 2]}, {"T": 400, "dims": [5, 1, 3, 2]}):
+            with pytest.raises(ValueError, match="demo system"):
+                ExperimentConfig.example_defaults(**cfg)
+            (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+            code = cli_main(["--config", str(tmp_path / "cfg.json"),
+                             "--out", str(tmp_path / "ex"), "example"])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert "demo system, dims [3, 1, 2, 1]" in err and "s > n_x" not in err
+            assert not (tmp_path / "ex" / "example_report.json").exists()
 
     def test_output_files(self, example_report):
         report, out = example_report
@@ -637,6 +646,107 @@ class TestCli:
         assert rec["excess_basis"] is False
         assert (tmp_path / "rec" / "v_reconstructed.csv").exists()
 
+    def test_file_chain_reproduces_both_example_branches(self, tmp_path, example_report):
+        # identify -> fault-recover on the example's own record runs the
+        # example's stages: the identified branch through identify's system
+        # file, which carries x~0, and the exact branch through a system file
+        # without it, whose initial state is estimated as the example does
+        report, _ = example_report
+        config = ExperimentConfig.example_defaults()
+        sys, fault = demo_system()
+        u, y = _simulate_record(sys, fault, fault_signal("v1", config.T), config, config.seed)
+        write_trajectory_csv(tmp_path / "u.csv", u)
+        write_trajectory_csv(tmp_path / "y.csv", y)
+        save_system_json(tmp_path / "demo.json", sys, fault)
+        record = ["--u", str(tmp_path / "u.csv"), "--y", str(tmp_path / "y.csv")]
+        assert cli_main(["--out", str(tmp_path / "id"), "identify", *record, "--order", "3"]) == 0
+        ident = json.loads((tmp_path / "id" / "identified.json").read_text())
+        system = json.loads((tmp_path / "id" / "identified_system.json").read_text())
+        for key in ("A", "B", "C", "D", "x_tilde_0", "chosen_order", "order_singular_values"):
+            assert ident[key] == report["identified"][key], key
+        for key in ("A", "B", "C", "D", "x_tilde_0"):
+            assert system[key] == report["identified"][key], key
+        for name, system_path, branch in (
+            ("identified", tmp_path / "id" / "identified_system.json", "identified_branch"),
+            ("exact", tmp_path / "demo.json", "exact_branch"),
+        ):
+            assert cli_main(["--out", str(tmp_path / name), "fault-recover", *record,
+                             "--system", str(system_path), "--window", "5",
+                             "--policy", "sparse-G"]) == 0
+            rec = json.loads((tmp_path / name / "fault_recovery.json").read_text())
+            want = report[branch]
+            assert rec["F_hat"] + rec["G_hat"] == want["fault_basis"], name
+            assert [*rec["representative_F"], *rec["representative_G"]] == [
+                [x] for x in want["representative_sparse_g"]
+            ], name
+            for key in ("n_v", "n_z", "rank_s", "rank_s_plus_1", "singular_values_s",
+                        "singular_values_s_plus_1", "compensated_singular_values_s",
+                        "compensated_singular_values_s_plus_1", "replay_residual"):
+                assert rec[key] == want[key], (name, key)
+
+    @pytest.mark.parametrize("window, x_tilde_0, message", [
+        ("2", None, "window s=2 below the state dimension"),
+        ("5", [1.0, 2.0], "x_tilde_0 must have 3 entries"),
+        ("5", [1.0, 2.0, float("nan")], "x_tilde_0 contains non-finite"),
+    ])
+    def test_fault_recover_input_errors(self, tmp_path, capsys, window, x_tilde_0, message):
+        self._write_demo_data(tmp_path)
+        if x_tilde_0 is not None:
+            system = json.loads((tmp_path / "sys.json").read_text())
+            (tmp_path / "sys.json").write_text(json.dumps({**system, "x_tilde_0": x_tilde_0}))
+        code = cli_main(["--out", str(tmp_path / "rec"), "fault-recover",
+                         "--u", str(tmp_path / "u.csv"), "--y", str(tmp_path / "y.csv"),
+                         "--system", str(tmp_path / "sys.json"), "--window", window])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "rec" / "fault_recovery.json").exists()
+
+    def test_readme_command_lines_parse(self):
+        # every subfault line of README's Command line block, continuation
+        # lines joined, is a command the parser takes
+        text = (Path(harness.__file__).resolve().parents[2] / "README.md").read_text()
+        block = text.split("## Command line", 1)[1].split("```", 2)[1]
+        lines = block.replace("\\\n", " ").splitlines()
+        commands = [shlex.split(line, comments=True) for line in lines]
+        commands = [c for c in commands if c and c[0] == "subfault"]
+        assert len(commands) == 6
+        parser = _build_parser()
+        for command in commands:
+            parser.parse_args(command[1:])
+
+    def test_config_file_lies_over_the_subcommand_defaults(self, tmp_path):
+        # missing keys take the study's defaults, not the example's, and the
+        # flags override the file
+        cfg = {"T": 600, "systems_per_count": 1, "seed": 1, "out_dir": "elsewhere"}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        code = cli_main(["--config", str(tmp_path / "cfg.json"), "--seed", "5",
+                         "--out", str(tmp_path / "mc"), "montecarlo"])
+        assert code == 0
+        report = json.loads((tmp_path / "mc" / "montecarlo_report.json").read_text())
+        want = ExperimentConfig.montecarlo_defaults(
+            T=600, systems_per_count=1, seed=5, out_dir=str(tmp_path / "mc")
+        )
+        assert report["config"] == json.loads(json.dumps(want.echo()))
+        assert all(r["failure"] is None for r in report["records"])
+        assert not (tmp_path / "elsewhere").exists()
+
+    @pytest.mark.parametrize("command", ["example", "montecarlo"])
+    @pytest.mark.parametrize("field, value", [("out_dir", 5), ("rank_policy", ["gap"])])
+    def test_config_field_of_wrong_type_is_named(self, tmp_path, monkeypatch, capsys,
+                                                 command, field, value):
+        # refused when the config is built: no stage runs, no report is
+        # written, and the message names the field
+        runs = []
+        for name in ("run_example", "run_montecarlo"):
+            monkeypatch.setattr(f"subfault.cli.{name}", lambda *args: runs.append(args))
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({field: value}))
+        assert cli_main(["--config", "cfg.json", command]) == 2
+        assert runs == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"input error: {field} must be")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
     def test_identify_writes_the_order_verdict(self, tmp_path):
         # the demo record's spectrum confirms order 3, not a given order 2
         self._write_demo_data(tmp_path)
@@ -659,7 +769,8 @@ class TestCli:
             seen.append(kwargs["policy"])
             return recover(*args, **kwargs)
 
-        monkeypatch.setattr("subfault.cli.recover", spy)
+        # fault-recover runs recover inside the harness's shared stages
+        monkeypatch.setattr("subfault.harness.recover", spy)
         self._write_demo_data(tmp_path)
 
         def run(name):
@@ -796,9 +907,9 @@ class TestCli:
         assert code == 2
         assert not (tmp_path / "mc" / "montecarlo_report.json").exists()
 
-    @pytest.mark.parametrize("zero_counts", [[4], [0, -1]])
+    @pytest.mark.parametrize("zero_counts", [[6], [0, -1]])
     def test_zero_count_outside_state_dimension_is_input_error(self, tmp_path, zero_counts):
-        # random_system places at most n_x = 3 zeros
+        # random_system places at most n_x = 5 zeros (the study's dims)
         (tmp_path / "cfg.json").write_text(json.dumps({"zero_counts": zero_counts}))
         code = cli_main([
             "--config", str(tmp_path / "cfg.json"),

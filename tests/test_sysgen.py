@@ -437,6 +437,35 @@ class TestTypesAndPersistence:
         with pytest.raises(ValueError, match="trajectory contains non-finite entries"):
             read_trajectory_csv(path)
 
+    @pytest.mark.parametrize("body, message", [
+        ("", "no samples"),
+        ("\n  \n", "no samples"),
+        ("0,1.0,2.0\n1,3.0\n", "number of columns changed"),
+        ("0,1.0\n1,inf\n", "non-finite"),
+    ])
+    def test_csv_body_is_checked(self, tmp_path, body, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("t,ch0,ch1\n" + body)
+        with pytest.raises(ValueError, match=message):
+            read_trajectory_csv(path)
+
+    def test_csv_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "gaps.csv"
+        path.write_text("t,ch0,ch1\n\n0,1.5,-2\n   \n1,3,4e-3\n\n")
+        assert np.array_equal(read_trajectory_csv(path), [[1.5, -2.0], [3.0, 4e-3]])
+        path.write_text("time,ch0\n0,1\n")
+        with pytest.raises(ValueError, match="header"):
+            read_trajectory_csv(path)
+
+    def test_matrices_are_c_contiguous(self):
+        # a strided view computes with other bits than the same values read
+        # back from a file, so the coercion copies it
+        m = np.arange(24.0).reshape(4, 6)
+        for view in (m[:, ::2], m.T, m[1:3, :3]):
+            out = as_matrix(view)
+            assert out.flags.c_contiguous and np.array_equal(out, view)
+        assert as_matrix(m) is m
+
     def test_state_space_validation(self):
         with pytest.raises(ValueError):
             StateSpace(np.eye(2), np.ones((3, 1)), np.ones((1, 2)), np.zeros((1, 1)))
