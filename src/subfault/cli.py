@@ -20,14 +20,13 @@ import numpy as np
 
 from .sysgen import (
     _read_system_json,
-    _system_json,
     load_system_json,
     read_trajectory_csv,
     simulate,
     write_trajectory_csv,
 )
 from .subid import DegenerateDataError, ExcitationError, pi_moesp
-from .faultrec import RecoveryError
+from .faultrec import _REPRESENTATIVES, RecoveryError
 from .harness import (
     _RANK_POLICIES,
     ExperimentConfig,
@@ -35,6 +34,7 @@ from .harness import (
     _fault_stages,
     _model_fields,
     _read_config_file,
+    _write_identified_system,
     _write_json,
     run_example,
     run_montecarlo,
@@ -84,9 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fr.add_argument("--system", required=True, help="identified-system JSON")
     p_fr.add_argument("--window", type=int, required=True, help="residual window s")
     p_fr.add_argument("--rank-policy", choices=tuple(_RANK_POLICIES), default="gap")
-    p_fr.add_argument(
-        "--policy", choices=("leading", "sparse-G", "sparse-F"), default="leading"
-    )
+    p_fr.add_argument("--policy", choices=_REPRESENTATIVES, default="leading")
     p_fr.add_argument(
         "--method", choices=("structure", "annihilator"), default="structure",
         help="basis estimator: exact structure constraints or the noise-robust annihilator",
@@ -146,9 +144,7 @@ def _cmd_identify(args) -> int:
     }
     path = out / "identified.json"
     _write_json(path, payload)
-    # fault-recover compensates with the identified initial state
-    system = {**_system_json(result.system), "x_tilde_0": payload["x_tilde_0"]}
-    _write_json(out / "identified_system.json", system)
+    _write_identified_system(out, result)
     if args.verbose:
         print(f"wrote {path}")
     return 0

@@ -164,15 +164,8 @@ def residual_hankel(y, u, sys: StateSpace, s: int, x_tilde_0=None) -> np.ndarray
 
 
 def _nominal_residual(y, u, sys: StateSpace, x0) -> np.ndarray:
-    """y less the nominal response of ``sys`` from x0 (None: zero) to u, for
-    (T, n_y) and (T, n_u) arrays of equal length. The response of an
-    input-free model (B = 0, D = 0) from x0 = None is exactly zero, so ``y``
-    is returned as it is, unsimulated: a record already compensated passes
-    through."""
-    if x0 is None and not (sys.B.any() or sys.D.any()):
-        if u.shape[1] != sys.n_u:
-            raise ValueError(f"u has {u.shape[1]} channels, system expects {sys.n_u}")
-        return y
+    """y less the nominal response of ``sys`` from x0 (None: from rest) to u,
+    for (T, n_y) and (T, n_u) arrays of equal length."""
     return y - simulate(sys, None, x0, u)[0]
 
 
@@ -656,7 +649,12 @@ def reconstruct_fault(y, u, sys: StateSpace, fg: FaultPair, x_tilde_0) -> FaultR
     fg.check_matches(sys)
     if y_data.shape[0] < 1:
         raise ValueError("reconstruction needs at least one sample")
-    resid = _nominal_residual(y_data, u_data, sys, x_tilde_0)
+    return _replay_fault(_nominal_residual(y_data, u_data, sys, x_tilde_0), sys, fg)
+
+
+def _replay_fault(resid, sys: StateSpace, fg: FaultPair) -> FaultReconstruction:
+    """``reconstruct_fault`` on a record already less its nominal response:
+    the residual r replayed against the fault channel (A, F, C, G)."""
     xi0, v_hat, per_step, info = _fault_channel_smoother(sys.A, fg.F, sys.C, fg.G, resid)
     y_fault, _ = simulate(StateSpace(sys.A, fg.F, sys.C, fg.G), None, xi0, v_hat)
     norm = np.linalg.norm(resid)
@@ -670,7 +668,9 @@ def reconstruct_fault(y, u, sys: StateSpace, fg: FaultPair, x_tilde_0) -> FaultR
     )
 
 
-# largest share of a sparse representative's norm left in its zeroed block
+# the representative policies, and the largest share of a sparse
+# representative's norm left in its zeroed block
+_REPRESENTATIVES = ("leading", "sparse-G", "sparse-F")
 _SPARSE_LEAK_BOUND = 0.3
 
 
@@ -683,8 +683,11 @@ def select_representative(
     "sparse-G" / "sparse-F" pick directions annihilating G_hat / F_hat, for
     use when prior structure (state-only or output-only faults) is known;
     they fail when the chosen directions keep more than 0.3 of their norm in
-    the block they should annihilate.
+    the block they should annihilate. A basis exactly n_v wide is taken as
+    it is, and the policy name and that bound are still checked.
     """
+    if policy not in _REPRESENTATIVES:
+        raise ValueError(f"unknown representative policy {policy!r}")
     stack = recovery.stack()
     n_x = recovery.F_hat.shape[0]
     n_z = stack.shape[1]
@@ -694,22 +697,22 @@ def select_representative(
         raise ValueError("a positive fault dimension is required")
     if n_v > n_z:
         raise ValueError(f"cannot select {n_v} directions from a basis of {n_z}")
+    # the block a sparse representative should annihilate
+    target = {"leading": None, "sparse-G": stack[n_x:], "sparse-F": stack[:n_x]}[policy]
     if n_z == n_v:
         p = np.eye(n_z)
-    elif policy == "leading":
+    elif target is None:
         _, _, vt = np.linalg.svd(stack, full_matrices=False)
         p = vt[:n_v].T
-    elif policy in ("sparse-G", "sparse-F"):
-        target = stack[n_x:] if policy == "sparse-G" else stack[:n_x]
+    else:
         _, _, vt = np.linalg.svd(target, full_matrices=True)
         p = vt[n_z - n_v:].T
-        rep = stack @ p
+    rep = stack @ p
+    if target is not None:
         leak = np.linalg.norm(target @ p) / max(np.linalg.norm(rep), 1e-300)
         if leak > _SPARSE_LEAK_BOUND:
             raise ValueError(
                 f"policy {policy} infeasible: best directions leak {leak:.3g} "
                 f"of their energy into the structured block"
             )
-    else:
-        raise ValueError(f"unknown representative policy {policy!r}")
-    return _unit_pair(stack @ p, n_x, ValueError("selected representative has a zero column"))
+    return _unit_pair(rep, n_x, ValueError("selected representative has a zero column"))

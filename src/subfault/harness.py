@@ -23,7 +23,7 @@ import numpy as np
 
 from .matstack import (
     RankPolicy,
-    _residual_factors,
+    _hankel_pair_factors,
     as_matrix,
     extended_observability,
     min_norm_lsq,
@@ -34,17 +34,17 @@ from .matstack import (
 from .sysgen import (
     FaultPair,
     StateSpace,
+    _system_json,
     colored_noise,
     fault_signal,
     random_system,
-    save_system_json,
     simulate,
     stack_channels,
     white_input,
     write_trajectory_csv,
 )
-from .subid import _identification_window, estimate_initial_state, markov_params, pi_moesp
-from .faultrec import _nominal_residual, recover, reconstruct_fault, select_representative
+from .subid import _identification_window, markov_params, pi_moesp
+from .faultrec import _nominal_residual, _replay_fault, recover, select_representative
 
 __all__ = [
     "ExperimentConfig",
@@ -181,10 +181,6 @@ class ExperimentConfig:
         base.update(overrides)
         return cls(**base)
 
-    @classmethod
-    def from_json(cls, path, **overrides) -> "ExperimentConfig":
-        return cls(**{**_read_config_file(path), **overrides})
-
     def echo(self) -> dict:
         out = asdict(self)
         out["dims"] = list(self.dims)
@@ -298,12 +294,11 @@ def _fault_trajectory(n_v: int, t: int, seed) -> np.ndarray:
 # the single-system example
 
 
-def _compensated_spectra(record, u, free: StateSpace, s: int) -> list:
-    """Singular values of the Hankels R_s and R_(s+1) of a record already
-    less a model's nominal response, as two lists. That record is the output
-    of the input-free model ``free`` = (A, 0, C, 0), so the two are its
-    residual Hankels, read from their factors without forming either."""
-    factors = _residual_factors(record, u, free.A, free.B, free.C, free.D, s)
+def _compensated_spectra(record, s: int) -> list:
+    """Singular values of the block Hankels of depth s and s + 1 of a record
+    already less a model's nominal response, as two lists, read from the
+    record's own Hankel factors without forming either Hankel."""
+    factors = _hankel_pair_factors((record,), s, lambda depth: lambda h: h)
     return [np.linalg.svd(f, compute_uv=False).tolist() for f in factors]
 
 
@@ -318,14 +313,22 @@ def _model_fields(ident) -> dict:
     }
 
 
+def _write_identified_system(out: Path, ident) -> None:
+    """identified_system.json, the system file ``fault-recover`` reads: an
+    identified model's A-D, their dims and x~0 (``x_tilde_0``)."""
+    system = {**_system_json(ident.system), "x_tilde_0": ident.x_tilde_0.tolist()}
+    _write_json(out / "identified_system.json", system)
+
+
 def _fault_stages(y, u, model: StateSpace, s: int, policy: RankPolicy, representative: str,
                   method: str = "structure", x_tilde_0=None):
     """The stages after identification, with ``model`` as the nominal system:
-    ``recover`` at window s, the ``representative`` pair of the family, the
-    record less the model's nominal response from x~0 (from rest without
-    one) and that record's compensated spectra, then ``reconstruct_fault``
-    on the record less the response from x~0, or without one from the
-    least-squares initial state of its first min(T, 50) samples.
+    ``recover`` at window s, the ``representative`` pair of the family, and
+    the record compensated once, less the model's nominal response from
+    x~0, or from rest without one. The residual system shares (A, C) with
+    the model, so the fault channel's xi0 takes up whatever nominal initial
+    state that leaves in the record. The compensated spectra and the
+    reconstruction both read that one record.
 
     Both example branches and ``fault-recover`` run these stages. Returns
     the ``FaultRecovery``, the representative, the ``FaultReconstruction``
@@ -334,16 +337,10 @@ def _fault_stages(y, u, model: StateSpace, s: int, policy: RankPolicy, represent
     """
     rec = recover(y, u, model, s=s, policy=policy, method=method)
     rep = select_representative(rec, policy=representative, n_v=rec.n_v_estimate)
-    # the record less the nominal response is the output of the input-free
-    # model from rest: its spectra show the fault directions over the
-    # mismatch floor, and the reconstruction replays it
-    free = StateSpace(model.A, np.zeros_like(model.B), model.C, np.zeros_like(model.D))
     record = _nominal_residual(y, u, model, x_tilde_0)
-    sv_s, sv_s1 = _compensated_spectra(record, u, free, s)
-    if x_tilde_0 is None:
-        x0 = estimate_initial_state(model, u, y, horizon=min(len(u), 50))
-        record = _nominal_residual(y, u, model, x0)
-    recon = reconstruct_fault(record, u, free, rep, None)
+    # its spectra show the fault directions over the mismatch floor
+    sv_s, sv_s1 = _compensated_spectra(record, s)
+    recon = _replay_fault(record, model, rep)
     fields = {
         "n_v": rec.n_v_estimate,
         "n_z": rec.n_z,
@@ -431,7 +428,7 @@ def run_example(config: ExperimentConfig | None = None) -> dict:
         out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         _write_json(out / "example_report.json", report)
-        save_system_json(out / "identified_system.json", ident.system, seed=config.seed)
+        _write_identified_system(out, ident)
         emit_plot_data(report, "singular_values", out / "singular_values.csv")
         write_matrix_csv(out / "fault_basis_exact.csv", np.asarray(branches["exact"]["fault_basis"]))
         write_matrix_csv(

@@ -218,10 +218,15 @@ def block_hankel(signal, depth: int, width: int | None = None) -> np.ndarray:
             f"signal too short: block Hankel with depth {depth} and width {width} "
             f"requires {needed} samples, only {t} available"
         )
-    h = np.empty((depth * dim, width))
-    for i in range(depth):
-        h[i * dim:(i + 1) * dim, :] = data[i:i + width].T
-    return h
+    return np.ascontiguousarray(_windows(data, depth, width).T)
+
+
+def _windows(x, depth: int, n: int) -> np.ndarray:
+    """The first n windows x[j .. j + depth - 1] of a (T, dim) signal, each
+    flattened sample by sample, as the rows of an (n, depth dim) array: the
+    transpose of the block Hankel's first n columns."""
+    view = np.lib.stride_tricks.sliding_window_view(x[: n + depth - 1], depth, axis=0)
+    return view.transpose(0, 2, 1).reshape(n, -1)
 
 
 def extended_observability(a, c, s: int) -> np.ndarray:
@@ -391,40 +396,44 @@ def _hankel_factor(signals, depth: int, width: int, rows) -> np.ndarray:
     r = None
     for j0 in range(0, width, _CHUNK):
         n = min(_CHUNK, width - j0)
-        windows = [
-            np.lib.stride_tricks.sliding_window_view(x[j0 : j0 + n + depth - 1], depth, axis=0)
-            .transpose(0, 2, 1)
-            .reshape(n, -1)
-            for x in signals
-        ]
-        block = rows(*windows)
+        block = rows(*(_windows(x[j0:], depth, n) for x in signals))
         r = _fold_factor(block[:0] if r is None else r, block)
     return r
 
 
-def _residual_factors(y, u, a, b, c, d, s: int):
-    """Lower-triangular factors of the residual Hankels R_s and R_(s+1) of a
-    record, R_k = Y_k - T_k U_k with T_k = block_toeplitz(a, b, c, d, k).
+def _hankel_pair_factors(signals, s: int, rows) -> tuple:
+    """Lower-triangular factors of the data matrices M_s and M_(s+1) of a
+    record, where M_k's columns are ``rows(k)`` of the depth-k windows of
+    ``signals`` (see ``_hankel_factor``).
 
-    Each L has L L^T = R_k R_k^T, shape (k n_y, min(T - k + 1, k n_y)).
-    R_(s+1)^T's factor takes one ``_hankel_factor`` pass. R_s is R_(s+1)'s
-    leading s n_y rows plus one last column, the window from T - s, so its
-    factor is that factor's leading (s n_y)-square block with the column
-    folded in. Returns (L_s, L_(s+1)). Both the fault-dimension readout
-    and the example's compensated spectra (an input-free model, B = 0 and
-    D = 0) take their factors from here.
+    Each L has L L^T = M_k M_k^T, shape (p_k, min(T - k + 1, p_k)) for
+    p_k rows of M_k. M_(s+1)^T's factor takes one ``_hankel_factor`` pass.
+    M_s is M_(s+1)'s leading p_s rows plus one last column, the window from
+    T - s, so its factor is that factor's leading p_s-square block with the
+    column folded in. Returns (L_s, L_(s+1)).
+    """
+    t = signals[0].shape[0]
+    deep = _hankel_factor(signals, s + 1, t - s, rows(s + 1))
+    last = rows(s)(*(x[t - s :].reshape(1, -1) for x in signals))
+    p = last.shape[1]
+    return _fold_factor(deep[:p, :p], last).T, deep.T
+
+
+def _residual_factors(y, u, a, b, c, d, s: int):
+    """Lower-triangular factors (L_s, L_(s+1)) of the residual Hankels R_s
+    and R_(s+1) of a record, R_k = Y_k - T_k U_k with
+    T_k = block_toeplitz(a, b, c, d, k), from ``_hankel_pair_factors``;
+    each L has shape (k n_y, min(T - k + 1, k n_y)). The fault-dimension
+    readout takes its factors from here.
     """
     if y.shape[1] != c.shape[0] or u.shape[1] != b.shape[1]:
         raise ValueError("trajectory channel counts do not match the system")
-    t, p = y.shape[0], s * c.shape[0]
 
     def rows(depth):
         t_k = block_toeplitz(a, b, c, d, depth)
         return lambda h_y, h_u: h_y - h_u @ t_k.T
 
-    deep = _hankel_factor((y, u), s + 1, t - s, rows(s + 1))
-    last = rows(s)(y[t - s :].reshape(1, -1), u[t - s :].reshape(1, -1))
-    return _fold_factor(deep[:p, :p], last).T, deep.T
+    return _hankel_pair_factors((y, u), s, rows)
 
 
 # ---------------------------------------------------------------------------

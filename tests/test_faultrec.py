@@ -687,6 +687,32 @@ class TestSelectRepresentative:
         with pytest.raises(ValueError, match="unknown"):
             select_representative(rec, policy="bogus", n_v=1)
 
+    @pytest.fixture(scope="class")
+    def sensor_fault(self, demo):
+        # an output-only fault (F = 0, G = [1; 0]): its family is exactly
+        # one direction wide, n_z = n_v = 1
+        sys, _ = demo
+        fault = FaultPair(np.zeros((3, 1)), [[1.0], [0.0]])
+        u = white_input(1, 1000, seed=[1, 1])
+        y, _ = simulate(sys, fault, np.zeros(3), u, fault_signal("v1", 1000))
+        rec = recover(y, u, sys, s=5, policy=RankPolicy.gap())
+        assert (rec.n_v_estimate, rec.n_z) == (1, 1)
+        return rec
+
+    def test_unknown_policy_on_an_exactly_wide_basis(self, sensor_fault):
+        with pytest.raises(ValueError, match="unknown representative policy 'bogus'"):
+            select_representative(sensor_fault, policy="bogus")
+
+    def test_sparse_g_infeasible_on_an_exactly_wide_basis(self, sensor_fault):
+        # the only direction keeps all of its norm in G
+        with pytest.raises(ValueError, match="sparse-G infeasible: best directions leak 1 "):
+            select_representative(sensor_fault, policy="sparse-G")
+
+    def test_sparse_f_takes_an_exactly_wide_basis_as_it_is(self, sensor_fault):
+        rep = select_representative(sensor_fault, policy="sparse-F")
+        assert np.array_equal(rep.stack(), sensor_fault.stack())
+        assert np.linalg.norm(rep.F) < 1e-14
+
 
 class TestTheoremProperties:
     def test_true_pair_in_recovered_range(self):

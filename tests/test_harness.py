@@ -102,12 +102,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(rank_policy="bogus")
 
-    def test_from_json(self, tmp_path):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"T": 500, "s": 5, "seed": 7, "dims": [3, 1, 2, 1]}))
-        cfg = ExperimentConfig.from_json(path, seed=9)
-        assert cfg.T == 500 and cfg.seed == 9
-
     def test_policy_mapping(self):
         assert ExperimentConfig(rank_policy="gap").policy() == RankPolicy.gap()
         assert ExperimentConfig(rank_policy="floor").policy() == RankPolicy.noise_floor()
@@ -182,11 +176,11 @@ class TestRunExample:
 
         recons = []
 
-        def keep(*args):
-            recons.append(reconstruct_fault(*args))
+        def keep(*args, _original=harness._replay_fault):
+            recons.append(_original(*args))
             return recons[-1]
 
-        monkeypatch.setattr(harness, "reconstruct_fault", keep)
+        monkeypatch.setattr(harness, "_replay_fault", keep)
         report = run_example(ExperimentConfig.example_defaults())
         exact, identified = recons
         info = identified.v_information[:, 0]
@@ -271,11 +265,10 @@ class TestRunExample:
         t = 100_000
         u = white_input(1, t, seed=[1, 1])
         y, _ = simulate(sys, fault, np.zeros(3), u, fault_signal("v1", t))
-        free = StateSpace(sys.A, np.zeros_like(sys.B), sys.C, np.zeros_like(sys.D))
         tracemalloc.start()
         try:
             record = y - simulate(sys, None, np.zeros(3), u)[0]
-            sv_s, sv_s1 = _compensated_spectra(record, u, free, 5)
+            sv_s, sv_s1 = _compensated_spectra(record, 5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -299,10 +292,9 @@ class TestRunExample:
 
 
     def test_simulates_each_nominal_response_once(self, monkeypatch):
-        # the record, then per branch the compensated spectra's nominal
-        # response and the replay; the exact branch also simulates from its
-        # estimated initial state, while the identified branch reuses the
-        # record it compensated for its spectra
+        # the record, then per branch one nominal response (the exact model's
+        # from rest, the identified one's from x~0), whose compensated record
+        # both the spectra and the reconstruction read, and the replay
         calls = []
         for module in (faultrec, harness):
             original = module.simulate
@@ -313,15 +305,16 @@ class TestRunExample:
 
             monkeypatch.setattr(module, "simulate", counting)
         run_example(ExperimentConfig.example_defaults())
-        assert len(calls) == 6
+        assert len(calls) == 5
 
-    def test_identified_branch_matches_public_reconstruction(self, monkeypatch):
-        # the compensated-once path gives the bytes of simulating the
-        # identified model's nominal response separately for each use
+    def test_branches_match_public_reconstruction(self, monkeypatch):
+        # each branch compensates its record once, from x~0 or from rest, and
+        # gets the bytes of the public reconstruct_fault from that state; its
+        # compensated spectra are those of the same record
         kept, idents = [], []
 
-        def keep(*args):
-            kept.append((args, reconstruct_fault(*args)))
+        def keep(*args, _original=harness._replay_fault):
+            kept.append((args, _original(*args)))
             return kept[-1][1]
 
         def identify(*args, **kwargs):
@@ -329,24 +322,22 @@ class TestRunExample:
             return idents[-1]
 
         original_identify = harness.pi_moesp
-        monkeypatch.setattr(harness, "reconstruct_fault", keep)
+        monkeypatch.setattr(harness, "_replay_fault", keep)
         monkeypatch.setattr(harness, "pi_moesp", identify)
         config = ExperimentConfig.example_defaults()
         report = run_example(config)
         sys, fault = demo_system()
         u, y = _simulate_record(sys, fault, fault_signal("v1", config.T), config, config.seed)
-        model, x0 = idents[0].system, idents[0].x_tilde_0
-        rep = kept[1][0][3]
-        want = reconstruct_fault(y, u, model, rep, x0)
-        got = kept[1][1]
-        assert np.array_equal(got.v, want.v) and np.array_equal(got.xi0, want.xi0)
-        assert got.replay_residual == want.replay_residual
-        free = StateSpace(model.A, np.zeros_like(model.B), model.C, np.zeros_like(model.D))
-        record = y - simulate(model, None, x0, u)[0]
-        sv_s, sv_s1 = _compensated_spectra(record, u, free, config.s)
-        branch = report["identified_branch"]
-        assert branch["compensated_singular_values_s"] == sv_s
-        assert branch["compensated_singular_values_s_plus_1"] == sv_s1
+        branches = (("exact_branch", sys, None),
+                    ("identified_branch", idents[0].system, idents[0].x_tilde_0))
+        for (label, model, x0), ((record, _, rep), got) in zip(branches, kept):
+            want = reconstruct_fault(y, u, model, rep, x0)
+            assert np.array_equal(got.v, want.v) and np.array_equal(got.xi0, want.xi0)
+            assert got.replay_residual == want.replay_residual == report[label]["replay_residual"]
+            assert np.array_equal(record, y - simulate(model, None, x0, u)[0])
+            sv_s, sv_s1 = _compensated_spectra(record, config.s)
+            assert report[label]["compensated_singular_values_s"] == sv_s
+            assert report[label]["compensated_singular_values_s_plus_1"] == sv_s1
 
     def test_pipeline_takes_no_triangular_factor_from_numpy(self, monkeypatch):
         # every triangular factor comes from matstack's LAPACK kernel;
@@ -649,9 +640,10 @@ class TestCli:
     def test_file_chain_reproduces_both_example_branches(self, tmp_path, example_report):
         # identify -> fault-recover on the example's own record runs the
         # example's stages: the identified branch through identify's system
-        # file, which carries x~0, and the exact branch through a system file
-        # without it, whose initial state is estimated as the example does
-        report, _ = example_report
+        # file, or the example's own, which carry x~0 and are the same bytes,
+        # and the exact branch through a system file without it, compensated
+        # from rest as the example does
+        report, example_out = example_report
         config = ExperimentConfig.example_defaults()
         sys, fault = demo_system()
         u, y = _simulate_record(sys, fault, fault_signal("v1", config.T), config, config.seed)
@@ -666,8 +658,12 @@ class TestCli:
             assert ident[key] == report["identified"][key], key
         for key in ("A", "B", "C", "D", "x_tilde_0"):
             assert system[key] == report["identified"][key], key
+        example_system = example_out / "identified_system.json"
+        identify_system = tmp_path / "id" / "identified_system.json"
+        assert example_system.read_bytes() == identify_system.read_bytes()
         for name, system_path, branch in (
-            ("identified", tmp_path / "id" / "identified_system.json", "identified_branch"),
+            ("identified", identify_system, "identified_branch"),
+            ("example-file", example_system, "identified_branch"),
             ("exact", tmp_path / "demo.json", "exact_branch"),
         ):
             assert cli_main(["--out", str(tmp_path / name), "fault-recover", *record,
@@ -683,6 +679,11 @@ class TestCli:
                         "singular_values_s_plus_1", "compensated_singular_values_s",
                         "compensated_singular_values_s_plus_1", "replay_residual"):
                 assert rec[key] == want[key], (name, key)
+        exact_v = (tmp_path / "exact" / "v_reconstructed.csv").read_bytes()
+        assert exact_v == (example_out / "v_reconstructed_exact.csv").read_bytes()
+        for file in ("fault_recovery.json", "v_reconstructed.csv"):
+            got = (tmp_path / "example-file" / file).read_bytes()
+            assert got == (tmp_path / "identified" / file).read_bytes(), file
 
     @pytest.mark.parametrize("window, x_tilde_0, message", [
         ("2", None, "window s=2 below the state dimension"),
@@ -700,6 +701,16 @@ class TestCli:
         assert code == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "rec" / "fault_recovery.json").exists()
+
+    def test_readme_quick_start_runs(self, capsys):
+        # README's library quick start block runs as printed: the demo's one
+        # fault channel, its two-wide family and a small replay residual
+        text = (Path(harness.__file__).resolve().parents[2] / "README.md").read_text()
+        block = text.split("## Library quick start", 1)[1].split("```python\n", 1)[1]
+        exec(compile(block.split("```", 1)[0], "README.md", "exec"), {})
+        n_v, n_z, replay = capsys.readouterr().out.split()
+        assert (n_v, n_z) == ("1", "2")
+        assert 0.0 < float(replay) < 0.05
 
     def test_readme_command_lines_parse(self):
         # every subfault line of README's Command line block, continuation

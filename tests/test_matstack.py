@@ -63,6 +63,13 @@ class TestBlockHankel:
         assert h.shape == (4, 4)
         assert np.allclose(h, hankel_oracle(data, 2, 4))
 
+    @pytest.mark.parametrize("depth, width", [(1, 50), (4, 20), (7, 44)])
+    def test_matches_oracle_bitwise_in_c_order(self, depth, width):
+        data = np.random.default_rng(5).standard_normal((50, 3))
+        h = block_hankel(data, depth, width)
+        assert h.flags.c_contiguous
+        assert np.array_equal(h, hankel_oracle(data, depth, width))
+
     def test_default_width_uses_all_samples(self):
         data = np.arange(10.0)
         assert block_hankel(data, 3).shape == (3, 8)
