@@ -8,15 +8,18 @@ pipeline reads them only through their small triangular factors, which
 matrix is formed (``block_hankel`` builds the full matrix, which only
 tests and the public ``faultrec.residual_hankel`` use). Every triangular
 factor in the package, those folds and the fault smoother's steps alike,
-comes from one QR kernel (``_triangle``): LAPACK dgeqrf called directly on
-a Fortran-ordered buffer, with the optimal workspace queried once per
-shape. On a fold's shapes np.linalg.qr's dispatch and copies cost more
+comes from one QR kernel (``_triangle``): LAPACK dgeqrf, from the LAPACK
+numpy links (``numpy.linalg.lapack_lite``), called directly on a
+Fortran-ordered buffer, with the optimal workspace from one LAPACK query
+per shape. On a fold's shapes np.linalg.qr's dispatch and copies cost more
 than the routine, so a fold takes a half to a third of its time (2108 x
 60: 3.4 to 1.75 ms; 6158 x 14: 1.8 to 0.63 ms, one BLAS thread), with the
-same bits (see ``_triangle``). Markov parameters are built in one place
-(``_markov_blocks``). A block Toeplitz matrix grows with the square of its
-depth, so the pipeline builds one only at a window depth (a few to a few
-dozen blocks), never at the record length.
+same bits (see ``_triangle``). Every LAPACK call of the package goes
+through numpy; scipy is not imported. Markov
+parameters are built in one place (``_markov_blocks``). A block Toeplitz
+matrix grows with the square of its depth, so the pipeline builds one only
+at a window depth (a few to a few dozen blocks), never at the record
+length.
 State recursions over a whole record run in one place (``_lti_states``),
 lifted by a block length of about sqrt(T) (or of the chunk) so that no
 Python loop runs once per sample: ``simulate``, the B/D/x0 regressors and
@@ -33,8 +36,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork
+from numpy.linalg import lapack_lite
 
 __all__ = [
     "RankPolicy",
@@ -329,31 +331,43 @@ _CHUNK = 2048
 
 @lru_cache(maxsize=256)
 def _qr_lwork(m: int, n: int) -> int:
-    """LAPACK's optimal dgeqrf workspace for an m x n matrix."""
-    work, _ = dgeqrf_lwork(m, n)
-    return max(int(work), 1)
+    """LAPACK's optimal dgeqrf workspace for an m x n matrix (a workspace
+    query: LAPACK reads only the shape and writes the size to work[0])."""
+    work = np.empty(1)
+    _dgeqrf(np.empty((n, m)), np.empty(min(m, n)), work, -1)
+    return max(int(work[0]), 1)
+
+
+def _dgeqrf(a_t, tau, work, lwork: int) -> None:
+    """LAPACK dgeqrf through numpy's own lapack_lite, on the C-ordered
+    transpose ``a_t`` (n x m) of a Fortran-ordered m x n matrix."""
+    n, m = a_t.shape
+    info = lapack_lite.dgeqrf(m, n, a_t, max(m, 1), tau, work, lwork, 0)["info"]
+    if info:
+        raise np.linalg.LinAlgError(f"dgeqrf returned info = {info}")
 
 
 def _triangle(buf) -> np.ndarray:
     """Householder triangular factor R of ``buf`` = Q R, shape
     (min(m, n), n), upper trapezoidal.
 
-    The package's one QR kernel: LAPACK dgeqrf called directly, in place on
-    a Fortran-ordered float64 ``buf``, which it overwrites (any other array
+    The package's one QR kernel: LAPACK dgeqrf called directly, from the
+    LAPACK that numpy links (``numpy.linalg.lapack_lite``), in place on a
+    Fortran-ordered float64 ``buf``, which it overwrites (any other array
     is copied first and left intact). np.linalg.qr's dispatch costs 2-4x
     the routine itself on a fold's shapes. The workspace is LAPACK's
     optimum, queried once per shape and cached, so a per-step loop pays no
-    query: with scipy's default of 3n, a factor wider than 128 columns
+    query: with a minimal workspace (n), a factor wider than 128 columns
     takes LAPACK's unblocked path, which rounds differently and is slower
-    (2300 x 200: 22 against 13 ms). With the optimum, R equals
-    scipy.linalg.qr's bit for bit, and np.linalg.qr(buf, mode="r")'s
-    wherever numpy links a LAPACK that rounds alike; past 128 columns that
-    holds with one BLAS thread, as two threaded BLAS builds may split the
-    blocked updates differently.
+    (2300 x 200: 24 against 10 ms, one BLAS thread). With the optimum, R
+    equals np.linalg.qr(buf, mode="r")'s bit for bit, since both call the
+    same routine of the same library with the same workspace.
     """
     m, n = buf.shape
-    qr = dgeqrf(buf, lwork=_qr_lwork(m, n), overwrite_a=1)[0]
-    return np.triu(qr[: min(m, n)])
+    a = np.asfortranarray(buf, dtype=float)
+    lwork = _qr_lwork(m, n)
+    _dgeqrf(a.T, np.empty(min(m, n)), np.empty(lwork), lwork)
+    return np.triu(a[: min(m, n)])
 
 
 def _fold_factor(r, rows) -> np.ndarray:
@@ -475,8 +489,36 @@ def principal_angles(u, v) -> np.ndarray:
         )
     if bu.shape[1] == 0 or bv.shape[1] == 0:
         return np.zeros(0)
-    angles = scipy.linalg.subspace_angles(bu, bv)
-    return np.sort(angles)[::-1]
+    return np.sort(_subspace_angles(bu, bv))[::-1]
+
+
+def _orth(a) -> np.ndarray:
+    """Left singular vectors of ``a`` above eps * max(shape) * sigma_1."""
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    tol = s.max(initial=0.0) * np.finfo(float).eps * max(a.shape)
+    return u[:, : int(np.sum(s > tol))]
+
+
+def _subspace_angles(a, b) -> np.ndarray:
+    """Principal angles between the column spaces of ``a`` and ``b`` by
+    Knyazev & Argentati's sine-cosine rule (SIAM J. Sci. Comput. 23(6),
+    2002), as scipy.linalg.subspace_angles computes them: cosines from the
+    SVD of Q_a^T Q_b, and where any cosine^2 reaches 1/2 the sines of
+    small angles from the SVD of the part of one basis outside the other.
+    """
+    qa, qb = _orth(a), _orth(b)
+    cross = qa.T @ qb
+    sigma = np.linalg.svd(cross, compute_uv=False)
+    if qa.shape[1] >= qb.shape[1]:
+        rest = qb - qa @ cross
+    else:
+        rest = qa - qb @ cross.T
+    mask = sigma**2 >= 0.5
+    if mask.any():
+        sines = np.arcsin(np.clip(np.linalg.svd(rest, compute_uv=False), -1.0, 1.0))
+    else:
+        sines = 0.0
+    return np.where(mask, sines, np.arccos(np.clip(sigma[::-1], -1.0, 1.0)))
 
 
 def range_equal(m1, m2, tol: float = 1e-8) -> bool:
@@ -509,14 +551,16 @@ def min_norm_lsq(a, b) -> np.ndarray:
     """Minimum-Frobenius-norm minimizer of ||A X - B||_F.
 
     Shape of X follows B: a 1-D right-hand side yields a 1-D solution.
+    LAPACK gelsd with singular values below eps * sigma_1 taken as zero
+    (scipy.linalg.lstsq's default cutoff; numpy's own is max(shape) times
+    larger).
     """
     a = as_matrix(a, "A")
-    b_arr = np.asarray(b, dtype=float)
-    vector = b_arr.ndim == 1
-    b2 = b_arr.reshape(-1, 1) if vector else b_arr
+    vector = np.ndim(b) == 1
+    b2 = as_matrix(b, "B")
     if a.shape[0] != b2.shape[0]:
         raise ValueError(f"row counts differ: A has {a.shape[0]}, B has {b2.shape[0]}")
-    x, _, _, _ = scipy.linalg.lstsq(a, b2, lapack_driver="gelsd")
+    x = np.linalg.lstsq(a, b2, rcond=np.finfo(float).eps)[0]
     return x[:, 0] if vector else x
 
 

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .matstack import (
     RankPolicy,
@@ -45,6 +44,11 @@ __all__ = [
 
 # pencil eigenvalues with modulus beyond this are treated as infinite
 _INFINITE_ZERO_CUTOFF = 1e6
+# the zero solver's reduction counts singular values at or below this times
+# |[A F; C G]|_F as zero: far above the rounding its rotations leave (some
+# 40 eps on a channel with a repeated fault column) and far below the
+# 1 / _INFINITE_ZERO_CUTOFF at which a nearly singular G's zero is cut off
+_ZERO_REDUCTION_TOL = 1e-10
 
 
 def stack_channels(*signals) -> np.ndarray:
@@ -290,22 +294,61 @@ def _rosenbrock(a, f, c, g, q: complex) -> np.ndarray:
     return np.vstack([top, bottom])
 
 
-def _square_pencil_eigs(a, f, c, g) -> np.ndarray:
-    """Finite generalized eigenvalues of the square Rosenbrock pencil."""
-    n, nv = a.shape[0], f.shape[1]
-    m = np.block([[a, f], [c, g]])
-    e = np.zeros((n + nv, n + nv))
-    e[:n, :n] = np.eye(n)
-    hom = scipy.linalg.eig(m, e, right=False, homogeneous_eigvals=True)
-    out = []
-    for al, be in zip(hom[0], hom[1]):
-        if abs(be) <= 1e-12 * max(abs(al), 1.0):
-            continue  # infinite
-        q = al / be
-        if not np.isfinite(q) or abs(q) > _INFINITE_ZERO_CUTOFF:
+def _zero_reduction(a, b, c, d, policy: RankPolicy):
+    """A system (A_r, B_r, C_r, D_r) with D_r of full row rank and the same
+    finite zeros as (A, B, C, D): one pass of Emami-Naeini & Van Dooren's
+    reduction (Automatica 18(4), 1982), all of it orthogonal.
+
+    While D is row-rank deficient, its rows are compressed so that the
+    deficient ones read [C_2 0]. Zero rows (C_2 = 0) change the pencil's
+    rank nowhere and are dropped. Otherwise the states are rotated by W so
+    that C_2 W = [0 C_22] with C_22 of full column rank; those rows then
+    add rank C_22 to the pencil's rank at every point, so the states of
+    C_22 are removed and their state equations join the outputs:
+    A_r = A_11, B_r = B_1, C_r = [C_11; A_21], D_r = [D_1; B_2]. Each step
+    removes one level of infinite zeros exactly; an eigenvalue solver on
+    the whole pencil reads a chain of k infinite zeros to within about
+    eps^(1/k) only, near enough to pass for finite ones.
+    """
+    while True:
+        u, s_d, _ = np.linalg.svd(d)
+        rank_d = policy.rank(s_d)
+        if rank_d == d.shape[0]:
+            return a, b, c, d
+        c = u.T @ c
+        d = (u.T @ d)[:rank_d]
+        _, s_c, vt = np.linalg.svd(c[rank_d:])
+        rank_c = policy.rank(s_c)
+        if rank_c == 0:
+            c = c[:rank_d]
             continue
-        out.append(complex(q))
-    return np.asarray(out)
+        # W = [kernel of C_2, its row space]
+        w = np.vstack([vt[rank_c:], vt[:rank_c]]).T
+        k = a.shape[0] - rank_c
+        a, b = w.T @ a @ w, w.T @ b
+        c, d = np.vstack([(c[:rank_d] @ w)[:, :k], a[k:, :k]]), np.vstack([d, b[k:]])
+        a, b = a[:k, :k], b[:k]
+
+
+def _square_pencil_eigs(a, f, c, g) -> np.ndarray:
+    """Finite zeros of the channel (A, F, C, G): the points where its
+    Rosenbrock pencil [A - qI, F; C, G] drops below its normal rank.
+
+    ``_zero_reduction`` of the channel, then of its dual (A^T, C^T, F^T,
+    G^T), leaves a system with an invertible square G_r and the same
+    finite zeros, which are then the eigenvalues of A_r - F_r G_r^-1 C_r.
+    A singular pencil, such as that of a channel with a repeated fault
+    column, loses its zero rows and columns on the way. Eigenvalues past
+    ``_INFINITE_ZERO_CUTOFF`` are taken as infinite.
+    """
+    scale = np.linalg.norm(np.block([[a, f], [c, g]]))
+    policy = RankPolicy.absolute(_ZERO_REDUCTION_TOL * scale)
+    a, f, c, g = _zero_reduction(a, f, c, g, policy)
+    a, c, f, g = _zero_reduction(a.T, c.T, f.T, g.T, policy)
+    zeros = np.linalg.eigvals(a - c @ np.linalg.solve(g, f))
+    return np.asarray(
+        [complex(q) for q in zeros if np.isfinite(q) and abs(q) <= _INFINITE_ZERO_CUTOFF]
+    )
 
 
 def transmission_zeros(a, f, c, g, tol: float = 1e-8) -> ZeroReport:
@@ -319,10 +362,10 @@ def transmission_zeros(a, f, c, g, tol: float = 1e-8) -> ZeroReport:
     inversion delay and the infinite-zero count; a channel whose increments
     never reach it is not left invertible, and its count is the deficiency
     of T_(n_x+1). Finite zeros are the values where the pencil drops below
-    its normal rank. Candidates are the eigenvalues of one square pencil,
-    the channel itself or, with more outputs than inputs, a fixed random
-    output mix of it; the rank test on the original pencil rejects the
-    eigenvalues the mix adds.
+    its normal rank. Candidates are the zeros of one square channel, the
+    channel itself or, with more outputs than inputs, a fixed random output
+    mix of it; the rank test on the original pencil rejects the zeros the
+    mix adds.
     """
     a = as_matrix(a, "A")
     f = as_matrix(f, "F")
@@ -376,15 +419,14 @@ def transmission_zeros(a, f, c, g, tol: float = 1e-8) -> ZeroReport:
 def _random_stable_a(n_x: int, rng: np.random.Generator, radius: float = 0.95) -> np.ndarray:
     """Real matrix with eigenvalues uniform in the disk of the given radius."""
     n_pairs = int(rng.integers(0, n_x // 2 + 1))
-    blocks = []
-    for _ in range(n_pairs):
+    a = np.zeros((n_x, n_x))
+    for k in range(0, 2 * n_pairs, 2):
         r = radius * np.sqrt(rng.uniform())
         th = rng.uniform(0.0, np.pi)
         re, im = r * np.cos(th), r * np.sin(th)
-        blocks.append(np.array([[re, im], [-im, re]]))
-    for _ in range(n_x - 2 * n_pairs):
-        blocks.append(np.array([[rng.uniform(-radius, radius)]]))
-    a = scipy.linalg.block_diag(*blocks)
+        a[k : k + 2, k : k + 2] = [[re, im], [-im, re]]
+    for k in range(2 * n_pairs, n_x):
+        a[k, k] = rng.uniform(-radius, radius)
     q, r = np.linalg.qr(rng.standard_normal((n_x, n_x)))
     q = q * np.sign(np.diag(r))
     return q @ a @ q.T

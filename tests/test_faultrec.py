@@ -3,7 +3,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.linalg.lapack import dgeqrf
 
 from subfault.harness import demo_system, projection_residual
 from subfault.matstack import (
@@ -522,7 +521,6 @@ def _per_step_smoother(a, f, c, g, resid):
     stack[n_v:n_v + n_y, :n_v] = g
     stack[n_v:n_v + n_y, n_v:-1] = c
     fa = np.hstack([f, a])
-    upper = np.triu(np.ones((width, width), dtype=bool))
     info_r = np.zeros((n_x, n_x))
     info_z = np.zeros(n_x)
     gains = np.empty((t, n_v, width))
@@ -530,7 +528,7 @@ def _per_step_smoother(a, f, c, g, resid):
         stack[n_v:n_v + n_y, -1] = resid[k]
         stack[n_v + n_y:, :-1] = info_r @ fa
         stack[n_v + n_y:, -1] = info_z
-        tri = np.where(upper, dgeqrf(stack)[0][:width], 0.0)
+        tri = np.linalg.qr(stack, mode="r")
         gains[k] = tri[:n_v]
         info_r = tri[n_v:-1, n_v:-1]
         info_z = tri[n_v:-1, -1]

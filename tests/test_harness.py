@@ -535,6 +535,20 @@ class TestStudyPool:
         assert sum(r["failure"] is not None for r in pooled["records"]) == 3
         assert multiprocessing.active_children() == []
 
+    def test_workers_inherit_numpy_random(self):
+        # only the workers draw, and numpy loads numpy.random on first use;
+        # the study loads it before it forks, so no worker imports it again
+        code = ("import os, sys, subfault.harness as h; "
+                "os.sched_getaffinity = lambda pid: {0, 1}; "
+                "h.run_montecarlo(h.ExperimentConfig(**%r)); "
+                "print('numpy.random' in sys.modules)" % self.FAILING)
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": str(Path(harness.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "True"
+
     def test_cli_writes_the_same_bytes_pinned_and_unpinned(self, tmp_path):
         # pinned, the study runs on a pool of two; unpinned, in one process
         (tmp_path / "cfg.json").write_text(json.dumps(self.FAILING))
@@ -817,16 +831,39 @@ class TestCli:
         assert err == [f"input error: {command[0]} does not read {flag[0]}"]
         assert not (tmp_path / "out").exists()
 
-    def test_import_loads_neither_the_pool_nor_scipy_signal(self):
-        # the pool's modules load only when a study forks, and scipy.signal
-        # (0.7-1.0 s) not at all: start-up cost is what every run pays
-        lazy = ("multiprocessing", "concurrent.futures.process", "scipy.signal")
+    def test_import_loads_neither_the_pool_nor_scipy(self):
+        # the pool's modules load only when a study forks, and scipy (0.18 s
+        # for scipy.linalg, 0.7-1.0 s for scipy.signal) not at all: start-up
+        # cost is what every run pays
+        lazy = ("multiprocessing", "concurrent.futures.process", "scipy")
         code = f"import sys, subfault.cli; print([m for m in {lazy!r} if m in sys.modules])"
         env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).resolve().parents[1])}
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_runs_without_scipy(self, tmp_path):
+        # scipy is a test-only dependency: with its import blocked, the
+        # example and a small study exit 0 and write the same bytes
+        (tmp_path / "cfg.json").write_text(json.dumps({"T": 300, "systems_per_count": 1}))
+        env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).resolve().parents[1])}
+        out = tmp_path / "out"
+        runs = []
+        for block in ("", "sys.modules['scipy'] = None; "):
+            code = f"import sys; {block}from subfault.cli import main; sys.exit(main(sys.argv[1:]))"
+            files = {}
+            for args in (["example"], ["--config", str(tmp_path / "cfg.json"), "montecarlo"]):
+                proc = subprocess.run([sys.executable, "-c", code, "--out", str(out), *args],
+                                      env=env, capture_output=True, text=True, timeout=120)
+                assert proc.returncode == 0, proc.stderr
+                files.update({(args[-1], path.name): path.read_bytes()
+                              for path in out.iterdir() if path.name != "timing.csv"})
+                shutil.rmtree(out)
+            runs.append(files)
+        assert ("example", "example_report.json") in runs[0]
+        assert ("montecarlo", "montecarlo_report.json") in runs[0]
+        assert runs[0] == runs[1]
 
     def test_missing_file_is_input_error(self, tmp_path):
         code = cli_main([
