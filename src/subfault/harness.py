@@ -283,10 +283,12 @@ def _simulate_record(sys: StateSpace, fault: FaultPair, v, config: ExperimentCon
 
 
 def _fault_trajectory(n_v: int, t: int, seed) -> np.ndarray:
-    """Per-channel built-in fault waveforms (odd channels get the noisy ramp)."""
-    channels = [
-        fault_signal("v1" if i % 2 == 0 else "v2", t, seed=[seed, 2, i]) for i in range(n_v)
-    ]
+    """One waveform of its own per fault channel: v1, the noisy ramp v2,
+    then 0.1 + sin(0.25 (1 + 0.2 i) k^1.3) for channel i >= 2, so that no
+    two channels carry the same signal."""
+    k = np.arange(t, dtype=float)[:, None]
+    channels = [fault_signal("v1", t), fault_signal("v2", t, seed=[seed, 2, 1])][:n_v]
+    channels += [0.1 + np.sin(0.25 * (1 + 0.2 * i) * k**1.3) for i in range(2, n_v)]
     return stack_channels(*channels)
 
 

@@ -20,7 +20,7 @@ from .matstack import (
     RankPolicy,
     _lti_states,
     as_matrix,
-    block_toeplitz,
+    block_toeplitz,  # noqa: F401 (unused here; the benchmark traces it in this module)
     extended_observability,
     numerical_rank,
 )
@@ -44,11 +44,6 @@ __all__ = [
 
 # pencil eigenvalues with modulus beyond this are treated as infinite
 _INFINITE_ZERO_CUTOFF = 1e6
-# the zero solver's reduction counts singular values at or below this times
-# |[A F; C G]|_F as zero: far above the rounding its rotations leave (some
-# 40 eps on a channel with a repeated fault column) and far below the
-# 1 / _INFINITE_ZERO_CUTOFF at which a nearly singular G's zero is cut off
-_ZERO_REDUCTION_TOL = 1e-10
 
 
 def stack_channels(*signals) -> np.ndarray:
@@ -148,11 +143,15 @@ class FaultPair:
 
 @dataclass
 class ZeroReport:
-    """Transmission-zero structure of a fault channel.
+    """Transmission-zero structure of a fault channel, read by
+    ``transmission_zeros`` at one rank threshold.
 
     ``finite_zeros`` lists finite zeros with multiplicity by repetition.
-    ``l_delay`` is the smallest inversion delay, or None when the channel is
-    not left invertible.
+    ``infinite_zero_count`` is the deficiency k n_v - rank T_k of the
+    channel's Markov-parameter Toeplitz matrix at depth k = l_delay + 1, or
+    k = n_x + 1 when the channel is not left invertible. ``l_delay`` is the
+    smallest inversion delay, or None when the channel is not left
+    invertible.
     """
 
     finite_zeros: list = field(default_factory=list)
@@ -294,10 +293,18 @@ def _rosenbrock(a, f, c, g, q: complex) -> np.ndarray:
     return np.vstack([top, bottom])
 
 
-def _zero_reduction(a, b, c, d, policy: RankPolicy):
-    """A system (A_r, B_r, C_r, D_r) with D_r of full row rank and the same
-    finite zeros as (A, B, C, D): one pass of Emami-Naeini & Van Dooren's
-    reduction (Automatica 18(4), 1982), all of it orthogonal.
+def _zero_policy(a, f, c, g, tol: float = 1e-8) -> RankPolicy:
+    """The zero readout's one rank rule: a singular value at or below
+    tol |[A F; C G]|_F of the channel counts as zero."""
+    return RankPolicy.absolute(tol * np.linalg.norm(np.block([[a, f], [c, g]])))
+
+
+def _zero_reduction(a, b, c, d, policy: RankPolicy, full_column_stop: bool = False):
+    """Emami-Naeini & Van Dooren's reduction (Automatica 18(4), 1982), all
+    of it orthogonal: a system (A_r, B_r, C_r, D_r) with the same finite
+    zeros as (A, B, C, D) and D_r of full row rank, or with
+    ``full_column_stop`` the first one whose D has full column rank; and
+    the rank of D at each step.
 
     While D is row-rank deficient, its rows are compressed so that the
     deficient ones read [C_2 0]. Zero rows (C_2 = 0) change the pencil's
@@ -309,12 +316,19 @@ def _zero_reduction(a, b, c, d, policy: RankPolicy):
     removes one level of infinite zeros exactly; an eigenvalue solver on
     the whole pencil reads a chain of k infinite zeros to within about
     eps^(1/k) only, near enough to pass for finite ones.
+
+    The first k ranks sum to the rank of T_k, the Toeplitz matrix of the
+    first k Markov parameters, with the steps past the last read at the
+    last rank (Van Dooren, IEEE TAC 26(1), 1981). The last rank plus n_x is
+    the normal rank of the pencil [A - qI, B; C, D].
     """
+    ranks = []
     while True:
         u, s_d, _ = np.linalg.svd(d)
         rank_d = policy.rank(s_d)
-        if rank_d == d.shape[0]:
-            return a, b, c, d
+        ranks.append(rank_d)
+        if rank_d == d.shape[0] or (full_column_stop and rank_d == d.shape[1]):
+            return a, b, c, d, ranks
         c = u.T @ c
         d = (u.T @ d)[:rank_d]
         _, s_c, vt = np.linalg.svd(c[rank_d:])
@@ -338,13 +352,13 @@ def _square_pencil_eigs(a, f, c, g) -> np.ndarray:
     G^T), leaves a system with an invertible square G_r and the same
     finite zeros, which are then the eigenvalues of A_r - F_r G_r^-1 C_r.
     A singular pencil, such as that of a channel with a repeated fault
-    column, loses its zero rows and columns on the way. Eigenvalues past
+    column, loses its zero rows and columns on the way. The reductions
+    count at ``_zero_policy``'s default threshold. Eigenvalues past
     ``_INFINITE_ZERO_CUTOFF`` are taken as infinite.
     """
-    scale = np.linalg.norm(np.block([[a, f], [c, g]]))
-    policy = RankPolicy.absolute(_ZERO_REDUCTION_TOL * scale)
-    a, f, c, g = _zero_reduction(a, f, c, g, policy)
-    a, c, f, g = _zero_reduction(a.T, c.T, f.T, g.T, policy)
+    policy = _zero_policy(a, f, c, g)
+    a, f, c, g, _ = _zero_reduction(a, f, c, g, policy)
+    a, c, f, g, _ = _zero_reduction(a.T, c.T, f.T, g.T, policy)
     zeros = np.linalg.eigvals(a - c @ np.linalg.solve(g, f))
     return np.asarray(
         [complex(q) for q in zeros if np.isfinite(q) and abs(q) <= _INFINITE_ZERO_CUTOFF]
@@ -354,18 +368,19 @@ def _square_pencil_eigs(a, f, c, g) -> np.ndarray:
 def transmission_zeros(a, f, c, g, tol: float = 1e-8) -> ZeroReport:
     """Zero structure of the channel (A, F, C, G).
 
-    One rank sweep over the impulse-response Toeplitz matrices T_1 ...
-    T_(n_x+1) reads everything but the finite zeros. Its rank increments
-    rise to the normal rank of the transfer matrix, so the Rosenbrock
-    pencil [A-qI, F; C, G] has normal rank n_x plus the last increment. The
-    depth where an increment first reaches the input dimension gives the
-    inversion delay and the infinite-zero count; a channel whose increments
-    never reach it is not left invertible, and its count is the deficiency
-    of T_(n_x+1). Finite zeros are the values where the pencil drops below
-    its normal rank. Candidates are the zeros of one square channel, the
-    channel itself or, with more outputs than inputs, a fixed random output
-    mix of it; the rank test on the original pencil rejects the zeros the
-    mix adds.
+    Every count is made at one threshold, ``_zero_policy`` with ``tol``.
+    ``_zero_reduction`` of the channel, stopped once G_r has full column
+    rank, reads the ranks sigma_0, sigma_1, ... of G_r at its steps; they
+    are the rank increments of the Toeplitz matrices T_1, T_2, ..., and the
+    Rosenbrock pencil [A-qI, F; C, G] has normal rank n_x plus the last
+    one. The channel is left invertible when the last one is n_v: the
+    inversion delay is the first l with sigma_l = n_v, and the
+    infinite-zero count is the sum of n_v - sigma_i over i <= l. Otherwise
+    the count is (n_x+1) n_v - rank T_(n_x+1). Finite zeros are the values
+    where the pencil drops below its normal rank. Candidates are the zeros
+    of one square channel, the channel itself or, with more outputs than
+    inputs, a fixed random output mix of it; the rank test on the original
+    pencil rejects the zeros the mix adds.
     """
     a = as_matrix(a, "A")
     f = as_matrix(f, "F")
@@ -377,20 +392,12 @@ def transmission_zeros(a, f, c, g, tol: float = 1e-8) -> ZeroReport:
     if a.shape[1] != n or f.shape[0] != n or c.shape[1] != n or g.shape != (ny, nv):
         raise ValueError("channel quadruple has inconsistent dimensions")
 
-    # a pencil at a complex point is complex and numerical_rank would drop
-    # its imaginary part, so every spectrum here is counted directly
-    policy = RankPolicy.relative(tol)
-
-    prev_rank = 0
-    for s in range(1, n + 2):
-        rank_s = policy.rank(np.linalg.svd(block_toeplitz(a, f, c, g, s), compute_uv=False))
-        step = rank_s - prev_rank
-        if step == nv:
-            break
-        prev_rank = rank_s
-    l_delay = s - 1 if step == nv else None
-    infinite = s * nv - rank_s
-    normal_rank = n + step
+    policy = _zero_policy(a, f, c, g, tol)
+    *_, ranks = _zero_reduction(a, f, c, g, policy, full_column_stop=True)
+    normal_rank = n + ranks[-1]
+    l_delay = ranks.index(nv) if ranks[-1] == nv else None
+    depth = n + 1 if l_delay is None else l_delay + 1
+    infinite = depth * nv - sum((ranks + ranks[-1:] * depth)[:depth])
 
     if ny == nv:
         candidates = _square_pencil_eigs(a, f, c, g)
@@ -401,6 +408,8 @@ def transmission_zeros(a, f, c, g, tol: float = 1e-8) -> ZeroReport:
         # wide channels are never left invertible; no finite-zero search
         candidates = []
 
+    # a pencil at a complex point is complex and numerical_rank would drop
+    # its imaginary part, so its spectrum is counted directly
     finite = []
     for z in candidates:
         pencil = _rosenbrock(a, f, c, g, z)

@@ -427,6 +427,21 @@ class TestMonteCarlo:
         assert len(errs) == 10
         assert max(errs) <= 0.01
 
+    @pytest.mark.parametrize("dims", [
+        (6, 2, 4, 3), (5, 1, 4, 3), (4, 2, 3, 1), (3, 1, 2, 1), (5, 1, 4, 2), (4, 1, 3, 2),
+    ], ids=lambda dims: "-".join(map(str, dims)))
+    def test_noise_free_shape_grid_reads_every_channel(self, dims):
+        # with n_v = 3, a fault channel that repeated another's waveform
+        # left the simulated fault n_v - 1 wide: n_v was misread everywhere
+        cfg = ExperimentConfig.montecarlo_defaults(
+            snr_db=None, dims=dims, zero_counts=(0, 1, 2), systems_per_count=2,
+            s=max(6, dims[0] + 1),
+        )
+        records = run_montecarlo(cfg).records
+        assert [r.failure for r in records] == [None] * 6
+        assert all(r.n_v_correct for r in records)
+        assert max(r.error_pct for r in records) <= 0.01
+
     def test_clean_records_agree_for_none_and_infinite_snr(self):
         # both settings mean noise-free data, so they run the same estimator
         def records(snr_db):

@@ -480,6 +480,23 @@ class TestZeroSolver:
             assert all(abs(z) < 1e3 for z in zr.finite_zeros)
             assert verify_rank_formula(*channel, 2 * n)
 
+    @pytest.mark.parametrize("degree", [2, 3, 4])
+    def test_rotated_infinite_zero_chain_reads_the_same_structure(self, degree):
+        # after a change of state coordinates the chain's vanishing Markov
+        # parameters are zero only up to rounding; the structure must still
+        # read as in the original coordinates
+        rng, rotations = np.random.default_rng(5), np.random.default_rng(6)
+        for _ in range(20):
+            n, ny = int(rng.integers(degree + 1, 8)), int(rng.integers(1, 3))
+            a, f, c, g = _integrator_chain(rng, n, ny, degree)
+            q, _ = np.linalg.qr(rotations.standard_normal((n, n)))
+            rotated = (q.T @ a @ q, q.T @ f, c @ q, g)
+            zr, ref = transmission_zeros(*rotated), transmission_zeros(a, f, c, g)
+            assert (zr.infinite_zero_count, zr.l_delay) == (ref.infinite_zero_count, ref.l_delay)
+            assert len(zr.finite_zeros) == len(ref.finite_zeros)
+            assert np.allclose(zr.finite_zeros, ref.finite_zeros, rtol=1e-6, atol=0)
+            assert verify_rank_formula(*rotated, 2 * n)
+
 
 class TestRandomSystem:
     def test_dimensions_and_stability(self):
