@@ -62,7 +62,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON file with ExperimentConfig fields")
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--out", help="output directory")
-    parser.add_argument("--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="simulate a system from file inputs")
@@ -126,8 +125,6 @@ def _cmd_simulate(args) -> int:
     out = _out_dir(args)
     write_trajectory_csv(out / "y.csv", y)
     write_trajectory_csv(out / "x.csv", x)
-    if args.verbose:
-        print(f"wrote {out / 'y.csv'} and {out / 'x.csv'}")
     return 0
 
 
@@ -142,11 +139,8 @@ def _cmd_identify(args) -> int:
         "order_confident": result.order_confident,
         "window_s": result.window_s,
     }
-    path = out / "identified.json"
-    _write_json(path, payload)
+    _write_json(out / "identified.json", payload)
     _write_identified_system(out, result)
-    if args.verbose:
-        print(f"wrote {path}")
     return 0
 
 
@@ -172,26 +166,17 @@ def _cmd_fault_recover(args) -> int:
         "xi0": recon.xi0.tolist(),
         "v_csv": v_path.name,
     }
-    path = out / "fault_recovery.json"
-    _write_json(path, payload)
-    if args.verbose:
-        print(f"wrote {path}")
+    _write_json(out / "fault_recovery.json", payload)
     return 0
 
 
 def _cmd_example(args) -> int:
-    report = run_example(_load_config(args, ExperimentConfig.example_defaults))
-    if args.verbose:
-        print(json.dumps({"markov_relative_error": report["identified"]["markov_relative_error"],
-                          "exact_n_v": report["exact_branch"]["n_v"],
-                          "exact_n_z": report["exact_branch"]["n_z"]}, indent=2))
+    run_example(_load_config(args, ExperimentConfig.example_defaults))
     return 0
 
 
 def _cmd_montecarlo(args) -> int:
     report = run_montecarlo(_load_config(args, ExperimentConfig.montecarlo_defaults))
-    if args.verbose:
-        print(json.dumps({"overall_median_pct": report.overall_median_pct}, indent=2))
     failures = [r for r in report.records if r.failure is not None]
     if failures:
         for r in failures:

@@ -144,9 +144,11 @@ class FaultPair:
 @dataclass
 class ZeroReport:
     """Transmission-zero structure of a fault channel, read by
-    ``transmission_zeros`` at one rank threshold.
+    ``transmission_zeros`` at one rank threshold from one reduction of the
+    channel.
 
-    ``finite_zeros`` lists finite zeros with multiplicity by repetition.
+    ``finite_zeros`` lists finite zeros with multiplicity by repetition,
+    each confirmed on the reduced channel's pencil.
     ``infinite_zero_count`` is the deficiency k n_v - rank T_k of the
     channel's Markov-parameter Toeplitz matrix at depth k = l_delay + 1, or
     k = n_x + 1 when the channel is not left invertible. ``l_delay`` is the
@@ -200,7 +202,7 @@ def simulate(sys: StateSpace, fault: FaultPair | None, x0, u, v=None, w=None):
             )
     else:
         w_data = None
-    x = np.zeros(sys.n_x) if x0 is None else np.asarray(x0, dtype=float).reshape(-1)
+    x = np.zeros(sys.n_x) if x0 is None else as_matrix(x0, "x0").ravel()
     if x.shape[0] != sys.n_x:
         raise ValueError(f"x0 must have length {sys.n_x}, got {x.shape[0]}")
 
@@ -376,10 +378,15 @@ def transmission_zeros(a, f, c, g, tol: float = 1e-8) -> ZeroReport:
     one. The channel is left invertible when the last one is n_v: the
     inversion delay is the first l with sigma_l = n_v, and the
     infinite-zero count is the sum of n_v - sigma_i over i <= l. Otherwise
-    the count is (n_x+1) n_v - rank T_(n_x+1). Finite zeros are the values
-    where the pencil drops below its normal rank. Candidates are the zeros
-    of one square channel, the channel itself or, with more outputs than
-    inputs, a fixed random output mix of it; the rank test on the original
+    the count is (n_x+1) n_v - rank T_(n_x+1).
+
+    Finite zeros are the values where the pencil drops below its normal
+    rank, and the reduced channel (A_r, F_r, C_r, G_r) decides them: its
+    pencil has the same finite zeros, normal rank n_r plus the last
+    sigma, and none of the infinite zeros that leave the original pencil
+    nearly rank deficient at every large |q|. Candidates are the zeros of
+    one square channel, the channel itself or, with more outputs than
+    inputs, a fixed random output mix of it; the rank test on the reduced
     pencil rejects the zeros the mix adds.
     """
     a = as_matrix(a, "A")
@@ -393,8 +400,8 @@ def transmission_zeros(a, f, c, g, tol: float = 1e-8) -> ZeroReport:
         raise ValueError("channel quadruple has inconsistent dimensions")
 
     policy = _zero_policy(a, f, c, g, tol)
-    *_, ranks = _zero_reduction(a, f, c, g, policy, full_column_stop=True)
-    normal_rank = n + ranks[-1]
+    *reduced, ranks = _zero_reduction(a, f, c, g, policy, full_column_stop=True)
+    normal_rank = reduced[0].shape[0] + ranks[-1]
     l_delay = ranks.index(nv) if ranks[-1] == nv else None
     depth = n + 1 if l_delay is None else l_delay + 1
     infinite = depth * nv - sum((ranks + ranks[-1:] * depth)[:depth])
@@ -412,7 +419,7 @@ def transmission_zeros(a, f, c, g, tol: float = 1e-8) -> ZeroReport:
     # its imaginary part, so its spectrum is counted directly
     finite = []
     for z in candidates:
-        pencil = _rosenbrock(a, f, c, g, z)
+        pencil = _rosenbrock(*reduced, z)
         if policy.rank(np.linalg.svd(pencil, compute_uv=False)) < normal_rank:
             if abs(z.imag) <= 1e-9 * (1.0 + abs(z.real)):
                 z = complex(z.real, 0.0)

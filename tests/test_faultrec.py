@@ -505,6 +505,11 @@ class TestReconstruction:
         with pytest.raises(ValueError, match="y contains non-finite"):
             reconstruct_fault(bad, u, sys, fault, x0)
 
+    def test_non_finite_initial_state_rejected(self, demo_run):
+        sys, fault, x0, u, v, y, _ = demo_run
+        with pytest.raises(ValueError, match="x0 contains non-finite"):
+            reconstruct_fault(y, u, sys, fault, np.where(np.arange(3) == 1, np.inf, x0))
+
 
 def _per_step_smoother(a, f, c, g, resid):
     """Per-step reference for the smoother's tail and stationary passes: the

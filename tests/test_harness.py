@@ -38,6 +38,7 @@ from subfault.sysgen import (
     colored_noise,
     fault_signal,
     random_system,
+    read_trajectory_csv,
     save_system_json,
     simulate,
     white_input,
@@ -638,6 +639,40 @@ class TestCli:
         y_direct = read_trajectory_csv(tmp_path / "y.csv")
         y_cli = read_trajectory_csv(tmp_path / "sim" / "y.csv")
         assert np.allclose(y_direct, y_cli)
+
+    def _simulate_args(self, tmp_path):
+        return ["simulate", "--system", str(tmp_path / "sys.json"),
+                "--u", str(tmp_path / "u.csv"), "--v", str(tmp_path / "v.csv")]
+
+    def test_simulate_from_initial_state_and_noise(self, tmp_path):
+        # --x0 starts the state where the library's simulate would, and --w
+        # is added to the output
+        sys, fault = self._write_demo_data(tmp_path)
+        u = read_trajectory_csv(tmp_path / "u.csv")
+        v = read_trajectory_csv(tmp_path / "v.csv")
+        w = white_input(sys.n_y, u.shape[0], seed=[1, 2])
+        write_trajectory_csv(tmp_path / "w.csv", w)
+        args = self._simulate_args(tmp_path)
+        assert cli_main(["--out", str(tmp_path / "x0"), *args, "--x0", "0.5,-1,2"]) == 0
+        y, x = simulate(sys, fault, [0.5, -1.0, 2.0], u, v)
+        assert np.array_equal(read_trajectory_csv(tmp_path / "x0" / "y.csv"), y)
+        assert np.array_equal(read_trajectory_csv(tmp_path / "x0" / "x.csv"), x)
+        assert cli_main(["--out", str(tmp_path / "w"), *args, "--w", str(tmp_path / "w.csv")]) == 0
+        y_rest, _ = simulate(sys, fault, None, u, v)
+        assert np.array_equal(read_trajectory_csv(tmp_path / "w" / "y.csv"), y_rest + w)
+
+    @pytest.mark.parametrize("x0, message", [
+        ("nan,0,0", "x0 contains non-finite entries"),
+        ("0,inf,0", "x0 contains non-finite entries"),
+        ("1,2", "x0 must have length 3, got 2"),
+    ])
+    def test_simulate_refuses_a_bad_initial_state(self, tmp_path, capsys, x0, message):
+        self._write_demo_data(tmp_path)
+        code = cli_main(["--out", str(tmp_path / "sim"), *self._simulate_args(tmp_path),
+                         "--x0", x0])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "sim" / "y.csv").exists()
 
     def test_identify_and_fault_recover(self, tmp_path):
         self._write_demo_data(tmp_path)

@@ -472,7 +472,7 @@ class TestZeroSolver:
         # 45 of 100 chains of degree 3); the reduction removes the chain
         # exactly, so the rank formula n_x + s n_v - zeta holds
         rng = np.random.default_rng(5)
-        for _ in range(20):
+        for _ in range(100):
             n, ny = int(rng.integers(degree + 1, 8)), int(rng.integers(1, 3))
             channel = _integrator_chain(rng, n, ny, degree)
             zr = transmission_zeros(*channel)
@@ -486,7 +486,7 @@ class TestZeroSolver:
         # parameters are zero only up to rounding; the structure must still
         # read as in the original coordinates
         rng, rotations = np.random.default_rng(5), np.random.default_rng(6)
-        for _ in range(20):
+        for _ in range(100):
             n, ny = int(rng.integers(degree + 1, 8)), int(rng.integers(1, 3))
             a, f, c, g = _integrator_chain(rng, n, ny, degree)
             q, _ = np.linalg.qr(rotations.standard_normal((n, n)))
