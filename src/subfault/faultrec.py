@@ -130,7 +130,8 @@ class FaultReconstruction:
     """Reconstructed residual-system initial state and fault signal.
 
     ``xi0`` has shape (n_x,), ``v`` shape (T, n_v); ``replay_residual`` is
-    the relative error of the channel replayed from them. Two smoother
+    the relative error of the channel replayed from them, |r - C xi - G v|
+    / |r| over the smoother's own forward-pass states xi. Two smoother
     diagnostics ride along and enter no report: ``per_step_samples``, the
     length of the per-step tail of the backward sweep (T when its factor
     never became stationary), and ``v_information``, shape (T, n_v), the
@@ -533,8 +534,9 @@ def _fault_channel_smoother(a, f, c, g, resid):
     whole record stays per step. Storage is a few arrays of T x (n_x or
     n_v) plus one block per tail step.
 
-    Returns (xi0, v, per_step_samples, v_information) with v and
-    v_information of shape (T, n_v).
+    Returns (xi0, v, per_step_samples, v_information, misfit) with v and
+    v_information of shape (T, n_v) and misfit = |r - C xi - G v| over the
+    forward pass's states xi.
     """
     t = resid.shape[0]
     n_x, n_v = f.shape
@@ -600,10 +602,14 @@ def _fault_channel_smoother(a, f, c, g, resid):
     xi0 = np.linalg.solve(tri[:n_x, :n_x], tri[:n_x, -1])
     v = np.empty((t, n_v))
     x = xi0
+    # the forward pass is the channel itself, xi(k+1) = A xi(k) + F v(k), so
+    # each pass also sums the squared replay error |r(k) - C xi(k) - G v(k)|^2
+    misfit = 0.0
     if k:
         drive = (offset @ f.T)[:, :, None]
         xs = _lti_states(a - f @ feedback, xi0[:, None], drive)[:, :, 0]
         v[:k] = offset - xs[:-1] @ feedback.T
+        misfit += np.sum((xs[:-1] @ c.T + v[:k] @ g.T - resid[:k]) ** 2)
         x = xs[-1]
     # the tail: v(k) = g_k - L_k xi(k), its gains solved at once
     gains = tail[t - k - 1::-1]
@@ -618,7 +624,8 @@ def _fault_channel_smoother(a, f, c, g, resid):
         xs[j] = x
         x = closed[j] @ x + drive[j]
     v[k:] = offset - np.einsum("kij,kj->ki", feedback, xs)
-    return xi0, v, t - k, info
+    misfit += np.sum((xs @ c.T + v[k:] @ g.T - resid[k:]) ** 2)
+    return xi0, v, t - k, info, float(np.sqrt(misfit))
 
 
 def reconstruct_fault(y, u, sys: StateSpace, fg: FaultPair, x_tilde_0) -> FaultReconstruction:
@@ -643,7 +650,8 @@ def reconstruct_fault(y, u, sys: StateSpace, fg: FaultPair, x_tilde_0) -> FaultR
     per step over the whole record. ``per_step_samples`` and
     ``v_information`` on the result report the tail length and how firmly
     each sample of v is determined. ``replay_residual`` is the relative
-    error of simulating the channel from (xi0, v) against r.
+    error of the channel's output from (xi0, v) against r, read off the
+    smoother's forward pass, which runs that channel's state recursion.
     """
     u_data, y_data = _input_output_arrays(u, y)
     fg.check_matches(sys)
@@ -655,14 +663,12 @@ def reconstruct_fault(y, u, sys: StateSpace, fg: FaultPair, x_tilde_0) -> FaultR
 def _replay_fault(resid, sys: StateSpace, fg: FaultPair) -> FaultReconstruction:
     """``reconstruct_fault`` on a record already less its nominal response:
     the residual r replayed against the fault channel (A, F, C, G)."""
-    xi0, v_hat, per_step, info = _fault_channel_smoother(sys.A, fg.F, sys.C, fg.G, resid)
-    y_fault, _ = simulate(StateSpace(sys.A, fg.F, sys.C, fg.G), None, xi0, v_hat)
+    xi0, v, per_step, info, misfit = _fault_channel_smoother(sys.A, fg.F, sys.C, fg.G, resid)
     norm = np.linalg.norm(resid)
-    replay = float(np.linalg.norm(y_fault - resid) / norm) if norm > 0 else 0.0
     return FaultReconstruction(
         xi0=xi0,
-        v=v_hat,
-        replay_residual=replay,
+        v=v,
+        replay_residual=float(misfit / norm) if norm > 0 else 0.0,
         per_step_samples=per_step,
         v_information=info,
     )

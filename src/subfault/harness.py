@@ -239,27 +239,23 @@ def projection_residual(true_stack, recovered_stack) -> float:
     return float(np.linalg.norm(resid) / np.linalg.norm(t))
 
 
-def align_fault_to_reference(ref_sys: StateSpace, est_sys: StateSpace, f_mat) -> np.ndarray:
-    """Map a fault matrix from the estimated realization's coordinates.
+def aligned_stack(ref_sys: StateSpace, est_sys: StateSpace, *stacks) -> list:
+    """Map fault stacks [F; G] from the estimated realization's coordinates.
 
     An identified realization is a similarity transform of the reference;
     fault matrices recovered in its state basis are not directly comparable
     to the reference F. The transform follows from matching the extended
     observability matrices: O_est = O_ref T^{-1}, so T^{-1} = O_ref^+ O_est
     maps the recovered F back to reference coordinates. Output-side matrices
-    (G) are coordinate free.
+    (G) are coordinate free. T^{-1} is solved once, and the list holds each
+    given stack with its F block mapped.
     """
     depth = 2 * ref_sys.n_x
     o_ref = extended_observability(ref_sys.A, ref_sys.C, depth)
     o_est = extended_observability(est_sys.A, est_sys.C, depth)
     t_inv = min_norm_lsq(o_ref, o_est)
-    return t_inv @ np.asarray(f_mat, dtype=float)
-
-
-def aligned_stack(ref_sys: StateSpace, est_sys: StateSpace, f_mat, g_mat) -> np.ndarray:
-    return np.vstack(
-        [align_fault_to_reference(ref_sys, est_sys, f_mat), np.asarray(g_mat, dtype=float)]
-    )
+    n_x = est_sys.n_x
+    return [np.vstack([t_inv @ stack[:n_x], stack[n_x:]]) for stack in stacks]
 
 
 def markov_relative_error(est: StateSpace, true: StateSpace, count: int = 10) -> float:
@@ -400,8 +396,7 @@ def run_example(config: ExperimentConfig | None = None) -> dict:
             rec, rep, recons[label], branch = _fault_stages(
                 y, u, model, config.s, config.policy(), "sparse-G", x_tilde_0=x_tilde_0
             )
-            rec_aligned = aligned_stack(sys, model, rec.F_hat, rec.G_hat)
-            rep_aligned = aligned_stack(sys, model, rep.F, rep.G)
+            rec_aligned, rep_aligned = aligned_stack(sys, model, rec.stack(), rep.stack())
             corr = np.corrcoef(recons[label].v[:, 0], v[:, 0])[0, 1]
             branches[label] = {
                 **branch,

@@ -192,6 +192,8 @@ def simulate(sys: StateSpace, fault: FaultPair | None, x0, u, v=None, w=None):
             raise ValueError(
                 f"v must be {t}x{fault.n_v}, got {v_data.shape[0]}x{v_data.shape[1]}"
             )
+    elif v is not None:
+        raise ValueError("fault signal v given but no fault matrices")
     else:
         v_data = None
     if w is not None:

@@ -608,7 +608,7 @@ class TestStationarySmoother:
         rng = np.random.default_rng([zeros, 5])
         for t in lengths:
             resid = resid_full[:t]
-            xi0, v, per_step, info = faultrec._fault_channel_smoother(a, f, c, g, resid)
+            xi0, v, per_step, info, _ = faultrec._fault_channel_smoother(a, f, c, g, resid)
             ref_xi0, ref_v = _per_step_smoother(a, f, c, g, resid)
             assert v.shape == info.shape == (t, f.shape[1])
             assert per_step == min(t, tail)
@@ -625,6 +625,17 @@ class TestStationarySmoother:
             ref_replay = _replay(a, f, c, g, ref_xi0, ref_v, resid)
             assert replay <= ref_replay + 16 * self._EPS, t
 
+    @pytest.mark.parametrize("a, f, c, g, zeros", _smoother_channels())
+    def test_replay_residual_matches_an_independent_simulation(self, a, f, c, g, zeros):
+        # the replay residual comes from the smoother's forward pass; an
+        # independent simulation of the channel from (xi0, v) must agree
+        resid = _channel_output(a, f, c, g, 1000, seed=[zeros, 7])
+        resid += 1e-3 * np.random.default_rng([zeros, 8]).standard_normal(resid.shape)
+        sys = StateSpace(a, np.zeros((a.shape[0], 1)), c, np.zeros((c.shape[0], 1)))
+        recon = faultrec._replay_fault(resid, sys, FaultPair(f, g))
+        want = _replay(a, f, c, g, recon.xi0, recon.v, resid)
+        assert abs(recon.replay_residual - want) <= max(1e-12 * want, 16 * self._EPS)
+
     @pytest.mark.parametrize("zero", [1.0, -1.0])
     def test_unit_circle_zero_stays_per_step(self, demo, zero):
         # an invariant zero on the unit circle: the factor never settles, and
@@ -635,7 +646,7 @@ class TestStationarySmoother:
         found = transmission_zeros(a, f, c, g).finite_zeros
         assert np.allclose(found, [zero], atol=1e-9)
         resid = _channel_output(a, f, c, g, 1000, seed=11)
-        xi0, v, per_step, _ = faultrec._fault_channel_smoother(a, f, c, g, resid)
+        xi0, v, per_step, _, _ = faultrec._fault_channel_smoother(a, f, c, g, resid)
         ref_xi0, ref_v = _per_step_smoother(a, f, c, g, resid)
         assert per_step == 1000
         assert np.array_equal(v, ref_v)
@@ -649,7 +660,7 @@ class TestStationarySmoother:
         resid = _channel_output(sys.A, fault.F, sys.C, fault.G, 100_000, seed=13)
         tracemalloc.start()
         try:
-            _, _, per_step, _ = faultrec._fault_channel_smoother(
+            _, _, per_step, _, _ = faultrec._fault_channel_smoother(
                 sys.A, fault.F, sys.C, fault.G, resid
             )
             peak = tracemalloc.get_traced_memory()[1]

@@ -295,7 +295,7 @@ class TestRunExample:
     def test_simulates_each_nominal_response_once(self, monkeypatch):
         # the record, then per branch one nominal response (the exact model's
         # from rest, the identified one's from x~0), whose compensated record
-        # both the spectra and the reconstruction read, and the replay
+        # both the spectra and the reconstruction read
         calls = []
         for module in (faultrec, harness):
             original = module.simulate
@@ -306,12 +306,14 @@ class TestRunExample:
 
             monkeypatch.setattr(module, "simulate", counting)
         run_example(ExperimentConfig.example_defaults())
-        assert len(calls) == 5
+        assert len(calls) == 3
 
     def test_branches_match_public_reconstruction(self, monkeypatch):
         # each branch compensates its record once, from x~0 or from rest, and
         # gets the bytes of the public reconstruct_fault from that state; its
-        # compensated spectra are those of the same record
+        # compensated spectra are those of the same record, and its replay
+        # residual, read off the smoother's forward pass, is that of an
+        # independent simulation of the channel from (xi0, v)
         kept, idents = [], []
 
         def keep(*args, _original=harness._replay_fault):
@@ -335,6 +337,11 @@ class TestRunExample:
             want = reconstruct_fault(y, u, model, rep, x0)
             assert np.array_equal(got.v, want.v) and np.array_equal(got.xi0, want.xi0)
             assert got.replay_residual == want.replay_residual == report[label]["replay_residual"]
+            channel = StateSpace(model.A, rep.F, model.C, rep.G)
+            replayed, _ = simulate(channel, None, got.xi0, got.v)
+            replay = np.linalg.norm(replayed - record) / np.linalg.norm(record)
+            bound = max(1e-12 * replay, 16 * np.finfo(float).eps)
+            assert abs(got.replay_residual - replay) <= bound
             assert np.array_equal(record, y - simulate(model, None, x0, u)[0])
             sv_s, sv_s1 = _compensated_spectra(record, config.s)
             assert report[label]["compensated_singular_values_s"] == sv_s

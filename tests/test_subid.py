@@ -212,6 +212,22 @@ class TestInitialState:
         est = estimate_initial_state(sys, np.zeros((t, 1)), np.zeros((t, 2)), horizon=10)
         assert np.allclose(est, 0)
 
+    def test_memory_linear_in_the_horizon(self):
+        # a horizon-deep Toeplitz of the demo system at horizon 3000 alone
+        # is 144 MB; the observability matrix and one simulation are 0.2 MB
+        sys, _ = demo_system()
+        x0 = np.array([0.7, -1.1, 0.4])
+        u = white_input(1, 3000, seed=3)
+        y, _ = simulate(sys, None, x0, u)
+        tracemalloc.start()
+        try:
+            est = estimate_initial_state(sys, u, y, horizon=3000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert np.allclose(est, x0, atol=1e-8)
+
     def test_short_horizon_rejected(self):
         sys, _ = random_system(4, 1, 2, 1, 0, seed=10)
         with pytest.raises(ValueError):

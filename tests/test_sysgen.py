@@ -209,6 +209,12 @@ class TestSimulate:
         with pytest.raises(ValueError, match="u contains non-finite"):
             simulate(sys, None, np.zeros(3), u)
 
+    def test_fault_signal_without_fault_matrices_rejected(self, demo):
+        # a v with no (F, G) to carry it must not be dropped silently
+        sys, _ = demo
+        with pytest.raises(ValueError, match="fault signal v given but no fault matrices"):
+            simulate(sys, None, None, np.zeros((10, 1)), np.full((10, 1), 100.0))
+
     def test_length_mismatch_rejected(self, demo):
         sys, fault = demo
         with pytest.raises(ValueError):
