@@ -19,9 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from .sysgen import (
-    _read_system_json,
     load_system_json,
     read_trajectory_csv,
+    save_system_json,
     simulate,
     write_trajectory_csv,
 )
@@ -34,7 +34,6 @@ from .harness import (
     _fault_stages,
     _model_fields,
     _read_config_file,
-    _write_identified_system,
     _write_json,
     run_example,
     run_montecarlo,
@@ -114,7 +113,7 @@ def _out_dir(args) -> Path:
 
 
 def _cmd_simulate(args) -> int:
-    system, fault = load_system_json(args.system)
+    system, fault, _ = load_system_json(args.system)
     u = read_trajectory_csv(args.u)
     v = read_trajectory_csv(args.v) if args.v else None
     w = read_trajectory_csv(args.w) if args.w else None
@@ -140,14 +139,14 @@ def _cmd_identify(args) -> int:
         "window_s": result.window_s,
     }
     _write_json(out / "identified.json", payload)
-    _write_identified_system(out, result)
+    save_system_json(out / "identified_system.json", result.system, x_tilde_0=result.x_tilde_0)
     return 0
 
 
 def _cmd_fault_recover(args) -> int:
     u = read_trajectory_csv(args.u)
     y = read_trajectory_csv(args.y)
-    system, _, x_tilde_0 = _read_system_json(args.system)
+    system, _, x_tilde_0 = load_system_json(args.system)
     rec, rep, recon, fields = _fault_stages(
         y, u, system, args.window, _RANK_POLICIES[args.rank_policy], args.policy,
         method=args.method, x_tilde_0=x_tilde_0,

@@ -189,14 +189,23 @@ def estimate_fault_dim(y, u, sys: StateSpace, s: int, policy: RankPolicy | None 
     Neither Hankel is formed: both spectra are read from their triangular
     factors (``matstack._residual_factors``, one chunked pass), and R_s's is
     kept on the readout for the basis methods. Returns (n_v, readout).
+
+    A window the record cannot hold is an input error (``ValueError``):
+    s outside 1 <= s < T, or R_(s+1) of full column rank T - s, since the
+    record then caps its rank and the difference says nothing about n_v.
     """
     u_data, y_data = _input_output_arrays(u, y)
+    t = y_data.shape[0]
+    if not 1 <= s < t:
+        raise ValueError(f"window s={s} must satisfy 1 <= s < T={t}")
     factor, deep = _residual_factors(y_data, u_data, sys.A, sys.B, sys.C, sys.D, s)
     sv_s = np.linalg.svd(factor, compute_uv=False)
     sv_s1 = np.linalg.svd(deep, compute_uv=False)
     shared = RankPolicy.absolute((policy or RankPolicy.gap()).threshold(sv_s1))
     rank_s = shared.rank(sv_s)
     rank_s1 = shared.rank(sv_s1)
+    if rank_s1 >= t - s:
+        raise ValueError(f"window s={s} is too deep for T={t}: R_(s+1) has full column rank {t - s}")
     n_v = fault_dim_from_ranks(rank_s, rank_s1)
     diag = FaultDimDiagnostics(
         rank_s=rank_s,
@@ -205,7 +214,7 @@ def estimate_fault_dim(y, u, sys: StateSpace, s: int, policy: RankPolicy | None 
         singular_values_s_plus_1=sv_s1,
         threshold=float(shared.tol),
         residual_s=factor,
-        residual_columns=y_data.shape[0] - s + 1,
+        residual_columns=t - s + 1,
         window_s=s,
     )
     return n_v, diag

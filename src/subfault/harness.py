@@ -32,12 +32,13 @@ from .matstack import (
     write_matrix_csv,
 )
 from .sysgen import (
+    _NOISE_FILTER_POLE,
     FaultPair,
     StateSpace,
-    _system_json,
     colored_noise,
     fault_signal,
     random_system,
+    save_system_json,
     simulate,
     stack_channels,
     white_input,
@@ -132,7 +133,7 @@ class ExperimentConfig:
             raise ValueError(f"zero counts must be between 0 and n_x={n_x}")
         if not self.T > 2 * self.s:
             raise ValueError(f"need T > 2s: T={self.T}, s={self.s}")
-        if not 2 * self.s > 2 * n_x:
+        if not self.s > n_x:
             raise ValueError(f"need s > n_x: s={self.s}, n_x={n_x}")
         s_id = _identification_window(n_x)
         if not self.T > 2 * s_id:
@@ -191,7 +192,7 @@ class ExperimentConfig:
         # unspecified scales assumed unit and recorded here
         out["input_variance"] = 1.0
         out["initial_state_variance"] = 1.0
-        out["noise_filter_pole"] = 0.7
+        out["noise_filter_pole"] = _NOISE_FILTER_POLE
         out["zero_location_variance"] = 1.0
         return out
 
@@ -258,10 +259,10 @@ def aligned_stack(ref_sys: StateSpace, est_sys: StateSpace, *stacks) -> list:
     return [np.vstack([t_inv @ stack[:n_x], stack[n_x:]]) for stack in stacks]
 
 
-def markov_relative_error(est: StateSpace, true: StateSpace, count: int = 10) -> float:
-    """Aggregate relative Frobenius error over the first Markov parameters."""
-    est_params = markov_params(est, count)
-    true_params = markov_params(true, count)
+def markov_relative_error(est: StateSpace, true: StateSpace) -> float:
+    """Aggregate relative Frobenius error over the first 10 Markov parameters."""
+    est_params = markov_params(est, 10)
+    true_params = markov_params(true, 10)
     num = np.sqrt(sum(np.linalg.norm(a - b) ** 2 for a, b in zip(est_params, true_params)))
     den = np.sqrt(sum(np.linalg.norm(b) ** 2 for b in true_params))
     return float(num / den)
@@ -309,13 +310,6 @@ def _model_fields(ident) -> dict:
         "chosen_order": ident.chosen_order,
         "order_singular_values": ident.order_singular_values.tolist(),
     }
-
-
-def _write_identified_system(out: Path, ident) -> None:
-    """identified_system.json, the system file ``fault-recover`` reads: an
-    identified model's A-D, their dims and x~0 (``x_tilde_0``)."""
-    system = {**_system_json(ident.system), "x_tilde_0": ident.x_tilde_0.tolist()}
-    _write_json(out / "identified_system.json", system)
 
 
 def _fault_stages(y, u, model: StateSpace, s: int, policy: RankPolicy, representative: str,
@@ -425,7 +419,7 @@ def run_example(config: ExperimentConfig | None = None) -> dict:
         out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         _write_json(out / "example_report.json", report)
-        _write_identified_system(out, ident)
+        save_system_json(out / "identified_system.json", ident.system, x_tilde_0=ident.x_tilde_0)
         emit_plot_data(report, "singular_values", out / "singular_values.csv")
         write_matrix_csv(out / "fault_basis_exact.csv", np.asarray(branches["exact"]["fault_basis"]))
         write_matrix_csv(

@@ -31,6 +31,7 @@ that each column's first significant entry is positive.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -576,15 +577,28 @@ def write_matrix_csv(path, m) -> None:
             fh.write(",".join(repr(float(x)) for x in row) + "\n")
 
 
+def _read_csv_body(fh, path, name: str) -> np.ndarray:
+    """The rest of an open CSV file, as ``as_matrix`` gives it under ``name``.
+    Blank lines are skipped; an empty or ragged body and a non-finite entry
+    are refused."""
+    body = (line for line in fh if line.strip())
+    first = next(body, None)
+    if first is None:
+        raise ValueError(f"no samples in {path}")
+    data = np.loadtxt(itertools.chain([first], body), delimiter=",", comments=None, ndmin=2)
+    return as_matrix(data, name)
+
+
 def read_matrix_csv(path) -> np.ndarray:
+    """The matrix of a matrix CSV: a ``rows,cols`` header, then one row per
+    line, read by ``_read_csv_body``; a body of another shape is refused."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         try:
             rows, cols = (int(x) for x in header.split(","))
         except ValueError as exc:
             raise ValueError(f"bad matrix CSV header {header!r}") from exc
-        data = [[float(x) for x in line.strip().split(",")] for line in fh if line.strip()]
-    m = np.asarray(data, dtype=float)
+        m = _read_csv_body(fh, path, "matrix")
     if m.shape != (rows, cols):
         raise ValueError(f"matrix CSV body {m.shape} does not match header ({rows},{cols})")
     return m

@@ -19,6 +19,7 @@ import numpy as np
 from .matstack import (
     RankPolicy,
     _lti_states,
+    _read_csv_body,
     as_matrix,
     block_toeplitz,  # noqa: F401 (unused here; the benchmark traces it in this module)
     extended_observability,
@@ -44,6 +45,10 @@ __all__ = [
 
 # pencil eigenvalues with modulus beyond this are treated as infinite
 _INFINITE_ZERO_CUTOFF = 1e6
+# the pole of the first-order filter that colors the measurement noise
+_NOISE_FILTER_POLE = 0.7
+# random test systems draw their poles in the disk of this radius
+_POLE_RADIUS = 0.95
 
 
 def stack_channels(*signals) -> np.ndarray:
@@ -101,12 +106,12 @@ class StateSpace:
     def spectral_radius(self) -> float:
         return float(np.abs(np.linalg.eigvals(self.A)).max())
 
-    def is_stable(self, tol: float = 1e-10) -> bool:
-        return self.spectral_radius() < 1.0 + tol
+    def is_stable(self) -> bool:
+        return self.spectral_radius() < 1.0 + 1e-10
 
-    def is_minimal(self, tol: float = 1e-8) -> bool:
+    def is_minimal(self) -> bool:
         """Observability of (A, C) and controllability of (A, B) by rank test."""
-        policy = RankPolicy.relative(tol)
+        policy = RankPolicy.relative(1e-8)
         obs = extended_observability(self.A, self.C, self.n_x)
         return (
             numerical_rank(obs, policy) == self.n_x
@@ -256,8 +261,9 @@ def fault_signal(kind: str, t: int, seed=None) -> np.ndarray:
 def colored_noise(n_y: int, t: int, snr_db, reference, seed) -> np.ndarray:
     """First-order low-pass filtered Gaussian noise at a per-channel SNR.
 
-    White noise is shaped by f(k) = 0.7 f(k-1) + e(k), then each channel is
-    scaled so 10*log10(power(ref_ch)/power(noise_ch)) equals ``snr_db``.
+    White noise is shaped by f(k) = 0.7 f(k-1) + e(k) (``_NOISE_FILTER_POLE``),
+    then each channel is scaled so 10*log10(power(ref_ch)/power(noise_ch))
+    equals ``snr_db``.
     ``snr_db`` None or +inf yields the zero signal.
     """
     ref = as_matrix(reference, "reference")
@@ -274,7 +280,7 @@ def colored_noise(n_y: int, t: int, snr_db, reference, seed) -> np.ndarray:
     # below add in the same order
     f = np.empty_like(e)
     for j in range(n_y):
-        steps = itertools.accumulate(e[:, j].tolist(), lambda prev, x: 0.7 * prev + x)
+        steps = itertools.accumulate(e[:, j].tolist(), lambda prev, x: _NOISE_FILTER_POLE * prev + x)
         f[:, j] = np.fromiter(steps, float, count=t)
     ref_power = np.mean(ref**2, axis=0)
     if np.any(ref_power <= 0):
@@ -434,17 +440,17 @@ def transmission_zeros(a, f, c, g, tol: float = 1e-8) -> ZeroReport:
 # random test systems
 
 
-def _random_stable_a(n_x: int, rng: np.random.Generator, radius: float = 0.95) -> np.ndarray:
-    """Real matrix with eigenvalues uniform in the disk of the given radius."""
+def _random_stable_a(n_x: int, rng: np.random.Generator) -> np.ndarray:
+    """Real matrix with eigenvalues uniform in the disk of radius ``_POLE_RADIUS``."""
     n_pairs = int(rng.integers(0, n_x // 2 + 1))
     a = np.zeros((n_x, n_x))
     for k in range(0, 2 * n_pairs, 2):
-        r = radius * np.sqrt(rng.uniform())
+        r = _POLE_RADIUS * np.sqrt(rng.uniform())
         th = rng.uniform(0.0, np.pi)
         re, im = r * np.cos(th), r * np.sin(th)
         a[k : k + 2, k : k + 2] = [[re, im], [-im, re]]
     for k in range(2 * n_pairs, n_x):
-        a[k, k] = rng.uniform(-radius, radius)
+        a[k, k] = rng.uniform(-_POLE_RADIUS, _POLE_RADIUS)
     q, r = np.linalg.qr(rng.standard_normal((n_x, n_x)))
     q = q * np.sign(np.diag(r))
     return q @ a @ q.T
@@ -490,8 +496,8 @@ def _place_fault_pair(
     return FaultPair(f / norms, g / norms)
 
 
-def _channel_controllable(a, f, tol: float = 1e-8) -> bool:
-    return numerical_rank(_controllability(a, f), RankPolicy.relative(tol)) == a.shape[0]
+def _channel_controllable(a, f) -> bool:
+    return numerical_rank(_controllability(a, f), RankPolicy.relative(1e-8)) == a.shape[0]
 
 
 def random_system(
@@ -578,23 +584,29 @@ def write_trajectory_csv(path, traj) -> None:
 
 def read_trajectory_csv(path) -> np.ndarray:
     """The (T, dim) signal of a trajectory CSV: a ``t,ch0,...`` header, then
-    one sample per line after its index. Blank lines are skipped; an empty
-    or ragged body and a non-finite sample are refused."""
+    one sample per line after its index, read by ``matstack._read_csv_body``
+    (blank lines skipped; an empty or ragged body and a non-finite entry
+    refused)."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         if header[0] != "t":
             raise ValueError(f"bad trajectory CSV header in {path}")
-        body = (line for line in fh if line.strip())
-        first = next(body, None)
-        if first is None:
-            raise ValueError(f"no samples in {path}")
-        data = np.loadtxt(itertools.chain([first], body), delimiter=",", comments=None, ndmin=2)
+        data = _read_csv_body(fh, path, "trajectory")
     return as_matrix(data[:, 1:], "trajectory")
 
 
-def _system_json(sys: StateSpace, fault: FaultPair | None = None) -> dict:
-    """The object of a system file: A, B, C, D, their dims and, given a
-    fault, F and G."""
+def _initial_state(x_tilde_0, sys: StateSpace) -> np.ndarray:
+    """A system file's ``x_tilde_0`` as a length-n_x array."""
+    x = as_matrix(x_tilde_0, "x_tilde_0").ravel()
+    if x.size != sys.n_x:
+        raise ValueError(f"x_tilde_0 must have {sys.n_x} entries, got {x.size}")
+    return x
+
+
+def save_system_json(path, sys: StateSpace, fault: FaultPair | None = None, x_tilde_0=None) -> None:
+    """Write a system file: A, B, C, D and their dims, then, when given, F
+    and G and the initial state ``x_tilde_0``, as strict JSON (sorted keys,
+    indent 2, a trailing newline; a non-finite value raises)."""
     obj = {
         "A": sys.A.tolist(),
         "B": sys.B.tolist(),
@@ -606,35 +618,21 @@ def _system_json(sys: StateSpace, fault: FaultPair | None = None) -> dict:
         obj["F"] = fault.F.tolist()
         obj["G"] = fault.G.tolist()
         obj["dims"]["n_v"] = fault.n_v
-    return obj
-
-
-def save_system_json(path, sys: StateSpace, fault: FaultPair | None = None, seed=None) -> None:
-    obj = _system_json(sys, fault)
-    if seed is not None:
-        obj["seed"] = seed
+    if x_tilde_0 is not None:
+        obj["x_tilde_0"] = _initial_state(x_tilde_0, sys).tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
-def _read_system_json(path):
-    """(StateSpace, FaultPair or None, x~0 or None) of a system file; the
-    optional ``x_tilde_0`` key is the initial state ``identify`` writes."""
+def load_system_json(path):
+    """(StateSpace, FaultPair or None, x_tilde_0 or None) of a system file.
+    F and G come together: a file with only one of them is refused."""
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     sys = StateSpace(obj["A"], obj["B"], obj["C"], obj["D"])
-    fault = None
-    if "F" in obj and "G" in obj:
-        fault = FaultPair(obj["F"], obj["G"])
-    x_tilde_0 = None
-    if "x_tilde_0" in obj:
-        x_tilde_0 = as_matrix(obj["x_tilde_0"], "x_tilde_0").ravel()
-        if x_tilde_0.size != sys.n_x:
-            raise ValueError(f"x_tilde_0 must have {sys.n_x} entries, got {x_tilde_0.size}")
+    if ("F" in obj) != ("G" in obj):
+        raise ValueError(f"system file {path} carries only one of F and G")
+    fault = FaultPair(obj["F"], obj["G"]) if "F" in obj else None
+    x_tilde_0 = _initial_state(obj["x_tilde_0"], sys) if "x_tilde_0" in obj else None
     return sys, fault, x_tilde_0
-
-
-def load_system_json(path):
-    """Returns (StateSpace, FaultPair or None)."""
-    return _read_system_json(path)[:2]

@@ -115,6 +115,16 @@ class TestFaultDim:
         with pytest.raises(RecoveryError):
             fault_dim_from_ranks(7, 6)
 
+    @pytest.mark.parametrize("s", [58, 59, 60])
+    def test_window_the_record_cannot_hold_is_refused(self, demo, s):
+        # on a 60-sample record R_(s+1) has T - s columns: from s = 58 on its
+        # rank reaches that count, and s = 60 leaves no column at all
+        sys, fault = demo
+        u = white_input(1, 60, seed=[1, 1])
+        y, _ = simulate(sys, fault, np.zeros(3), u, fault_signal("v1", 60))
+        with pytest.raises(ValueError, match=f"window s={s} .*T=60"):
+            estimate_fault_dim(y, u, sys, s)
+
     @pytest.mark.parametrize("method", ["structure", "annihilator"])
     def test_recover_reads_dimension_through_estimate_fault_dim(
         self, demo_run, monkeypatch, method

@@ -773,6 +773,22 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "rec" / "fault_recovery.json").exists()
 
+    def test_fault_recover_window_too_deep_for_the_record(self, tmp_path, capsys):
+        # 60 samples hold no readout at window 59: an input error, not a
+        # numerical failure
+        sys, fault = demo_system()
+        u = white_input(1, 60, seed=[1, 1])
+        y, _ = simulate(sys, fault, np.zeros(3), u, fault_signal("v1", 60))
+        save_system_json(tmp_path / "sys.json", sys)
+        write_trajectory_csv(tmp_path / "u.csv", u)
+        write_trajectory_csv(tmp_path / "y.csv", y)
+        code = cli_main(["--out", str(tmp_path / "rec"), "fault-recover",
+                         "--u", str(tmp_path / "u.csv"), "--y", str(tmp_path / "y.csv"),
+                         "--system", str(tmp_path / "sys.json"), "--window", "59"])
+        assert code == 2
+        assert "window s=59 is too deep for T=60" in capsys.readouterr().err
+        assert not (tmp_path / "rec" / "fault_recovery.json").exists()
+
     def test_readme_quick_start_runs(self, capsys):
         # README's library quick start block runs as printed: the demo's one
         # fault channel, its two-wide family and a small replay residual

@@ -533,6 +533,18 @@ class TestMatrixCsv:
         with pytest.raises(ValueError):
             read_matrix_csv(path)
 
+    @pytest.mark.parametrize("body, message", [
+        ("1.0,nan\n3.0,4.0\n", "non-finite"),
+        ("1.0,2.0\n-inf,4.0\n", "non-finite"),
+        ("1.0,2.0\n3.0\n", "number of columns changed"),
+        ("", "no samples"),
+    ])
+    def test_body_is_checked(self, tmp_path, body, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("2,2\n" + body)
+        with pytest.raises(ValueError, match=message):
+            read_matrix_csv(path)
+
 
 class TestRangeBasis:
     def test_truncates_at_rank(self):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -617,8 +619,23 @@ class TestTypesAndPersistence:
 
     def test_system_json_round_trip(self, tmp_path, demo):
         sys, fault = demo
+        x_tilde_0 = np.random.default_rng(5).standard_normal(sys.n_x)
         path = tmp_path / "sys.json"
-        save_system_json(path, sys, fault, seed=42)
-        back_sys, back_fault = load_system_json(path)
+        save_system_json(path, sys, fault, x_tilde_0=x_tilde_0)
+        back_sys, back_fault, back_x = load_system_json(path)
         assert np.array_equal(back_sys.A, sys.A)
         assert np.array_equal(back_fault.G, fault.G)
+        assert np.array_equal(back_x, x_tilde_0)
+        save_system_json(path, sys)
+        assert load_system_json(path)[1:] == (None, None)
+
+    @pytest.mark.parametrize("dropped", ["F", "G"])
+    def test_system_json_without_one_fault_matrix_is_refused(self, tmp_path, demo, dropped):
+        path = tmp_path / "sys.json"
+        save_system_json(path, *demo)
+        obj = json.loads(path.read_text())
+        del obj[dropped]
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValueError, match="only one of F and G") as excinfo:
+            load_system_json(path)
+        assert str(path) in str(excinfo.value)
