@@ -118,8 +118,6 @@ def _cmd_simulate(args) -> int:
     v = read_trajectory_csv(args.v) if args.v else None
     w = read_trajectory_csv(args.w) if args.w else None
     x0 = [float(x) for x in args.x0.split(",")] if args.x0 else None
-    if v is not None and fault is None:
-        raise ValueError("fault trajectory given but the system JSON carries no F,G")
     y, x = simulate(system, fault if v is not None else None, x0, u, v, w)
     out = _out_dir(args)
     write_trajectory_csv(out / "y.csv", y)

@@ -36,6 +36,7 @@ from .sysgen import FaultPair, StateSpace, simulate, transmission_zeros
 
 __all__ = [
     "annihilator_fault_basis",
+    "FaultDimDiagnostics",
     "FaultRecovery",
     "FaultReconstruction",
     "RecoveryError",

@@ -52,9 +52,12 @@ __all__ = [
     "MonteCarloRecord",
     "MonteCarloReport",
     "PipelineError",
+    "aligned_stack",
     "demo_system",
     "emit_plot_data",
     "markov_relative_error",
+    "montecarlo_report_dict",
+    "projection_residual",
     "representative_error_pct",
     "run_example",
     "run_montecarlo",

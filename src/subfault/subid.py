@@ -127,8 +127,11 @@ def pi_moesp(
     block of future outputs that is orthogonal to future inputs and
     correlated with the past-input instruments. C comes from the first block
     row, A from the shift-invariance least squares, and B, D together with
-    the initial state from one joint linear least-squares pass over all
-    samples. Both the data and the regression are folded into their
+    the initial state from one joint linear least-squares pass. The pass
+    covers all T samples when the identified A has spectral radius
+    rho <= 1, and the first min(T, max(4n, floor(200 / ln rho))) samples
+    otherwise, where the state responses stay bounded (``_estimate_b_d_x0``).
+    Both the data and the regression are folded into their
     triangular factors chunk by chunk (``matstack._hankel_factor``), so
     memory does not grow with T beyond the record itself; a record of at
     most ``_CHUNK`` (2048) data columns is one chunk, the one-shot QR.

@@ -43,8 +43,6 @@ __all__ = [
     "write_trajectory_csv",
 ]
 
-# pencil eigenvalues with modulus beyond this are treated as infinite
-_INFINITE_ZERO_CUTOFF = 1e6
 # the pole of the first-order filter that colors the measurement noise
 _NOISE_FILTER_POLE = 0.7
 # random test systems draw their poles in the disk of this radius
@@ -150,10 +148,9 @@ class FaultPair:
 class ZeroReport:
     """Transmission-zero structure of a fault channel, read by
     ``transmission_zeros`` at one rank threshold from one reduction of the
-    channel.
+    channel and one of its dual.
 
-    ``finite_zeros`` lists finite zeros with multiplicity by repetition,
-    each confirmed on the reduced channel's pencil.
+    ``finite_zeros`` lists finite zeros with multiplicity by repetition.
     ``infinite_zero_count`` is the deficiency k n_v - rank T_k of the
     channel's Markov-parameter Toeplitz matrix at depth k = l_delay + 1, or
     k = n_x + 1 when the channel is not left invertible. ``l_delay`` is the
@@ -296,25 +293,17 @@ def colored_noise(n_y: int, t: int, snr_db, reference, seed) -> np.ndarray:
 # transmission zeros and left invertibility
 
 
-def _rosenbrock(a, f, c, g, q: complex) -> np.ndarray:
-    n = a.shape[0]
-    top = np.hstack([a - q * np.eye(n), f])
-    bottom = np.hstack([c, g])
-    return np.vstack([top, bottom])
-
-
 def _zero_policy(a, f, c, g, tol: float = 1e-8) -> RankPolicy:
     """The zero readout's one rank rule: a singular value at or below
     tol |[A F; C G]|_F of the channel counts as zero."""
     return RankPolicy.absolute(tol * np.linalg.norm(np.block([[a, f], [c, g]])))
 
 
-def _zero_reduction(a, b, c, d, policy: RankPolicy, full_column_stop: bool = False):
+def _zero_reduction(a, b, c, d, policy: RankPolicy):
     """Emami-Naeini & Van Dooren's reduction (Automatica 18(4), 1982), all
     of it orthogonal: a system (A_r, B_r, C_r, D_r) with the same finite
-    zeros as (A, B, C, D) and D_r of full row rank, or with
-    ``full_column_stop`` the first one whose D has full column rank; and
-    the rank of D at each step.
+    zeros as (A, B, C, D) and D_r of full row rank, and the rank of D at
+    each step.
 
     While D is row-rank deficient, its rows are compressed so that the
     deficient ones read [C_2 0]. Zero rows (C_2 = 0) change the pencil's
@@ -329,15 +318,16 @@ def _zero_reduction(a, b, c, d, policy: RankPolicy, full_column_stop: bool = Fal
 
     The first k ranks sum to the rank of T_k, the Toeplitz matrix of the
     first k Markov parameters, with the steps past the last read at the
-    last rank (Van Dooren, IEEE TAC 26(1), 1981). The last rank plus n_x is
-    the normal rank of the pencil [A - qI, B; C, D].
+    last rank (Van Dooren, IEEE TAC 26(1), 1981). The ranks never fall,
+    since D_1 stays a block of the next D. The last rank plus n_x is the
+    normal rank of the pencil [A - qI, B; C, D].
     """
     ranks = []
     while True:
         u, s_d, _ = np.linalg.svd(d)
         rank_d = policy.rank(s_d)
         ranks.append(rank_d)
-        if rank_d == d.shape[0] or (full_column_stop and rank_d == d.shape[1]):
+        if rank_d == d.shape[0]:
             return a, b, c, d, ranks
         c = u.T @ c
         d = (u.T @ d)[:rank_d]
@@ -354,48 +344,27 @@ def _zero_reduction(a, b, c, d, policy: RankPolicy, full_column_stop: bool = Fal
         a, b = a[:k, :k], b[:k]
 
 
-def _square_pencil_eigs(a, f, c, g) -> np.ndarray:
-    """Finite zeros of the channel (A, F, C, G): the points where its
-    Rosenbrock pencil [A - qI, F; C, G] drops below its normal rank.
-
-    ``_zero_reduction`` of the channel, then of its dual (A^T, C^T, F^T,
-    G^T), leaves a system with an invertible square G_r and the same
-    finite zeros, which are then the eigenvalues of A_r - F_r G_r^-1 C_r.
-    A singular pencil, such as that of a channel with a repeated fault
-    column, loses its zero rows and columns on the way. The reductions
-    count at ``_zero_policy``'s default threshold. Eigenvalues past
-    ``_INFINITE_ZERO_CUTOFF`` are taken as infinite.
-    """
-    policy = _zero_policy(a, f, c, g)
-    a, f, c, g, _ = _zero_reduction(a, f, c, g, policy)
-    a, c, f, g, _ = _zero_reduction(a.T, c.T, f.T, g.T, policy)
-    zeros = np.linalg.eigvals(a - c @ np.linalg.solve(g, f))
-    return np.asarray(
-        [complex(q) for q in zeros if np.isfinite(q) and abs(q) <= _INFINITE_ZERO_CUTOFF]
-    )
-
-
 def transmission_zeros(a, f, c, g, tol: float = 1e-8) -> ZeroReport:
-    """Zero structure of the channel (A, F, C, G).
+    """Zero structure of the channel (A, F, C, G), read from two
+    ``_zero_reduction`` runs at one threshold, ``_zero_policy`` with ``tol``.
 
-    Every count is made at one threshold, ``_zero_policy`` with ``tol``.
-    ``_zero_reduction`` of the channel, stopped once G_r has full column
-    rank, reads the ranks sigma_0, sigma_1, ... of G_r at its steps; they
-    are the rank increments of the Toeplitz matrices T_1, T_2, ..., and the
-    Rosenbrock pencil [A-qI, F; C, G] has normal rank n_x plus the last
-    one. The channel is left invertible when the last one is n_v: the
-    inversion delay is the first l with sigma_l = n_v, and the
-    infinite-zero count is the sum of n_v - sigma_i over i <= l. Otherwise
-    the count is (n_x+1) n_v - rank T_(n_x+1).
+    The reduction of the channel reads the ranks sigma_0, sigma_1, ... of
+    G_r at its steps; they are the rank increments of the Toeplitz matrices
+    T_1, T_2, ..., and the Rosenbrock pencil [A-qI, F; C, G] has normal
+    rank n_x plus the last one. The channel is left invertible when the
+    last one is n_v: the inversion delay is the first l with
+    sigma_l = n_v, and the infinite-zero count is the sum of n_v - sigma_i
+    over i <= l. Otherwise the count is (n_x+1) n_v - rank T_(n_x+1).
 
     Finite zeros are the values where the pencil drops below its normal
-    rank, and the reduced channel (A_r, F_r, C_r, G_r) decides them: its
-    pencil has the same finite zeros, normal rank n_r plus the last
-    sigma, and none of the infinite zeros that leave the original pencil
-    nearly rank deficient at every large |q|. Candidates are the zeros of
-    one square channel, the channel itself or, with more outputs than
-    inputs, a fixed random output mix of it; the rank test on the reduced
-    pencil rejects the zeros the mix adds.
+    rank. The reduced channel keeps them and has a G_r of full row rank;
+    the reduction of its dual (A_r^T, C_r^T, F_r^T, G_r^T) then leaves a
+    square invertible G, because its rank never falls from the full
+    column rank it starts at. That last system's pencil is regular with
+    no infinite zeros, so the finite zeros are the eigenvalues of
+    A - F G^-1 C, for every channel shape. A singular pencil, such as that
+    of a channel with a repeated fault column, loses its zero rows and
+    columns on the way.
     """
     a = as_matrix(a, "A")
     f = as_matrix(f, "F")
@@ -408,30 +377,18 @@ def transmission_zeros(a, f, c, g, tol: float = 1e-8) -> ZeroReport:
         raise ValueError("channel quadruple has inconsistent dimensions")
 
     policy = _zero_policy(a, f, c, g, tol)
-    *reduced, ranks = _zero_reduction(a, f, c, g, policy, full_column_stop=True)
-    normal_rank = reduced[0].shape[0] + ranks[-1]
+    a, f, c, g, ranks = _zero_reduction(a, f, c, g, policy)
     l_delay = ranks.index(nv) if ranks[-1] == nv else None
     depth = n + 1 if l_delay is None else l_delay + 1
     infinite = depth * nv - sum((ranks + ranks[-1:] * depth)[:depth])
 
-    if ny == nv:
-        candidates = _square_pencil_eigs(a, f, c, g)
-    elif ny > nv:
-        s_mix = np.random.default_rng(24601).standard_normal((nv, ny))
-        candidates = _square_pencil_eigs(a, f, s_mix @ c, s_mix @ g)
-    else:
-        # wide channels are never left invertible; no finite-zero search
-        candidates = []
-
-    # a pencil at a complex point is complex and numerical_rank would drop
-    # its imaginary part, so its spectrum is counted directly
+    a, c, f, g, _ = _zero_reduction(a.T, c.T, f.T, g.T, policy)
     finite = []
-    for z in candidates:
-        pencil = _rosenbrock(*reduced, z)
-        if policy.rank(np.linalg.svd(pencil, compute_uv=False)) < normal_rank:
-            if abs(z.imag) <= 1e-9 * (1.0 + abs(z.real)):
-                z = complex(z.real, 0.0)
-            finite.append(z)
+    for z in np.linalg.eigvals(a - c @ np.linalg.solve(g, f)):
+        z = complex(z)
+        if abs(z.imag) <= 1e-9 * (1.0 + abs(z.real)):
+            z = complex(z.real, 0.0)
+        finite.append(z)
     finite.sort(key=lambda z: (z.real, z.imag))
     return ZeroReport(finite_zeros=finite, infinite_zero_count=int(infinite), l_delay=l_delay)
 

@@ -681,6 +681,16 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "sim" / "y.csv").exists()
 
+    def test_simulate_refuses_a_fault_signal_without_fault_matrices(self, tmp_path, capsys):
+        # without --v a system file's F and G are left out; with --v a file
+        # that has none is refused
+        sys, _ = self._write_demo_data(tmp_path)
+        save_system_json(tmp_path / "sys.json", sys)
+        code = cli_main(["--out", str(tmp_path / "sim"), *self._simulate_args(tmp_path)])
+        assert code == 2
+        assert "fault signal v given but no fault matrices" in capsys.readouterr().err
+        assert not (tmp_path / "sim" / "y.csv").exists()
+
     def test_identify_and_fault_recover(self, tmp_path):
         self._write_demo_data(tmp_path)
         code = cli_main([

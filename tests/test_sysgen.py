@@ -1,3 +1,4 @@
+import functools
 import json
 
 import numpy as np
@@ -18,8 +19,6 @@ from subfault.sysgen import (
     StateSpace,
     ZeroReport,
     _place_fault_pair,
-    _rosenbrock,
-    _square_pencil_eigs,
     colored_noise,
     fault_signal,
     load_system_json,
@@ -50,31 +49,61 @@ def _match_candidates(z1, z2, tol=1e-6):
     return matched
 
 
-def _two_probe_transmission_zeros(a, f, c, g, tol=1e-8):
-    """Reference for ``transmission_zeros``: the earlier routine that reads the
-    normal rank from two random complex pencil probes, intersects the
-    candidates of two random squarings, and redoes the terminal Toeplitz
-    SVD for channels that are not left invertible."""
-    a, f, c, g = (as_matrix(m) for m in (a, f, c, g))
-    n, nv, ny = a.shape[0], f.shape[1], c.shape[0]
-    policy = RankPolicy.relative(tol)
+def _rosenbrock(a, f, c, g, q: complex) -> np.ndarray:
+    n = a.shape[0]
+    return np.block([[a - q * np.eye(n), f], [c, g]])
 
+
+# eigenvalues of a square channel's pencil with modulus beyond this are
+# taken as infinite by the reference candidate solvers
+_INFINITE_ZERO_CUTOFF = 1e6
+
+
+def _square_pencil_eigs(a, f, c, g):
+    """Candidates of the reference below: the zeros of a square channel
+    from ``sysgen._zero_reduction`` of the channel and then of its dual,
+    with eigenvalues past ``_INFINITE_ZERO_CUTOFF`` taken as infinite."""
+    policy = sysgen._zero_policy(a, f, c, g)
+    a, f, c, g, _ = sysgen._zero_reduction(a, f, c, g, policy)
+    a, c, f, g, _ = sysgen._zero_reduction(a.T, c.T, f.T, g.T, policy)
+    zeros = np.linalg.eigvals(a - c @ np.linalg.solve(g, f))
+    return np.asarray(
+        [complex(q) for q in zeros if np.isfinite(q) and abs(q) <= _INFINITE_ZERO_CUTOFF]
+    )
+
+
+def _probe_normal_rank(a, f, c, g, policy):
+    """The larger rank of the channel's pencil at two random complex points."""
     probe_rng = np.random.default_rng(1917)
     normal_rank = 0
     for _ in range(2):
         q0 = complex(probe_rng.normal(scale=3.0), probe_rng.normal(scale=3.0))
         pencil = _rosenbrock(a, f, c, g, q0)
         normal_rank = max(normal_rank, policy.rank(np.linalg.svd(pencil, compute_uv=False)))
+    return normal_rank
+
+
+def _two_probe_transmission_zeros(a, f, c, g, tol=1e-8, square_eigs=_square_pencil_eigs):
+    """Reference for ``transmission_zeros``: the earlier routine that reads the
+    normal rank from two random complex pencil probes, intersects the
+    candidates of two random squarings (the zeros of each from
+    ``square_eigs``), rank-tests each candidate on the pencil, and redoes
+    the terminal Toeplitz SVD for channels that are not left invertible."""
+    a, f, c, g = (as_matrix(m) for m in (a, f, c, g))
+    n, nv, ny = a.shape[0], f.shape[1], c.shape[0]
+    policy = RankPolicy.relative(tol)
+
+    normal_rank = _probe_normal_rank(a, f, c, g, policy)
     left_invertible_rank = normal_rank == n + nv
 
     if ny == nv:
-        candidates = list(_square_pencil_eigs(a, f, c, g))
+        candidates = list(square_eigs(a, f, c, g))
     elif ny > nv:
         srng = np.random.default_rng(24601)
         cands = []
         for _ in range(2):
             s_mix = srng.standard_normal((nv, ny))
-            cands.append(_square_pencil_eigs(a, f, s_mix @ c, s_mix @ g))
+            cands.append(square_eigs(a, f, s_mix @ c, s_mix @ g))
         candidates = _match_candidates(cands[0], cands[1])
     else:
         candidates = []
@@ -107,9 +136,9 @@ def _two_probe_transmission_zeros(a, f, c, g, tol=1e-8):
 
 
 def _qz_square_pencil_eigs(a, f, c, g):
-    """Reference for ``_square_pencil_eigs``: the earlier solver, scipy's QZ
-    on the whole square Rosenbrock pencil, with the homogeneous pairs
-    (alpha, beta) of |beta| <= 1e-12 max(|alpha|, 1) read as infinite."""
+    """An independent candidate solver: scipy's QZ on the whole square
+    Rosenbrock pencil, with the homogeneous pairs (alpha, beta) of
+    |beta| <= 1e-12 max(|alpha|, 1) read as infinite."""
     n, nv = a.shape[0], f.shape[1]
     m = np.block([[a, f], [c, g]])
     e = np.zeros((n + nv, n + nv))
@@ -120,10 +149,26 @@ def _qz_square_pencil_eigs(a, f, c, g):
         if abs(be) <= 1e-12 * max(abs(al), 1.0):
             continue  # infinite
         q = al / be
-        if not np.isfinite(q) or abs(q) > sysgen._INFINITE_ZERO_CUTOFF:
+        if not np.isfinite(q) or abs(q) > _INFINITE_ZERO_CUTOFF:
             continue
         out.append(complex(q))
     return np.asarray(out)
+
+
+# the two-probe reference with no part of the reduction under test
+_qz_transmission_zeros = functools.partial(
+    _two_probe_transmission_zeros, square_eigs=_qz_square_pencil_eigs
+)
+
+
+def _assert_same_structure(zr, ref, rtol, context=None):
+    """Equal delay, infinite-zero count and zero count, and each finite zero
+    within rtol (1 + |z|) of the reference's."""
+    assert (zr.l_delay, zr.infinite_zero_count, len(zr.finite_zeros)) == (
+        ref.l_delay, ref.infinite_zero_count, len(ref.finite_zeros)
+    ), context
+    for z, z_ref in zip(zr.finite_zeros, ref.finite_zeros):
+        assert abs(z - z_ref) <= rtol * (1.0 + abs(z_ref)), context
 
 
 def _integrator_chain(rng, n, ny, degree):
@@ -390,12 +435,35 @@ class TestTransmissionZeros:
         assert zr.l_delay == 0
 
     def test_matches_two_probe_reference(self):
+        # the same structure as the reference, and zeros at least as
+        # accurate: at each one the pencil's singular value at its normal
+        # rank index is at rounding level
         not_invertible = 0
         for name, channel in _reference_channels().items():
             zr = transmission_zeros(*channel)
-            assert zr == _two_probe_transmission_zeros(*channel), name
+            _assert_same_structure(zr, _two_probe_transmission_zeros(*channel), 1e-12, name)
             not_invertible += not zr.left_invertible
+            a, f, c, g = (as_matrix(m) for m in channel)
+            normal_rank = _probe_normal_rank(a, f, c, g, RankPolicy.relative(1e-8))
+            for z in zr.finite_zeros:
+                sv = np.linalg.svd(_rosenbrock(a, f, c, g, z), compute_uv=False)
+                assert sv[normal_rank - 1] <= 1e-14 * sv[0], (name, z)
         assert not_invertible >= 12  # every wide and repeated-column channel
+
+    def test_wide_channel_reads_its_input_decoupling_zero(self):
+        # a mode the fault cannot reach drops the pencil's row rank, so it is
+        # a finite zero of a channel with fewer outputs than fault inputs too
+        rng = np.random.default_rng(3)
+        a = np.array([[0.3, 0.2, 0.0], [0.0, -0.5, 0.0], [0.0, 0.0, 0.7]])
+        f = rng.standard_normal((3, 2))
+        f[2] = 0.0
+        c, g = rng.standard_normal((1, 3)), rng.standard_normal((1, 2))
+        zr = transmission_zeros(a, f, c, g)
+        assert not zr.left_invertible
+        assert len(zr.finite_zeros) == 1
+        assert abs(zr.finite_zeros[0] - 0.7) < 1e-12
+        sv = np.linalg.svd(_rosenbrock(a, f, c, g, 0.7), compute_uv=False)
+        assert sv[3] <= 1e-14 * sv[0]
 
     def test_not_left_invertible_channel(self, demo):
         # doubling the demo's fault column leaves T_s the rank of the single
@@ -419,8 +487,9 @@ class TestTransmissionZeros:
 
 
 class TestZeroSolver:
-    """``_square_pencil_eigs`` (a structural reduction, then one eigenvalue
-    problem) against the earlier QZ solver."""
+    """``transmission_zeros`` (a structural reduction and one of its dual,
+    then one eigenvalue problem) against a reference whose candidates come
+    from scipy's QZ."""
 
     @pytest.mark.parametrize("dims, zero_counts", [
         ((5, 1, 3, 2), range(4)),
@@ -438,7 +507,7 @@ class TestZeroSolver:
 
         cases = [(seed, zc) for zc in zero_counts for seed in range(200)]
         ours = [draw(seed, zc) for seed, zc in cases]
-        monkeypatch.setattr(sysgen, "_square_pencil_eigs", _qz_square_pencil_eigs)
+        monkeypatch.setattr(sysgen, "transmission_zeros", _qz_transmission_zeros)
         for (seed, zc), got in zip(cases, ours):
             ref = draw(seed, zc)
             assert type(got) is type(ref), (seed, zc)
@@ -447,30 +516,59 @@ class TestZeroSolver:
             else:
                 assert all(np.array_equal(x, y) for x, y in zip(got, ref)), (seed, zc)
 
-    def test_repeated_fault_column_keeps_its_zeros(self, monkeypatch):
+    def test_repeated_fault_column_keeps_its_zeros(self):
         # a channel that repeats its one fault column is not left
         # invertible and its square pencil is singular at every point; the
         # reduction drops the repeated direction and finds the zeros
-        channels = []
         for zc in (1, 2):
             for seed in range(40):
                 sys, fault = random_system(3, 1, 2, 1, zc, seed=seed)
                 single = transmission_zeros(sys.A, fault.F, sys.C, fault.G)
                 repeated = (sys.A, fault.F[:, [0, 0]], sys.C, fault.G[:, [0, 0]])
-                channels.append((single, repeated))
-        ours = []
-        for single, repeated in channels:
-            zr = transmission_zeros(*repeated)
-            assert zr == _two_probe_transmission_zeros(*repeated)
-            assert not zr.left_invertible
-            assert len(zr.finite_zeros) == len(single.finite_zeros)
-            assert np.allclose(zr.finite_zeros, single.finite_zeros, rtol=0, atol=1e-9)
-            ours.append(zr)
-        monkeypatch.setattr(sysgen, "_square_pencil_eigs", _qz_square_pencil_eigs)
-        for (_, repeated), zr in zip(channels, ours):
-            ref = transmission_zeros(*repeated)
-            assert (ref.infinite_zero_count, ref.l_delay) == (zr.infinite_zero_count, zr.l_delay)
-            assert np.allclose(ref.finite_zeros, zr.finite_zeros, rtol=0, atol=1e-9)
+                zr = transmission_zeros(*repeated)
+                assert not zr.left_invertible
+                _assert_same_structure(zr, _two_probe_transmission_zeros(*repeated), 1e-12)
+                _assert_same_structure(zr, _qz_transmission_zeros(*repeated), 1e-9)
+                assert len(zr.finite_zeros) == len(single.finite_zeros)
+                assert np.allclose(zr.finite_zeros, single.finite_zeros, rtol=0, atol=1e-9)
+
+    def test_two_reductions_per_call(self, monkeypatch):
+        # the channel's reduction reads the structure and the reduction of
+        # its dual the finite zeros, whatever the channel's shape
+        calls = []
+        reduction = sysgen._zero_reduction
+
+        def counted(*args):
+            calls.append(args[3].shape)
+            return reduction(*args)
+
+        monkeypatch.setattr(sysgen, "_zero_reduction", counted)
+        channels = _reference_channels()
+        for kind in ("square", "random (5, 1, 3, 2)", "wide", "repeated fault column"):
+            names = [name for name in channels if name.startswith(kind)]
+            assert names
+            for name in names:
+                calls.clear()
+                transmission_zeros(*channels[name])
+                assert len(calls) == 2, name
+
+    @pytest.mark.parametrize("dims, zero_counts", [((5, 1, 3, 2), range(4)), ((4, 2, 3, 1), range(3))])
+    def test_tall_channel_structure_does_not_depend_on_coordinates(self, dims, zero_counts):
+        # rotating the outputs and the states of a channel with more outputs
+        # than fault inputs leaves its zeros where they are
+        rotations = np.random.default_rng(12)
+        n_x, n_y = dims[0], dims[2]
+        for zc in zero_counts:
+            for seed in range(10):
+                sys, fault = random_system(*dims, zc, seed=seed)
+                ref = transmission_zeros(sys.A, fault.F, sys.C, fault.G)
+                q_x, _ = np.linalg.qr(rotations.standard_normal((n_x, n_x)))
+                q_y, _ = np.linalg.qr(rotations.standard_normal((n_y, n_y)))
+                zr = transmission_zeros(
+                    q_x.T @ sys.A @ q_x, q_x.T @ fault.F, q_y @ sys.C @ q_x, q_y @ fault.G
+                )
+                assert len(ref.finite_zeros) == zc
+                _assert_same_structure(zr, ref, 1e-9, (zc, seed))
 
     @pytest.mark.parametrize("degree", [2, 3, 4])
     def test_infinite_zero_chain_reads_no_finite_zero(self, degree):
