@@ -24,11 +24,11 @@ import numpy as np
 from .matstack import (
     RankPolicy,
     _hankel_pair_factors,
+    _span_basis,
     as_matrix,
     extended_observability,
     min_norm_lsq,
     principal_angles,
-    range_basis,
     write_matrix_csv,
 )
 from .sysgen import (
@@ -236,9 +236,10 @@ def representative_error_pct(true_stack, recovered_stack, n_selected: int) -> fl
 
 
 def projection_residual(true_stack, recovered_stack) -> float:
-    """Relative residual of the true stack outside the recovered range."""
+    """Relative residual of the true stack outside the recovered range, the
+    span ``principal_angles`` reads (``matstack._span_basis``)."""
     t = as_matrix(true_stack, "true stack")
-    basis = range_basis(recovered_stack)
+    basis = _span_basis(recovered_stack)
     resid = t - basis @ (basis.T @ t)
     return float(np.linalg.norm(resid) / np.linalg.norm(t))
 

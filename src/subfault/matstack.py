@@ -468,58 +468,39 @@ def range_basis(m, policy: RankPolicy | None = None, rank: int | None = None) ->
     return fix_column_signs(u[:, :rank])
 
 
-def _coerce_basis(u) -> np.ndarray:
-    b = as_matrix(u, "basis")
-    if b.shape[1] == 0:
-        return b
-    # orthonormalize arbitrary spanning sets for convenience
-    return range_basis(b, RankPolicy.relative(1e-12))
+def _span_basis(m) -> np.ndarray:
+    """Orthonormal basis of the subspace the columns of ``m`` span: the
+    package's one span rule, every direction above 1e-12 sigma_1. Principal
+    angles and the projection residual both read a subspace through here,
+    so the two scores of one stack agree on its dimension."""
+    return range_basis(as_matrix(m, "basis"), RankPolicy.relative(1e-12))
 
 
 def principal_angles(u, v) -> np.ndarray:
     """Principal angles between two subspaces, nonincreasing, in [0, pi/2].
 
     Accepts matrices whose columns span the subspaces; count equals the
-    smaller of the two dimensions.
+    smaller of the two dimensions. Each input is orthonormalized once, by
+    ``_span_basis``, and the angles follow Knyazev & Argentati's sine-cosine
+    rule (SIAM J. Sci. Comput. 23(6), 2002) as scipy.linalg.subspace_angles
+    computes them: cosines from the SVD of Q_u^T Q_v, and where any
+    cosine^2 reaches 1/2 the sines of small angles from the SVD of the part
+    of one basis outside the other.
     """
-    bu = _coerce_basis(u)
-    bv = _coerce_basis(v)
-    if bu.shape[0] != bv.shape[0]:
-        raise ValueError(
-            f"ambient dimensions differ: {bu.shape[0]} vs {bv.shape[0]}"
-        )
-    if bu.shape[1] == 0 or bv.shape[1] == 0:
+    qa, qb = _span_basis(u), _span_basis(v)
+    if qa.shape[0] != qb.shape[0]:
+        raise ValueError(f"ambient dimensions differ: {qa.shape[0]} vs {qb.shape[0]}")
+    if qa.shape[1] == 0 or qb.shape[1] == 0:
         return np.zeros(0)
-    return np.sort(_subspace_angles(bu, bv))[::-1]
-
-
-def _orth(a) -> np.ndarray:
-    """Left singular vectors of ``a`` above eps * max(shape) * sigma_1."""
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    tol = s.max(initial=0.0) * np.finfo(float).eps * max(a.shape)
-    return u[:, : int(np.sum(s > tol))]
-
-
-def _subspace_angles(a, b) -> np.ndarray:
-    """Principal angles between the column spaces of ``a`` and ``b`` by
-    Knyazev & Argentati's sine-cosine rule (SIAM J. Sci. Comput. 23(6),
-    2002), as scipy.linalg.subspace_angles computes them: cosines from the
-    SVD of Q_a^T Q_b, and where any cosine^2 reaches 1/2 the sines of
-    small angles from the SVD of the part of one basis outside the other.
-    """
-    qa, qb = _orth(a), _orth(b)
     cross = qa.T @ qb
     sigma = np.linalg.svd(cross, compute_uv=False)
-    if qa.shape[1] >= qb.shape[1]:
-        rest = qb - qa @ cross
-    else:
-        rest = qa - qb @ cross.T
+    rest = qb - qa @ cross if qa.shape[1] >= qb.shape[1] else qa - qb @ cross.T
     mask = sigma**2 >= 0.5
+    sines = 0.0
     if mask.any():
         sines = np.arcsin(np.clip(np.linalg.svd(rest, compute_uv=False), -1.0, 1.0))
-    else:
-        sines = 0.0
-    return np.where(mask, sines, np.arccos(np.clip(sigma[::-1], -1.0, 1.0)))
+    angles = np.where(mask, sines, np.arccos(np.clip(sigma[::-1], -1.0, 1.0)))
+    return np.sort(angles)[::-1]
 
 
 def range_equal(m1, m2, tol: float = 1e-8) -> bool:

@@ -26,6 +26,7 @@ from subfault.harness import (
     demo_system,
     emit_plot_data,
     montecarlo_report_dict,
+    projection_residual,
     representative_error_pct,
     run_example,
     run_montecarlo,
@@ -126,6 +127,14 @@ class TestMetrics:
         v = np.zeros((5, 1))
         v[0, 0], v[1, 0] = np.cos(alpha), np.sin(alpha)
         assert abs(representative_error_pct(u, v, 1) - 50.0) < 1e-9
+
+    def test_angles_and_projection_residual_read_one_span(self):
+        # the stack spans {e1, e2} at the span rule; both scores read that
+        # plane, so the truth e2 lies in it by either
+        stack = np.eye(3)[:, [0, 0]] + np.array([[0.0, 0.0], [0.0, 1e-10], [0.0, 0.0]])
+        truth = np.eye(3)[:, [1]]
+        assert np.abs(matstack.principal_angles(truth, stack)).max() <= 1e-15
+        assert projection_residual(truth, stack) < 1e-15
 
     def test_missing_directions_penalized(self):
         base = np.eye(6)[:, :2]
