@@ -268,6 +268,19 @@ def _structure_constraints(q_blocks, obs, s: int, r: int, n_x: int, n_y: int) ->
     return np.vstack(rows)
 
 
+def _check_window(dims: FaultDimDiagnostics, sys: StateSpace) -> None:
+    """Refuse a readout neither basis method can recover from: a window
+    below 2 block rows or below the state dimension, or a residual factor
+    whose row count is not s n_y."""
+    s, rows = dims.window_s, dims.residual_s.shape[0]
+    if s < 2:
+        raise ValueError("recovery needs a window of at least 2 block rows")
+    if s < sys.n_x:
+        raise ValueError(f"window s={s} below the state dimension {sys.n_x}")
+    if rows != s * sys.n_y:
+        raise ValueError(f"residual Hankel has {rows} rows, expected s*n_y={s * sys.n_y}")
+
+
 def recover_fault_matrices(dims: FaultDimDiagnostics, sys: StateSpace) -> FaultPair:
     """Basis (F_hat, G_hat) of the fault pairs explaining a residual Hankel.
 
@@ -282,15 +295,8 @@ def recover_fault_matrices(dims: FaultDimDiagnostics, sys: StateSpace) -> FaultP
     The result has n_z columns, each [F_hat; G_hat] column unit length with
     positive leading entry.
     """
+    _check_window(dims, sys)
     factor, s, n_y, n_x = dims.residual_s, dims.window_s, sys.n_y, sys.n_x
-    if s < 2:
-        raise ValueError("recovery needs a window of at least 2 block rows")
-    if s < n_x:
-        raise ValueError(f"window s={s} below the state dimension {n_x}")
-    if factor.shape[0] != s * n_y:
-        raise ValueError(
-            f"residual Hankel has {factor.shape[0]} rows, expected s*n_y={s * n_y}"
-        )
     q = range_basis(factor, rank=dims.rank_s)
     r = q.shape[1]
     if r == 0:
@@ -344,12 +350,13 @@ def annihilator_fault_basis(dims: FaultDimDiagnostics, sys: StateSpace) -> Fault
     above it). Noisy data: the directions within a factor 1.2 of the
     smallest projected value are kept (``RankPolicy.noise_floor(1.2)``), and
     n_z is read at the first largest gap of the K spectrum above
-    ``RankPolicy.relative(1e-14)``. The result has n_z columns.
+    ``RankPolicy.relative(1e-14)``. The result has n_z columns. A readout
+    that ``recover_fault_matrices`` refuses is refused here too, with the
+    same message (``_check_window``).
     """
+    _check_window(dims, sys)
     factor, s = dims.residual_s, dims.window_s
     n_x, n_y = sys.n_x, sys.n_y
-    if s < 2 or factor.shape[0] != s * n_y:
-        raise ValueError("residual Hankel shape does not match the window")
     obs = extended_observability(sys.A, sys.C, s)
     u_o = np.linalg.svd(obs, full_matrices=True)[0]
     b_perp = u_o[:, n_x:]

@@ -11,10 +11,9 @@ timings are kept out of the canonical report).
 from __future__ import annotations
 
 import json
-import operator
 import os
 import time
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from numbers import Real
 from pathlib import Path
@@ -24,6 +23,7 @@ import numpy as np
 from .matstack import (
     RankPolicy,
     _hankel_pair_factors,
+    _integer,
     _span_basis,
     as_matrix,
     extended_observability,
@@ -97,14 +97,6 @@ def demo_system():
 
 # the rank policies a config or the CLI names
 _RANK_POLICIES = {"gap": RankPolicy.gap(), "floor": RankPolicy.noise_floor()}
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as an int: ``operator.index`` must take it, a bool is refused."""
-    if not isinstance(value, bool):
-        with suppress(TypeError):
-            return operator.index(value)
-    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass
@@ -187,6 +179,8 @@ class ExperimentConfig:
 
     def echo(self) -> dict:
         out = asdict(self)
+        # where a report is written is no part of it
+        del out["out_dir"]
         out["dims"] = list(self.dims)
         out["zero_counts"] = list(self.zero_counts)
         # +inf means clean data, as None does; strict JSON has no infinity

@@ -33,6 +33,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -69,6 +71,14 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if m.size and not np.all(np.isfinite(m)):
         raise ValueError(f"{name} contains non-finite entries")
     return np.ascontiguousarray(m)
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int: ``operator.index`` must take it, a bool is refused."""
+    if not isinstance(value, bool):
+        with suppress(TypeError):
+            return operator.index(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _input_output_arrays(u, y):

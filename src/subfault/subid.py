@@ -21,6 +21,7 @@ from .matstack import (
     _fold_factor,
     _hankel_factor,
     _input_output_arrays,
+    _integer,
     _largest_gap,
     _lti_states,
     _markov_blocks,
@@ -136,7 +137,10 @@ def pi_moesp(
     memory does not grow with T beyond the record itself; a record of at
     most ``_CHUNK`` (2048) data columns is one chunk, the one-shot QR.
 
-    ``order`` is an integer or "auto" (largest singular-value gap); the
+    ``order`` is an integer or "auto" (largest singular-value gap); ``s``,
+    an integer ``order`` and ``order_hint`` are read by the config's integer
+    rule (``matstack._integer``): a numpy integer is taken, and a float or a
+    bool is refused with a ValueError that names the argument. The
     automatic selection runs on the spectrum either way and gives
     ``order_confident``, so an all-negligible spectrum raises
     ``DegenerateDataError`` for an integer order too. ``s`` is the
@@ -152,9 +156,11 @@ def pi_moesp(
     # subtracted chunk by chunk, so no centred copy of the record is formed
     u_mean = u_data.mean(axis=0) if demean else np.zeros(n_u)
     y_mean = y_data.mean(axis=0) if demean else np.zeros(n_y)
+    n = None if isinstance(order, str) and order == "auto" else _integer("order", order)
+    hint = n if order_hint is None else _integer("order_hint", order_hint)
     if s is None:
-        hint = order_hint if order_hint is not None else (order if isinstance(order, int) else None)
         s = _identification_window(hint) if hint else 10
+    s = _integer("s", s)
     if s < 1:
         raise ValueError("window s must be positive")
     if t <= 2 * s:
@@ -189,7 +195,6 @@ def pi_moesp(
     padded = np.zeros(s * n_y)
     padded[: svals.size] = svals
 
-    n = None if order == "auto" else int(order)
     if n is not None and n < 1:
         raise ValueError("order must be positive")
     if n is not None and n > min(l32.shape):

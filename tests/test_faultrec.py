@@ -340,6 +340,13 @@ class TestRecoverFaultMatrices:
         with pytest.raises(ValueError):
             recover_fault_matrices(readout, sys)
 
+    def test_annihilator_refuses_a_window_below_the_state_dimension(self, demo_run):
+        # the structure method's window checks, run first in both methods
+        sys, fault, x0, u, v, y, _ = demo_run
+        _, readout = estimate_fault_dim(y, u, sys, 2)
+        with pytest.raises(ValueError, match="window s=2 below the state dimension 3"):
+            annihilator_fault_basis(readout, sys)
+
     def test_solution_dimension_out_of_range_rejected(self, demo_run):
         sys, fault, x0, u, v, y, _ = demo_run
         _, readout = estimate_fault_dim(y, u, sys, 5)

@@ -775,10 +775,12 @@ class TestCli:
             got = (tmp_path / "example-file" / file).read_bytes()
             assert got == (tmp_path / "identified" / file).read_bytes(), file
 
+    # a window may carry further flags: the annihilator refuses the same windows
     @pytest.mark.parametrize("window, x_tilde_0, message", [
         ("2", None, "window s=2 below the state dimension"),
         ("5", [1.0, 2.0], "x_tilde_0 must have 3 entries"),
         ("5", [1.0, 2.0, float("nan")], "x_tilde_0 contains non-finite"),
+        ("2 --method annihilator", None, "window s=2 below the state dimension"),
     ])
     def test_fault_recover_input_errors(self, tmp_path, capsys, window, x_tilde_0, message):
         self._write_demo_data(tmp_path)
@@ -787,7 +789,7 @@ class TestCli:
             (tmp_path / "sys.json").write_text(json.dumps({**system, "x_tilde_0": x_tilde_0}))
         code = cli_main(["--out", str(tmp_path / "rec"), "fault-recover",
                          "--u", str(tmp_path / "u.csv"), "--y", str(tmp_path / "y.csv"),
-                         "--system", str(tmp_path / "sys.json"), "--window", window])
+                         "--system", str(tmp_path / "sys.json"), "--window", *window.split()])
         assert code == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "rec" / "fault_recovery.json").exists()
@@ -956,6 +958,20 @@ class TestCli:
         assert ("example", "example_report.json") in runs[0]
         assert ("montecarlo", "montecarlo_report.json") in runs[0]
         assert runs[0] == runs[1]
+
+    def test_reports_do_not_depend_on_the_output_directory(self, tmp_path, monkeypatch):
+        # one run written to a relative and to an absolute --out gives the
+        # same bytes in every file but the timings
+        (tmp_path / "cfg.json").write_text(json.dumps({"T": 300, "systems_per_count": 1}))
+        monkeypatch.chdir(tmp_path)
+        for args in (["example"], ["--config", "cfg.json", "montecarlo"]):
+            runs = []
+            for out in (args[-1], str(tmp_path / "deep" / args[-1])):
+                assert cli_main(["--out", out, *args]) == 0
+                runs.append({path.name: path.read_bytes()
+                             for path in Path(out).iterdir() if path.name != "timing.csv"})
+            assert f"{args[-1]}_report.json" in runs[0]
+            assert runs[0] == runs[1]
 
     def test_missing_file_is_input_error(self, tmp_path):
         code = cli_main([

@@ -86,6 +86,32 @@ class TestPiMoesp:
         with pytest.raises(ValueError):
             pi_moesp(u, np.zeros((400, 2)), order=0)
 
+    def test_numpy_integer_order_sets_the_window(self, demo_run):
+        sys, fault, x0, u, v, y, _ = demo_run
+        result = pi_moesp(u, y, order=np.int64(3))
+        assert result.window_s == 8
+        assert np.array_equal(result.system.A, pi_moesp(u, y, order=3).system.A)
+
+    def test_fractional_order_refused(self, demo_run):
+        sys, fault, x0, u, v, y, _ = demo_run
+        with pytest.raises(ValueError, match="order must be an integer, got 2.9"):
+            pi_moesp(u, y, order=2.9)
+
+    def test_boolean_order_refused(self, demo_run):
+        sys, fault, x0, u, v, y, _ = demo_run
+        with pytest.raises(ValueError, match="order must be an integer, got True"):
+            pi_moesp(u, y, order=True)
+
+    def test_fractional_window_refused(self, demo_run):
+        sys, fault, x0, u, v, y, _ = demo_run
+        with pytest.raises(ValueError, match="s must be an integer, got 8.5"):
+            pi_moesp(u, y, s=8.5, order=3)
+
+    def test_fractional_order_hint_refused(self, demo_run):
+        sys, fault, x0, u, v, y, _ = demo_run
+        with pytest.raises(ValueError, match="order_hint must be an integer, got 3.0"):
+            pi_moesp(u, y, order_hint=3.0)
+
     def test_zero_input_raises_excitation_error(self):
         t = 200
         y = np.random.default_rng(0).standard_normal((t, 2))
