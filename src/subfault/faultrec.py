@@ -18,7 +18,6 @@ import numpy as np
 
 from .matstack import (
     RankPolicy,
-    _input_output_arrays,
     _largest_gap,
     _lti_states,
     _residual_factors,
@@ -32,7 +31,7 @@ from .matstack import (
     range_basis,
     range_equal,
 )
-from .sysgen import FaultPair, StateSpace, simulate, transmission_zeros
+from .sysgen import FaultPair, StateSpace, _system_record, simulate, transmission_zeros
 
 __all__ = [
     "annihilator_fault_basis",
@@ -154,21 +153,28 @@ def residual_hankel(y, u, sys: StateSpace, s: int, x_tilde_0=None) -> np.ndarray
     residual-subsystem contribution (useful for spectra where the
     input-driven state directions would dominate the picture).
     """
-    u_data, y_data = _input_output_arrays(u, y)
-    if y_data.shape[1] != sys.n_y or u_data.shape[1] != sys.n_u:
-        raise ValueError("trajectory channel counts do not match the system")
+    u_data, y_data = _system_record(u, y, sys)
     if x_tilde_0 is not None:
         return block_hankel(_nominal_residual(y_data, u_data, sys, x_tilde_0), s)
-    y_h = block_hankel(y_data, s)
-    u_h = block_hankel(u_data, s)
     t_s = block_toeplitz(sys.A, sys.B, sys.C, sys.D, s)
-    return y_h - t_s @ u_h
+    return block_hankel(y_data, s) - t_s @ block_hankel(u_data, s)
 
 
 def _nominal_residual(y, u, sys: StateSpace, x0) -> np.ndarray:
     """y less the nominal response of ``sys`` from x0 (None: from rest) to u,
     for (T, n_y) and (T, n_u) arrays of equal length."""
     return y - simulate(sys, None, x0, u)[0]
+
+
+def _check_readout_window(s: int, t: int) -> None:
+    """The readout's window rule: 1 <= s, and T > 2s samples, so that
+    R_(s+1) keeps more columns (T - s) than R_s has block rows (s).
+    ``estimate_fault_dim`` applies it to a record, and ``ExperimentConfig``
+    to its own T and s."""
+    if s < 1:
+        raise ValueError(f"window s={s} must be at least 1")
+    if t <= 2 * s:
+        raise ValueError(f"window s={s} is too deep for T={t}: the readout needs T > 2s")
 
 
 def fault_dim_from_ranks(rank_s: int, rank_s_plus_1: int) -> int:
@@ -192,13 +198,15 @@ def estimate_fault_dim(y, u, sys: StateSpace, s: int, policy: RankPolicy | None 
     kept on the readout for the basis methods. Returns (n_v, readout).
 
     A window the record cannot hold is an input error (``ValueError``):
-    s outside 1 <= s < T, or R_(s+1) of full column rank T - s, since the
-    record then caps its rank and the difference says nothing about n_v.
+    one that breaks ``_check_readout_window`` (1 <= s and T > 2s), or one
+    so deep that R_(s+1) reaches full column rank T - s, since the record
+    then caps its rank and the difference says nothing about n_v. So is a
+    record whose channel counts are not the system's
+    (``sysgen._system_record``).
     """
-    u_data, y_data = _input_output_arrays(u, y)
+    u_data, y_data = _system_record(u, y, sys)
     t = y_data.shape[0]
-    if not 1 <= s < t:
-        raise ValueError(f"window s={s} must satisfy 1 <= s < T={t}")
+    _check_readout_window(s, t)
     factor, deep = _residual_factors(y_data, u_data, sys.A, sys.B, sys.C, sys.D, s)
     sv_s = np.linalg.svd(factor, compute_uv=False)
     sv_s1 = np.linalg.svd(deep, compute_uv=False)
@@ -268,15 +276,22 @@ def _structure_constraints(q_blocks, obs, s: int, r: int, n_x: int, n_y: int) ->
     return np.vstack(rows)
 
 
-def _check_window(dims: FaultDimDiagnostics, sys: StateSpace) -> None:
-    """Refuse a readout neither basis method can recover from: a window
-    below 2 block rows or below the state dimension, or a residual factor
-    whose row count is not s n_y."""
-    s, rows = dims.window_s, dims.residual_s.shape[0]
+def _check_basis_window(s: int, n_x: int) -> None:
+    """The basis methods' window rule: at least 2 block rows, and at least
+    the state dimension n_x. ``_check_window`` applies it to a readout, and
+    ``ExperimentConfig`` to its own s and n_x."""
     if s < 2:
         raise ValueError("recovery needs a window of at least 2 block rows")
-    if s < sys.n_x:
-        raise ValueError(f"window s={s} below the state dimension {sys.n_x}")
+    if s < n_x:
+        raise ValueError(f"window s={s} below the state dimension {n_x}")
+
+
+def _check_window(dims: FaultDimDiagnostics, sys: StateSpace) -> None:
+    """Refuse a readout neither basis method can recover from: a window that
+    breaks ``_check_basis_window``, or a residual factor whose row count is
+    not s n_y."""
+    s, rows = dims.window_s, dims.residual_s.shape[0]
+    _check_basis_window(s, sys.n_x)
     if rows != s * sys.n_y:
         raise ValueError(f"residual Hankel has {rows} rows, expected s*n_y={s * sys.n_y}")
 
@@ -669,8 +684,10 @@ def reconstruct_fault(y, u, sys: StateSpace, fg: FaultPair, x_tilde_0) -> FaultR
     each sample of v is determined. ``replay_residual`` is the relative
     error of the channel's output from (xi0, v) against r, read off the
     smoother's forward pass, which runs that channel's state recursion.
+    A record whose channel counts are not the system's n_u and n_y is
+    refused with a ValueError that names both (``sysgen._system_record``).
     """
-    u_data, y_data = _input_output_arrays(u, y)
+    u_data, y_data = _system_record(u, y, sys)
     fg.check_matches(sys)
     if y_data.shape[0] < 1:
         raise ValueError("reconstruction needs at least one sample")

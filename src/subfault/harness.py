@@ -15,7 +15,6 @@ import os
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +32,8 @@ from .matstack import (
 )
 from .sysgen import (
     _NOISE_FILTER_POLE,
+    _check_noise_level,
+    _check_study_shape,
     FaultPair,
     StateSpace,
     colored_noise,
@@ -44,8 +45,9 @@ from .sysgen import (
     white_input,
     write_trajectory_csv,
 )
-from .subid import _identification_window, markov_params, pi_moesp
-from .faultrec import _nominal_residual, _replay_fault, recover, select_representative
+from .subid import _check_identification_record, _identification_window, markov_params, pi_moesp
+from .faultrec import (_check_basis_window, _check_readout_window, _nominal_residual,
+                       _replay_fault, recover, select_representative)
 
 __all__ = [
     "ExperimentConfig",
@@ -118,34 +120,18 @@ class ExperimentConfig:
             setattr(self, name, _integer(name, getattr(self, name)))
         self.dims = tuple(_integer("dims entry", d) for d in self.dims)
         self.zero_counts = tuple(_integer("zero_counts entry", z) for z in self.zero_counts)
-        # a study that no instance could run is an input error
         if len(self.dims) != 4:
             raise ValueError(f"dims must be (n_x, n_u, n_y, n_v), got {list(self.dims)}")
-        n_x, _, n_y, n_v = self.dims
-        if n_y <= n_v:
-            raise ValueError(f"need more outputs than fault channels: n_y={n_y}, n_v={n_v}")
-        if any(not 0 <= z <= n_x for z in self.zero_counts):
-            raise ValueError(f"zero counts must be between 0 and n_x={n_x}")
-        if not self.T > 2 * self.s:
-            raise ValueError(f"need T > 2s: T={self.T}, s={self.s}")
-        if not self.s > n_x:
-            raise ValueError(f"need s > n_x: s={self.s}, n_x={n_x}")
-        s_id = _identification_window(n_x)
-        if not self.T > 2 * s_id:
-            raise ValueError(f"need T > 2 s_id for identification: T={self.T}, s_id={s_id}")
-        if self.T - 2 * s_id + 1 < 2 * s_id * self.dims[1]:
-            raise ValueError(
-                f"T={self.T} leaves too few input Hankel columns to excite the "
-                f"identification window s_id={s_id} with n_u={self.dims[1]}"
-            )
+        # a study that no instance could run is an input error: each stage's
+        # own rule, read at the config's numbers
+        n_x, n_u, n_y, n_v = self.dims
+        _check_study_shape(n_x, n_y, n_v, *self.zero_counts)
+        _check_readout_window(self.s, self.T)
+        _check_basis_window(self.s, n_x)
+        _check_identification_record(self.T, _identification_window(n_x), n_u)
         if self.systems_per_count < 1:
             raise ValueError("systems_per_count must be at least 1")
-        snr_db = self.snr_db
-        if snr_db is not None and (isinstance(snr_db, bool) or not isinstance(snr_db, Real)):
-            raise ValueError(f"snr_db must be a number or None, got {snr_db!r}")
-        # false for NaN and -inf, which set no noise level
-        if snr_db is not None and not float(snr_db) > -np.inf:
-            raise ValueError("snr_db must be finite, None, or +inf")
+        _check_noise_level(self.snr_db)
         if not isinstance(self.rank_policy, str) or self.rank_policy not in _RANK_POLICIES:
             raise ValueError(f"rank_policy must be one of {sorted(_RANK_POLICIES)}, "
                              f"got {self.rank_policy!r}")
@@ -184,7 +170,7 @@ class ExperimentConfig:
         out["dims"] = list(self.dims)
         out["zero_counts"] = list(self.zero_counts)
         # +inf means clean data, as None does; strict JSON has no infinity
-        if self.snr_db is not None and float(self.snr_db) == np.inf:
+        if self.snr_db == np.inf:
             out["snr_db"] = None
         # unspecified scales assumed unit and recorded here
         out["input_variance"] = 1.0

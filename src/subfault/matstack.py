@@ -449,10 +449,9 @@ def _residual_factors(y, u, a, b, c, d, s: int):
     and R_(s+1) of a record, R_k = Y_k - T_k U_k with
     T_k = block_toeplitz(a, b, c, d, k), from ``_hankel_pair_factors``;
     each L has shape (k n_y, min(T - k + 1, k n_y)). The fault-dimension
-    readout takes its factors from here.
+    readout takes its factors from here, for a record whose channel
+    counts it has checked against the system.
     """
-    if y.shape[1] != c.shape[0] or u.shape[1] != b.shape[1]:
-        raise ValueError("trajectory channel counts do not match the system")
 
     def rows(depth):
         t_k = block_toeplitz(a, b, c, d, depth)

@@ -30,7 +30,7 @@ from .matstack import (
     min_norm_lsq,
     numerical_rank,
 )
-from .sysgen import StateSpace, simulate
+from .sysgen import StateSpace, _system_record, simulate
 
 __all__ = [
     "DegenerateDataError",
@@ -112,6 +112,17 @@ def _identification_window(order: int) -> int:
     return 2 * order + 2
 
 
+def _check_identification_record(t: int, s: int, n_u: int) -> None:
+    """The identification rule: a window s >= 1, T > 2s samples, and at
+    least as many input Hankel columns (T - 2s + 1) as input rows of
+    [U_f; U_p] (2 s n_u), which persistency of excitation needs.
+    ``pi_moesp`` applies it to a record, and ``ExperimentConfig`` to its
+    own T and n_u at ``_identification_window`` of its n_x."""
+    if s < 1 or t <= 2 * s or t - 2 * s + 1 < 2 * s * n_u:
+        raise ValueError(f"T={t} samples cannot identify at window s={s} with n_u={n_u}: "
+                         f"need s >= 1, T > 2s and T - 2s + 1 >= 2 s n_u")
+
+
 def pi_moesp(
     u,
     y,
@@ -145,9 +156,13 @@ def pi_moesp(
     ``order_confident``, so an all-negligible spectrum raises
     ``DegenerateDataError`` for an integer order too. ``s`` is the
     identification window; default ``_identification_window`` of order_hint
-    (or of an integer order) when one is available, else 10, and T > 2s is
-    required. ``demean`` removes sample means first, which suppresses the
-    bias a non-zero-mean fault would otherwise leak into the estimates; the
+    (or of an integer order) when one is available, else 10. A record too
+    short for that window is refused before the data are factored, with a
+    ValueError that names T, s and n_u (``_check_identification_record``:
+    T > 2s, and at least 2 s n_u input Hankel columns); an input that has
+    the columns but does not excite them raises ``ExcitationError``.
+    ``demean`` removes sample means first, which suppresses the bias a
+    non-zero-mean fault would otherwise leak into the estimates; the
     identified quadruple is offset independent either way.
     """
     u_data, y_data = _input_output_arrays(u, y)
@@ -161,10 +176,7 @@ def pi_moesp(
     if s is None:
         s = _identification_window(hint) if hint else 10
     s = _integer("s", s)
-    if s < 1:
-        raise ValueError("window s must be positive")
-    if t <= 2 * s:
-        raise ValueError(f"need T > 2s samples: T={t}, s={s}")
+    _check_identification_record(t, s, n_u)
     n_cols = t - 2 * s + 1
     i1 = s * n_u
     i2 = 2 * s * n_u
@@ -284,8 +296,10 @@ def estimate_initial_state(sys: StateSpace, u, y, horizon: int) -> np.ndarray:
     Regresses y less the zero-state response to u (one ``simulate``) on the
     extended observability matrix over the first ``horizon`` samples, so
     memory is linear in the horizon: no horizon-deep Toeplitz is formed.
+    The record's channel counts must be the system's
+    (``sysgen._system_record``).
     """
-    u_data, y_data = _input_output_arrays(u, y)
+    u_data, y_data = _system_record(u, y, sys)
     if horizon < sys.n_x:
         raise ValueError(f"horizon {horizon} shorter than the state dimension {sys.n_x}")
     if horizon > u_data.shape[0]:

@@ -13,11 +13,13 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
 from .matstack import (
     RankPolicy,
+    _input_output_arrays,
     _lti_states,
     _read_csv_body,
     as_matrix,
@@ -115,6 +117,17 @@ class StateSpace:
             numerical_rank(obs, policy) == self.n_x
             and numerical_rank(_controllability(self.A, self.B), policy) == self.n_x
         )
+
+
+def _system_record(u, y, sys: StateSpace):
+    """(u, y) of a record of ``sys`` as ``matstack._input_output_arrays``
+    gives them: the record's channel counts must be the system's. Every
+    stage that reads a record against a system checks it here."""
+    u_data, y_data = _input_output_arrays(u, y)
+    if (u_data.shape[1], y_data.shape[1]) != (sys.n_u, sys.n_y):
+        raise ValueError(f"record channel counts (n_u, n_y) = {u_data.shape[1], y_data.shape[1]} "
+                         f"do not match the system's {sys.n_u, sys.n_y}")
+    return u_data, y_data
 
 
 @dataclass
@@ -255,21 +268,32 @@ def fault_signal(kind: str, t: int, seed=None) -> np.ndarray:
     return vals[:, None]
 
 
+def _check_noise_level(snr_db) -> None:
+    """The noise-level rule: ``snr_db`` is None or a real number, not a
+    str or a bool, that is neither NaN nor -inf. ``colored_noise`` applies
+    it, and ``ExperimentConfig`` to its own ``snr_db``."""
+    # a str or a bool is no number here, and NaN and -inf set no noise level
+    real = isinstance(snr_db, Real) and not isinstance(snr_db, bool)
+    if snr_db is not None and not (real and snr_db > -math.inf):
+        raise ValueError(f"snr_db must be None or a number, not NaN or -inf, got {snr_db!r}")
+
+
 def colored_noise(n_y: int, t: int, snr_db, reference, seed) -> np.ndarray:
     """First-order low-pass filtered Gaussian noise at a per-channel SNR.
 
     White noise is shaped by f(k) = 0.7 f(k-1) + e(k) (``_NOISE_FILTER_POLE``),
     then each channel is scaled so 10*log10(power(ref_ch)/power(noise_ch))
     equals ``snr_db``.
-    ``snr_db`` None or +inf yields the zero signal.
+    ``snr_db`` None or +inf yields the zero signal. Any other value must be
+    a real number, neither NaN nor -inf (``_check_noise_level``): a str such
+    as "40" or a bool is refused with a ``ValueError``, not converted.
     """
+    _check_noise_level(snr_db)
     ref = as_matrix(reference, "reference")
     if ref.shape != (t, n_y):
         raise ValueError(f"reference must be {t}x{n_y}, got {ref.shape}")
     if snr_db is None or float(snr_db) == math.inf:
         return np.zeros((t, n_y))
-    if not math.isfinite(float(snr_db)):
-        raise ValueError("snr_db must be finite, None, or +inf")
     rng = np.random.default_rng(seed)
     e = rng.standard_normal((t, n_y))
     # per channel over Python floats, which round exactly as the per-sample
@@ -457,6 +481,17 @@ def _channel_controllable(a, f) -> bool:
     return numerical_rank(_controllability(a, f), RankPolicy.relative(1e-8)) == a.shape[0]
 
 
+def _check_study_shape(n_x: int, n_y: int, n_v: int, *zero_counts) -> None:
+    """The study-shape rule: more outputs than fault channels, and each zero
+    count between 0 and n_x. ``random_system`` applies it to its one zero
+    count, and ``ExperimentConfig`` to its dims and every zero count."""
+    if n_y <= n_v:
+        raise ValueError(f"need more outputs than fault channels (n_y > n_v): n_y={n_y}, n_v={n_v}")
+    for zero_count in zero_counts:
+        if not 0 <= zero_count <= n_x:
+            raise ValueError(f"zero count {zero_count} is not between 0 and n_x={n_x}")
+
+
 def random_system(
     n_x: int,
     n_u: int,
@@ -470,12 +505,10 @@ def random_system(
 
     The channel (A, F, C, G) is minimal and has exactly ``zero_count``
     finite real transmission zeros drawn from a standard normal (systems
-    may be non-minimum phase). Deterministic given the seed.
+    may be non-minimum phase). Deterministic given the seed. n_y > n_v and
+    0 <= zero_count <= n_x are required (``_check_study_shape``).
     """
-    if n_y <= n_v:
-        raise ValueError("need more outputs than fault channels (n_y > n_v)")
-    if zero_count < 0 or zero_count > n_x:
-        raise ValueError("zero_count must be between 0 and n_x")
+    _check_study_shape(n_x, n_y, n_v, zero_count)
     rng = np.random.default_rng(seed)
     last_err = "exhausted attempts"
     for _ in range(max_tries):

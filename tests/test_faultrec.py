@@ -51,6 +51,27 @@ def _noise_free_run(seed, zero_count, n_v=2, t=1000, dims=(5, 1, 3)):
     return sys, fault, u, v, y
 
 
+@pytest.mark.parametrize("stage", [
+    "estimate_fault_dim", "residual_hankel", "reconstruct_fault", "estimate_initial_state",
+])
+def test_record_channel_counts_must_be_the_systems(demo_run, stage):
+    # every stage that reads a record against a system checks its channel
+    # counts in one place: a third output against the demo's two is refused
+    # with a message that names both counts, not a numpy broadcast error
+    from subfault.subid import estimate_initial_state
+
+    sys, fault, x0, u, v, y, _ = demo_run
+    y3 = np.hstack([y, y[:, :1]])
+    calls = {
+        "estimate_fault_dim": lambda: estimate_fault_dim(y3, u, sys, 5),
+        "residual_hankel": lambda: residual_hankel(y3, u, sys, 5),
+        "reconstruct_fault": lambda: reconstruct_fault(y3, u, sys, fault, x0),
+        "estimate_initial_state": lambda: estimate_initial_state(sys, u, y3, horizon=50),
+    }
+    with pytest.raises(ValueError, match=r"\(n_u, n_y\) = \(1, 3\) do not match the system's \(1, 2\)"):
+        calls[stage]()
+
+
 class TestResidualHankel:
     def test_quiet_system_gives_zero_residual(self, demo):
         sys, _ = demo

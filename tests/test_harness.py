@@ -34,6 +34,7 @@ from subfault.harness import (
 from subfault import faultrec, harness, matstack
 from subfault.faultrec import reconstruct_fault, recover, residual_hankel
 from subfault.matstack import RankPolicy
+from subfault.subid import pi_moesp
 from subfault.sysgen import (
     StateSpace,
     colored_noise,
@@ -95,6 +96,43 @@ def example_report(tmp_path_factory):
     return run_example(config), out
 
 
+def _refusal(call):
+    """The message of the ValueError that ``call()`` raises, or None."""
+    try:
+        call()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _demo_record(t: int, fault: bool = True):
+    sys, pair = demo_system()
+    u = white_input(1, t, seed=[1, 1])
+    v = fault_signal("v1", t) if fault else None
+    y, _ = simulate(sys, pair if fault else None, np.zeros(3), u, v)
+    return sys, u, y
+
+
+def _demo_recover(s: int, method: str):
+    sys, u, y = _demo_record(1000)
+    return recover(y, u, sys, s=s, method=method)
+
+
+def _demo_fault_dim(t: int, s: int):
+    # fault free, so that R_(s+1) cannot reach full column rank at T = 2s + 1
+    sys, u, y = _demo_record(t, fault=False)
+    return faultrec.estimate_fault_dim(y, u, sys, s)
+
+
+def _demo_identify(t: int):
+    sys, u, y = _demo_record(t)
+    return pi_moesp(u, y, order=sys.n_x)
+
+
+def _noise(snr_db):
+    return colored_noise(3, 20, snr_db, np.ones((20, 3)), seed=0)
+
+
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -103,6 +141,44 @@ class TestConfig:
             ExperimentConfig(T=100, s=3, dims=(5, 1, 3, 2))
         with pytest.raises(ValueError):
             ExperimentConfig(rank_policy="bogus")
+
+    # each input rule is stated once, in its stage; the config reads that
+    # statement at its own numbers, so at every point of a rule's boundary the
+    # config and the stage agree: both accept, or both refuse with one message
+    @pytest.mark.parametrize("fields, stage, refused", [
+        # the basis methods' window: s >= n_x (the demo's n_x is 3)
+        pytest.param({"s": 2}, lambda: _demo_recover(2, "structure"), True, id="s2-structure"),
+        pytest.param({"s": 2}, lambda: _demo_recover(2, "annihilator"), True, id="s2-annihilator"),
+        pytest.param({"s": 3}, lambda: _demo_recover(3, "structure"), False, id="s3-structure"),
+        pytest.param({"s": 3}, lambda: _demo_recover(3, "annihilator"), False, id="s3-annihilator"),
+        # the readout's window: T > 2s
+        pytest.param({"T": 60, "s": 30}, lambda: _demo_fault_dim(60, 30), True, id="T60-s30"),
+        pytest.param({"T": 61, "s": 30}, lambda: _demo_fault_dim(61, 30), False, id="T61-s30"),
+        # identification at s_id = 8 needs T - 16 + 1 >= 16 input Hankel columns
+        pytest.param({"T": 30}, lambda: _demo_identify(30), True, id="identify-T30"),
+        pytest.param({"T": 31}, lambda: _demo_identify(31), False, id="identify-T31"),
+        # the study's shape: n_y > n_v and 0 <= zero count <= n_x
+        pytest.param({"dims": (5, 1, 2, 2)}, lambda: random_system(5, 1, 2, 2, 0, seed=0), True,
+                     id="n_y-equals-n_v"),
+        pytest.param({"zero_counts": (-1,)}, lambda: random_system(5, 1, 3, 2, -1, seed=0), True,
+                     id="zero-count-minus-1"),
+        pytest.param({"zero_counts": (6,)}, lambda: random_system(5, 1, 3, 2, 6, seed=0), True,
+                     id="zero-count-n_x-plus-1"),
+        pytest.param({"dims": (5, 1, 3, 2)}, lambda: random_system(5, 1, 3, 2, 0, seed=0), False,
+                     id="n_y-above-n_v"),
+        # the noise level: None or a number, neither NaN nor -inf
+        *[pytest.param({"snr_db": snr_db}, lambda snr_db=snr_db: _noise(snr_db),
+                       snr_db not in (None, 40.0, float("inf")), id=f"snr_db-{snr_db!r}")
+          for snr_db in ("40", True, float("nan"), float("-inf"), None, 40.0, float("inf"))],
+    ])
+    def test_config_and_stage_share_each_rule(self, fields, stage, refused):
+        if "dims" in fields or "zero_counts" in fields or "snr_db" in fields:
+            config = lambda: ExperimentConfig.montecarlo_defaults(**fields)  # noqa: E731
+        else:
+            config = lambda: ExperimentConfig.example_defaults(**fields)  # noqa: E731
+        message = _refusal(config)
+        assert message == _refusal(stage)
+        assert (message is not None) == refused, message
 
     def test_policy_mapping(self):
         assert ExperimentConfig(rank_policy="gap").policy() == RankPolicy.gap()
@@ -809,6 +885,37 @@ class TestCli:
         assert code == 2
         assert "window s=59 is too deep for T=60" in capsys.readouterr().err
         assert not (tmp_path / "rec" / "fault_recovery.json").exists()
+
+    def test_fault_recover_window_of_half_the_record_is_input_error(self, tmp_path, capsys):
+        # 2s >= T leaves the readout no room: window 30 on 60 samples is an
+        # input error that names s and T, not "no fault detected"
+        sys, fault = demo_system()
+        u = white_input(1, 60, seed=[1, 1])
+        y, _ = simulate(sys, fault, np.zeros(3), u, fault_signal("v1", 60))
+        save_system_json(tmp_path / "sys.json", sys)
+        write_trajectory_csv(tmp_path / "u.csv", u)
+        write_trajectory_csv(tmp_path / "y.csv", y)
+        code = cli_main(["--out", str(tmp_path / "rec"), "fault-recover",
+                         "--u", str(tmp_path / "u.csv"), "--y", str(tmp_path / "y.csv"),
+                         "--system", str(tmp_path / "sys.json"), "--window", "30"])
+        assert code == 2
+        assert "window s=30 is too deep for T=60" in capsys.readouterr().err
+        assert not (tmp_path / "rec" / "fault_recovery.json").exists()
+
+    def test_identify_record_too_short_is_input_error(self, tmp_path, capsys):
+        # at the default window s = 10, 30 samples give the input Hankel 11
+        # columns for its 20 rows: refused before the data are factored
+        sys, fault = demo_system()
+        u = white_input(1, 30, seed=[1, 1])
+        y, _ = simulate(sys, fault, np.zeros(3), u, fault_signal("v1", 30))
+        write_trajectory_csv(tmp_path / "u.csv", u)
+        write_trajectory_csv(tmp_path / "y.csv", y)
+        code = cli_main(["--out", str(tmp_path / "id"), "identify",
+                         "--u", str(tmp_path / "u.csv"), "--y", str(tmp_path / "y.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "T=30" in err and "s=10" in err and "n_u=1" in err
+        assert not (tmp_path / "id" / "identified.json").exists()
 
     def test_readme_quick_start_runs(self, capsys):
         # README's library quick start block runs as printed: the demo's one

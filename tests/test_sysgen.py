@@ -393,6 +393,12 @@ class TestColoredNoise:
         with pytest.raises(ValueError, match="snr_db"):
             colored_noise(1, 10, float("-inf"), ref, seed=0)
 
+    @pytest.mark.parametrize("snr_db", ["40", True])
+    def test_snr_of_another_type_rejected(self, snr_db):
+        # a str or a bool is refused, not converted to 40 dB or 1 dB
+        with pytest.raises(ValueError, match="snr_db must be None or a number"):
+            colored_noise(1, 10, snr_db, np.ones((10, 1)), seed=0)
+
     def test_zero_power_reference_rejected(self):
         ref = np.zeros((10, 1))
         with pytest.raises(ValueError, match="zero power"):
