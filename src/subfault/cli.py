@@ -49,6 +49,15 @@ _NUMERICAL_ERRORS = (
 )
 
 
+def _order(text: str):
+    """``identify --order``: "auto" or an integer; argparse names the flag
+    in its message on any other value."""
+    try:
+        return text if text == "auto" else int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected 'auto' or an integer, got {text!r}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="subfault",
@@ -74,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_id.add_argument("--u", required=True)
     p_id.add_argument("--y", required=True)
     p_id.add_argument("--window", type=int, help="identification window s")
-    p_id.add_argument("--order", default="auto", help="model order or 'auto'")
+    p_id.add_argument("--order", type=_order, default="auto", help="model order or 'auto'")
 
     p_fr = sub.add_parser("fault-recover", help="fault dimension, matrices, and signal")
     p_fr.add_argument("--u", required=True)
@@ -128,8 +137,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_identify(args) -> int:
     u = read_trajectory_csv(args.u)
     y = read_trajectory_csv(args.y)
-    order = args.order if args.order == "auto" else int(args.order)
-    result = pi_moesp(u, y, s=args.window, order=order, demean=True)
+    result = pi_moesp(u, y, s=args.window, order=args.order, demean=True)
     out = _out_dir(args)
     payload = {
         **_model_fields(result),
@@ -174,9 +182,8 @@ def _cmd_example(args) -> int:
 
 def _cmd_montecarlo(args) -> int:
     report = run_montecarlo(_load_config(args, ExperimentConfig.montecarlo_defaults))
-    failures = [r for r in report.records if r.failure is not None]
-    if failures:
-        for r in failures:
+    for r in report.records:
+        if r.failure is not None:
             print(f"instance {r.index} (zeros={r.zero_count}): {r.failure}", file=sys.stderr)
     return 0
 

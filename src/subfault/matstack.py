@@ -489,27 +489,25 @@ def principal_angles(u, v) -> np.ndarray:
     """Principal angles between two subspaces, nonincreasing, in [0, pi/2].
 
     Accepts matrices whose columns span the subspaces; count equals the
-    smaller of the two dimensions. Each input is orthonormalized once, by
-    ``_span_basis``, and the angles follow Knyazev & Argentati's sine-cosine
-    rule (SIAM J. Sci. Comput. 23(6), 2002) as scipy.linalg.subspace_angles
-    computes them: cosines from the SVD of Q_u^T Q_v, and where any
-    cosine^2 reaches 1/2 the sines of small angles from the SVD of the part
-    of one basis outside the other.
+    smaller of the two dimensions (none when either spans nothing). Each
+    input is orthonormalized once, by ``_span_basis``. Knyazev &
+    Argentati's sine-cosine rule (SIAM J. Sci. Comput. 23(6), 2002) gives
+    the cosines as the singular values of Q_u^T Q_v and the sines as those
+    of the part of the smaller basis outside the other; the i-th largest
+    cosine and the i-th smallest sine belong to one angle, which one
+    arctan2 step reads accurately whatever its size. scipy's
+    subspace_angles applies its sine mask to the angles in the wrong order
+    instead, so a small angle next to one above 45 degrees comes out of
+    arccos, accurate to about 1e-8 only.
     """
     qa, qb = _span_basis(u), _span_basis(v)
     if qa.shape[0] != qb.shape[0]:
         raise ValueError(f"ambient dimensions differ: {qa.shape[0]} vs {qb.shape[0]}")
-    if qa.shape[1] == 0 or qb.shape[1] == 0:
-        return np.zeros(0)
     cross = qa.T @ qb
-    sigma = np.linalg.svd(cross, compute_uv=False)
+    cosines = np.linalg.svd(cross, compute_uv=False)
     rest = qb - qa @ cross if qa.shape[1] >= qb.shape[1] else qa - qb @ cross.T
-    mask = sigma**2 >= 0.5
-    sines = 0.0
-    if mask.any():
-        sines = np.arcsin(np.clip(np.linalg.svd(rest, compute_uv=False), -1.0, 1.0))
-    angles = np.where(mask, sines, np.arccos(np.clip(sigma[::-1], -1.0, 1.0)))
-    return np.sort(angles)[::-1]
+    sines = np.linalg.svd(rest, compute_uv=False)[::-1]
+    return np.sort(np.arctan2(sines, cosines))[::-1]
 
 
 def range_equal(m1, m2, tol: float = 1e-8) -> bool:

@@ -902,6 +902,18 @@ class TestCli:
         assert "window s=30 is too deep for T=60" in capsys.readouterr().err
         assert not (tmp_path / "rec" / "fault_recovery.json").exists()
 
+    @pytest.mark.parametrize("order", ["2.5", "true"])
+    def test_identify_order_neither_auto_nor_integer_is_refused(self, tmp_path, capsys, order):
+        # argparse reads --order, so its message names the flag
+        self._write_demo_data(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["--out", str(tmp_path / "id"), "identify", "--u", str(tmp_path / "u.csv"),
+                      "--y", str(tmp_path / "y.csv"), "--order", order])
+        assert exit_info.value.code == 2
+        assert f"argument --order: expected 'auto' or an integer, got '{order}'" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "id").exists()
+
     def test_identify_record_too_short_is_input_error(self, tmp_path, capsys):
         # at the default window s = 10, 30 samples give the input Hankel 11
         # columns for its 20 rows: refused before the data are factored

@@ -471,8 +471,30 @@ class TestSubspaceGeometry:
             if i % 2:
                 # nearly shared directions take the sine branch
                 v[:, :1] = u[:, :1] + 1e-9 * rng.standard_normal((n, 1))
-            ref = scipy.linalg.subspace_angles(u, v)
-            assert np.abs(principal_angles(u, v) - np.sort(ref)[::-1]).max() <= 4 * eps
+            got = principal_angles(u, v)
+            assert np.abs(got - _subspace_angles_oracle(u, v)).max() <= 4 * eps
+            if u.shape[1] + v.shape[1] > n:
+                # the subspaces must intersect (case i = 5: dimensions 4 and
+                # 6 in R^9), so the smallest angle is 0; read through arccos
+                # it came out at 2e-8 to 4e-8
+                assert got[-1] <= 8 * eps, i
+
+
+def _subspace_angles_oracle(u, v):
+    """scipy.linalg.subspace_angles with its sine mask applied to the angles
+    it was built for: each angle from the arcsine of its sine where its
+    cosine^2 is at least 1/2, else from the arccosine of its cosine.
+    Nonincreasing."""
+    qa, qb = scipy.linalg.orth(u), scipy.linalg.orth(v)
+    if qa.shape[1] < qb.shape[1]:
+        qa, qb = qb, qa
+    cross = qa.T @ qb
+    # both in the order of the angles, smallest first
+    cosines = scipy.linalg.svdvals(cross)
+    sines = scipy.linalg.svdvals(qb - qa @ cross)[::-1]
+    angles = np.where(cosines**2 >= 0.5, np.arcsin(np.clip(sines, -1.0, 1.0)),
+                      np.arccos(np.clip(cosines, -1.0, 1.0)))
+    return np.sort(angles)[::-1]
 
 
 class TestRangeEqual:
