@@ -270,9 +270,9 @@ def fault_signal(kind: str, t: int, seed=None) -> np.ndarray:
 
 def _check_noise_level(snr_db) -> None:
     """The noise-level rule: ``snr_db`` is None or a real number, not a
-    str or a bool, that is neither NaN nor -inf. ``colored_noise`` applies
-    it, and ``ExperimentConfig`` to its own ``snr_db``."""
-    # a str or a bool is no number here, and NaN and -inf set no noise level
+    str or a bool, that is neither NaN nor -inf, which set no noise level.
+    ``colored_noise`` applies it, and ``ExperimentConfig`` to its own
+    ``snr_db``."""
     real = isinstance(snr_db, Real) and not isinstance(snr_db, bool)
     if snr_db is not None and not (real and snr_db > -math.inf):
         raise ValueError(f"snr_db must be None or a number, not NaN or -inf, got {snr_db!r}")
@@ -292,7 +292,7 @@ def colored_noise(n_y: int, t: int, snr_db, reference, seed) -> np.ndarray:
     ref = as_matrix(reference, "reference")
     if ref.shape != (t, n_y):
         raise ValueError(f"reference must be {t}x{n_y}, got {ref.shape}")
-    if snr_db is None or float(snr_db) == math.inf:
+    if snr_db is None or snr_db == math.inf:
         return np.zeros((t, n_y))
     rng = np.random.default_rng(seed)
     e = rng.standard_normal((t, n_y))
