@@ -144,9 +144,10 @@ class TestConfig:
 
     # each input rule is stated once, in its stage; the config reads that
     # statement at its own numbers, so at every point of a rule's boundary the
-    # config and the stage agree: both accept, or both refuse with one message
+    # config (at the demo's dims, (3, 1, 2, 1), and s = 5 unless given) and the
+    # stage agree: both accept, or both refuse with one message
     @pytest.mark.parametrize("fields, stage, refused", [
-        # the basis methods' window: s >= n_x (the demo's n_x is 3)
+        # the basis methods' window: s >= n_x
         pytest.param({"s": 2}, lambda: _demo_recover(2, "structure"), True, id="s2-structure"),
         pytest.param({"s": 2}, lambda: _demo_recover(2, "annihilator"), True, id="s2-annihilator"),
         pytest.param({"s": 3}, lambda: _demo_recover(3, "structure"), False, id="s3-structure"),
@@ -158,25 +159,20 @@ class TestConfig:
         pytest.param({"T": 30}, lambda: _demo_identify(30), True, id="identify-T30"),
         pytest.param({"T": 31}, lambda: _demo_identify(31), False, id="identify-T31"),
         # the study's shape: n_y > n_v and 0 <= zero count <= n_x
-        pytest.param({"dims": (5, 1, 2, 2)}, lambda: random_system(5, 1, 2, 2, 0, seed=0), True,
+        pytest.param({"dims": (3, 1, 1, 1)}, lambda: random_system(3, 1, 1, 1, 0, seed=0), True,
                      id="n_y-equals-n_v"),
-        pytest.param({"zero_counts": (-1,)}, lambda: random_system(5, 1, 3, 2, -1, seed=0), True,
+        pytest.param({"zero_counts": (-1,)}, lambda: random_system(3, 1, 2, 1, -1, seed=0), True,
                      id="zero-count-minus-1"),
-        pytest.param({"zero_counts": (6,)}, lambda: random_system(5, 1, 3, 2, 6, seed=0), True,
+        pytest.param({"zero_counts": (4,)}, lambda: random_system(3, 1, 2, 1, 4, seed=0), True,
                      id="zero-count-n_x-plus-1"),
-        pytest.param({"dims": (5, 1, 3, 2)}, lambda: random_system(5, 1, 3, 2, 0, seed=0), False,
-                     id="n_y-above-n_v"),
+        pytest.param({}, lambda: random_system(3, 1, 2, 1, 0, seed=0), False, id="n_y-above-n_v"),
         # the noise level: None or a number, neither NaN nor -inf
         *[pytest.param({"snr_db": snr_db}, lambda snr_db=snr_db: _noise(snr_db),
                        snr_db not in (None, 40.0, float("inf")), id=f"snr_db-{snr_db!r}")
           for snr_db in ("40", True, float("nan"), float("-inf"), None, 40.0, float("inf"))],
     ])
     def test_config_and_stage_share_each_rule(self, fields, stage, refused):
-        if "dims" in fields or "zero_counts" in fields or "snr_db" in fields:
-            config = lambda: ExperimentConfig.montecarlo_defaults(**fields)  # noqa: E731
-        else:
-            config = lambda: ExperimentConfig.example_defaults(**fields)  # noqa: E731
-        message = _refusal(config)
+        message = _refusal(lambda: ExperimentConfig(**fields))
         assert message == _refusal(stage)
         assert (message is not None) == refused, message
 
@@ -889,9 +885,7 @@ class TestCli:
     def test_fault_recover_window_of_half_the_record_is_input_error(self, tmp_path, capsys):
         # 2s >= T leaves the readout no room: window 30 on 60 samples is an
         # input error that names s and T, not "no fault detected"
-        sys, fault = demo_system()
-        u = white_input(1, 60, seed=[1, 1])
-        y, _ = simulate(sys, fault, np.zeros(3), u, fault_signal("v1", 60))
+        sys, u, y = _demo_record(60)
         save_system_json(tmp_path / "sys.json", sys)
         write_trajectory_csv(tmp_path / "u.csv", u)
         write_trajectory_csv(tmp_path / "y.csv", y)
@@ -917,9 +911,7 @@ class TestCli:
     def test_identify_record_too_short_is_input_error(self, tmp_path, capsys):
         # at the default window s = 10, 30 samples give the input Hankel 11
         # columns for its 20 rows: refused before the data are factored
-        sys, fault = demo_system()
-        u = white_input(1, 30, seed=[1, 1])
-        y, _ = simulate(sys, fault, np.zeros(3), u, fault_signal("v1", 30))
+        _, u, y = _demo_record(30)
         write_trajectory_csv(tmp_path / "u.csv", u)
         write_trajectory_csv(tmp_path / "y.csv", y)
         code = cli_main(["--out", str(tmp_path / "id"), "identify",
