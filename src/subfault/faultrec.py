@@ -18,8 +18,10 @@ import numpy as np
 
 from .matstack import (
     RankPolicy,
+    _depth,
     _largest_gap,
     _lti_states,
+    _quadruple,
     _residual_factors,
     _triangle,
     as_matrix,
@@ -166,15 +168,16 @@ def _nominal_residual(y, u, sys: StateSpace, x0) -> np.ndarray:
     return y - simulate(sys, None, x0, u)[0]
 
 
-def _check_readout_window(s: int, t: int) -> None:
-    """The readout's window rule: 1 <= s, and T > 2s samples, so that
-    R_(s+1) keeps more columns (T - s) than R_s has block rows (s).
+def _check_readout_window(s, t: int) -> int:
+    """The readout's window rule: s read by the depth rule
+    (``matstack._depth``), and T > 2s samples, so that R_(s+1) keeps more
+    columns (T - s) than R_s has block rows (s). Returns s.
     ``estimate_fault_dim`` applies it to a record, and ``ExperimentConfig``
     to its own T and s."""
-    if s < 1:
-        raise ValueError(f"window s={s} must be at least 1")
+    s = _depth("s", s)
     if t <= 2 * s:
         raise ValueError(f"window s={s} is too deep for T={t}: the readout needs T > 2s")
+    return s
 
 
 def fault_dim_from_ranks(rank_s: int, rank_s_plus_1: int) -> int:
@@ -198,7 +201,9 @@ def estimate_fault_dim(y, u, sys: StateSpace, s: int, policy: RankPolicy | None 
     kept on the readout for the basis methods. Returns (n_v, readout).
 
     A window the record cannot hold is an input error (``ValueError``):
-    one that breaks ``_check_readout_window`` (1 <= s and T > 2s), or one
+    one that breaks ``_check_readout_window`` (an integer s >= 1 by the
+    depth rule, ``matstack._depth``, so a float or a bool is refused, and
+    T > 2s), or one
     so deep that R_(s+1) reaches full column rank T - s, since the record
     then caps its rank and the difference says nothing about n_v. So is a
     record whose channel counts are not the system's
@@ -206,7 +211,7 @@ def estimate_fault_dim(y, u, sys: StateSpace, s: int, policy: RankPolicy | None 
     """
     u_data, y_data = _system_record(u, y, sys)
     t = y_data.shape[0]
-    _check_readout_window(s, t)
+    s = _check_readout_window(s, t)
     factor, deep = _residual_factors(y_data, u_data, sys.A, sys.B, sys.C, sys.D, s)
     sv_s = np.linalg.svd(factor, compute_uv=False)
     sv_s1 = np.linalg.svd(deep, compute_uv=False)
@@ -236,10 +241,7 @@ def _channel_window_map(a, f, c, g, m: int) -> np.ndarray:
 
 def verify_rank_formula(a, f, c, g, s: int, tol: float = 1e-8) -> bool:
     """Check rank([O_s T^f_s]) = n_x + s n_v - zeta against the zero count."""
-    a = as_matrix(a, "A")
-    f = as_matrix(f, "F")
-    c = as_matrix(c, "C")
-    g = as_matrix(g, "G")
+    a, f, c, g = _quadruple(a, f, c, g, "AFCG")
     report = transmission_zeros(a, f, c, g, tol=tol)
     if report.l_delay is None:
         raise ValueError("channel is not left invertible; the rank formula does not apply")
@@ -451,18 +453,12 @@ def behaviorally_equivalent(a, c, fg1: FaultPair, fg2: FaultPair, tol: float = 1
     """Finite-horizon output-behavior equality of two fault pairs on (A, C).
 
     Compares the ranges of [O_m T^f_m] over m = n_x + 1 block rows, which is
-    sufficient for equality of the full behavior sets.
+    sufficient for equality of the full behavior sets. Each pair must make
+    (A, F, C, G) a channel quadruple (``matstack._quadruple``).
     """
-    a = as_matrix(a, "A")
-    c = as_matrix(c, "C")
-    n_x = a.shape[0]
-    if fg1.F.shape[0] != n_x or fg2.F.shape[0] != n_x:
-        raise ValueError("fault pairs do not match the state dimension")
-    if fg1.G.shape[0] != c.shape[0] or fg2.G.shape[0] != c.shape[0]:
-        raise ValueError("fault pairs do not match the output dimension")
-    m1 = _channel_window_map(a, fg1.F, c, fg1.G, n_x + 1)
-    m2 = _channel_window_map(a, fg2.F, c, fg2.G, n_x + 1)
-    return range_equal(m1, m2, tol)
+    channels = [_quadruple(a, fg.F, c, fg.G, "AFCG") for fg in (fg1, fg2)]
+    depth = channels[0][0].shape[0] + 1
+    return range_equal(*(_channel_window_map(*ch, depth) for ch in channels), tol)
 
 
 def window_in_behavior(a, f, c, g, window, tol: float = 1e-8) -> bool:
@@ -473,7 +469,7 @@ def window_in_behavior(a, f, c, g, window, tol: float = 1e-8) -> bool:
     """
     w = as_matrix(window, "window")
     m = w.shape[0]
-    basis_mat = _channel_window_map(a, f, c, g, m)
+    basis_mat = _channel_window_map(*_quadruple(a, f, c, g, "AFCG"), m)
     vec = w.reshape(-1)
     norm = np.linalg.norm(vec)
     if norm == 0:
@@ -689,8 +685,7 @@ def reconstruct_fault(y, u, sys: StateSpace, fg: FaultPair, x_tilde_0) -> FaultR
     """
     u_data, y_data = _system_record(u, y, sys)
     fg.check_matches(sys)
-    if y_data.shape[0] < 1:
-        raise ValueError("reconstruction needs at least one sample")
+    _depth("T", y_data.shape[0])
     return _replay_fault(_nominal_residual(y_data, u_data, sys, x_tilde_0), sys, fg)
 
 
@@ -724,17 +719,16 @@ def select_representative(
     use when prior structure (state-only or output-only faults) is known;
     they fail when the chosen directions keep more than 0.3 of their norm in
     the block they should annihilate. A basis exactly n_v wide is taken as
-    it is, and the policy name and that bound are still checked.
+    it is, and the policy name and that bound are still checked. ``n_v``
+    (default: the readout's estimate) is read by the depth rule
+    (``matstack._depth``).
     """
     if policy not in _REPRESENTATIVES:
         raise ValueError(f"unknown representative policy {policy!r}")
     stack = recovery.stack()
     n_x = recovery.F_hat.shape[0]
     n_z = stack.shape[1]
-    if n_v is None:
-        n_v = recovery.n_v_estimate
-    if n_v < 1:
-        raise ValueError("a positive fault dimension is required")
+    n_v = _depth("n_v", recovery.n_v_estimate if n_v is None else n_v)
     if n_v > n_z:
         raise ValueError(f"cannot select {n_v} directions from a basis of {n_z}")
     # the block a sparse representative should annihilate

@@ -21,6 +21,7 @@ import numpy as np
 
 from .matstack import (
     RankPolicy,
+    _depth,
     _hankel_pair_factors,
     _integer,
     _span_basis,
@@ -116,8 +117,9 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
-        for name in ("T", "s", "seed", "systems_per_count"):
+        for name in ("T", "s", "seed"):
             setattr(self, name, _integer(name, getattr(self, name)))
+        self.systems_per_count = _depth("systems_per_count", self.systems_per_count)
         self.dims = tuple(_integer("dims entry", d) for d in self.dims)
         self.zero_counts = tuple(_integer("zero_counts entry", z) for z in self.zero_counts)
         if len(self.dims) != 4:
@@ -129,8 +131,6 @@ class ExperimentConfig:
         _check_readout_window(self.s, self.T)
         _check_basis_window(self.s, n_x)
         _check_identification_record(self.T, _identification_window(n_x), n_u)
-        if self.systems_per_count < 1:
-            raise ValueError("systems_per_count must be at least 1")
         _check_noise_level(self.snr_db)
         if not isinstance(self.rank_policy, str) or self.rank_policy not in _RANK_POLICIES:
             raise ValueError(f"rank_policy must be one of {sorted(_RANK_POLICIES)}, "

@@ -81,6 +81,36 @@ def _integer(name: str, value) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _depth(name: str, value) -> int:
+    """The depth rule: ``value`` read by ``_integer`` and at least 1. Every
+    window depth, Hankel width, record length and count the package refuses
+    below 1 is read here."""
+    value = _integer(name, value)
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+    return value
+
+
+def _quadruple(a, b, c, d, names: str = "ABCD"):
+    """The quadruple rule: the four matrices of a state-space quadruple,
+    each as ``as_matrix`` gives it, with A square, B with n rows, C with n
+    columns and D of shape (rows of C) x (columns of B), for n the rows of
+    A. ``names`` names the four in the messages ("AFCG" for a fault
+    channel). Every entry point that takes a quadruple checks it here."""
+    a, b, c, d = (as_matrix(m, name) for m, name in zip((a, b, c, d), names))
+    na, nb, nc, nd = names
+    n = a.shape[0]
+    if a.shape[1] != n:
+        raise ValueError(f"{na} must be square, got {a.shape[0]}x{a.shape[1]}")
+    if b.shape[0] != n:
+        raise ValueError(f"{nb} has {b.shape[0]} rows but {na} is {n}x{n}")
+    if c.shape[1] != n:
+        raise ValueError(f"{nc} has {c.shape[1]} columns but {na} is {n}x{n}")
+    if d.shape != (c.shape[0], b.shape[1]):
+        raise ValueError(f"{nd} must be {c.shape[0]}x{b.shape[1]}, got {d.shape[0]}x{d.shape[1]}")
+    return a, b, c, d
+
+
 def _input_output_arrays(u, y):
     """Coerce an input/output record pair, checking that the lengths agree."""
     u_data = as_matrix(u, "u")
@@ -219,12 +249,8 @@ def block_hankel(signal, depth: int, width: int | None = None) -> np.ndarray:
     """
     data = as_matrix(signal, "signal")
     t, dim = data.shape
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
-    if width is None:
-        width = t - depth + 1
-    if width < 1:
-        raise ValueError("width must be at least 1")
+    depth = _depth("depth", depth)
+    width = _depth("width", t - depth + 1 if width is None else width)
     needed = depth + width - 1
     if t < needed:
         raise ValueError(
@@ -243,18 +269,15 @@ def _windows(x, depth: int, n: int) -> np.ndarray:
 
 
 def extended_observability(a, c, s: int) -> np.ndarray:
-    """Stack [C; CA; ...; C A^(s-1)], the Markov parameters C A^k B with B = I."""
-    a = as_matrix(a, "A")
-    c = as_matrix(c, "C")
-    n = a.shape[0]
-    if a.shape[1] != n:
-        raise ValueError(f"A must be square, got {a.shape}")
-    if c.shape[1] != n:
-        raise ValueError(f"C has {c.shape[1]} columns but A is {n}x{n}")
-    if s < 1:
-        raise ValueError("s must be at least 1")
-    p = c.shape[0]
-    return _markov_blocks(a, np.eye(n), c, np.zeros((p, n)), s + 1)[1:].reshape(s * p, n)
+    """Stack [C; CA; ...; C A^(s-1)], the Markov parameters C A^k B of the
+    quadruple (A, I, C, 0). The quadruple rule (``_quadruple``) refuses a
+    non-square A and a C whose columns are not A's; the depth rule
+    (``_depth``) refuses an ``s`` that is not an integer of at least 1."""
+    a, c = as_matrix(a, "A"), as_matrix(c, "C")
+    n, p = a.shape[0], c.shape[0]
+    quadruple = _quadruple(a, np.eye(n), c, np.zeros((p, n)))
+    s = _depth("s", s)
+    return _markov_blocks(*quadruple, s + 1)[1:].reshape(s * p, n)
 
 
 def _markov_blocks(a, b, c, d, count: int) -> np.ndarray:
@@ -273,20 +296,14 @@ def block_toeplitz(a, b, c, d, s: int) -> np.ndarray:
     """Lower block-triangular impulse-response matrix.
 
     D on the block diagonal and C A^(k-1) B on the k-th block subdiagonal;
-    maps a stacked input window to the stacked output window.
+    maps a stacked input window to the stacked output window. The quadruple
+    rule (``_quadruple``) refuses matrices whose shapes do not fit together,
+    and the depth rule (``_depth``) an ``s`` that is not an integer of at
+    least 1.
     """
-    a = as_matrix(a, "A")
-    b = as_matrix(b, "B")
-    c = as_matrix(c, "C")
-    d = as_matrix(d, "D")
-    n = a.shape[0]
-    if a.shape[1] != n or b.shape[0] != n or c.shape[1] != n:
-        raise ValueError("A, B, C have inconsistent state dimensions")
-    p, m = c.shape[0], b.shape[1]
-    if d.shape != (p, m):
-        raise ValueError(f"D must be {p}x{m}, got {d.shape}")
-    if s < 1:
-        raise ValueError("s must be at least 1")
+    a, b, c, d = _quadruple(a, b, c, d)
+    s = _depth("s", s)
+    p, m = d.shape
     # block (i, j) is parameter i - j; the appended zero block fills j > i
     params = np.concatenate([_markov_blocks(a, b, c, d, s), np.zeros((1, p, m))])
     lag = np.arange(s)[:, None] - np.arange(s)[None, :]
@@ -416,8 +433,7 @@ def _hankel_factor(signals, depth: int, width: int, rows) -> np.ndarray:
     the kernel ``_triangle`` (LAPACK dgeqrf at its optimal workspace). The
     Gram matrix R^T R equals M M^T up to rounding.
     """
-    if width < 1:
-        raise ValueError("width must be at least 1")
+    width = _depth("width", width)
     r = None
     for j0 in range(0, width, _CHUNK):
         n = min(_CHUNK, width - j0)

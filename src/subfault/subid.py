@@ -18,6 +18,7 @@ from .matstack import (
     RankPolicy,
     _CHUNK,
     _GAP_RATIO,
+    _depth,
     _fold_factor,
     _hankel_factor,
     _input_output_arrays,
@@ -112,15 +113,18 @@ def _identification_window(order: int) -> int:
     return 2 * order + 2
 
 
-def _check_identification_record(t: int, s: int, n_u: int) -> None:
-    """The identification rule: a window s >= 1, T > 2s samples, and at
-    least as many input Hankel columns (T - 2s + 1) as input rows of
-    [U_f; U_p] (2 s n_u), which persistency of excitation needs.
-    ``pi_moesp`` applies it to a record, and ``ExperimentConfig`` to its
-    own T and n_u at ``_identification_window`` of its n_x."""
-    if s < 1 or t <= 2 * s or t - 2 * s + 1 < 2 * s * n_u:
+def _check_identification_record(t: int, s, n_u: int) -> int:
+    """The identification rule: a window s read by the depth rule
+    (``matstack._depth``), T > 2s samples, and at least as many input
+    Hankel columns (T - 2s + 1) as input rows of [U_f; U_p] (2 s n_u),
+    which persistency of excitation needs. Returns s. ``pi_moesp`` applies
+    it to a record, and ``ExperimentConfig`` to its own T and n_u at
+    ``_identification_window`` of its n_x."""
+    s = _depth("s", s)
+    if t <= 2 * s or t - 2 * s + 1 < 2 * s * n_u:
         raise ValueError(f"T={t} samples cannot identify at window s={s} with n_u={n_u}: "
-                         f"need s >= 1, T > 2s and T - 2s + 1 >= 2 s n_u")
+                         f"need T > 2s and T - 2s + 1 >= 2 s n_u")
+    return s
 
 
 def pi_moesp(
@@ -148,12 +152,13 @@ def pi_moesp(
     memory does not grow with T beyond the record itself; a record of at
     most ``_CHUNK`` (2048) data columns is one chunk, the one-shot QR.
 
-    ``order`` is an integer or "auto" (largest singular-value gap); ``s``,
-    an integer ``order`` and ``order_hint`` are read by the config's integer
-    rule (``matstack._integer``): a numpy integer is taken, and a float or a
-    bool is refused with a ValueError that names the argument. The
-    automatic selection runs on the spectrum either way and gives
-    ``order_confident``, so an all-negligible spectrum raises
+    ``order`` is an integer or "auto" (largest singular-value gap); ``s``
+    and an integer ``order`` are read by the depth rule
+    (``matstack._depth``), and ``order_hint`` by the integer rule
+    (``matstack._integer``): a numpy integer is taken, and a float, a bool
+    or a depth below 1 is refused with a ValueError that names the
+    argument. The automatic selection runs on the spectrum either way and
+    gives ``order_confident``, so an all-negligible spectrum raises
     ``DegenerateDataError`` for an integer order too. ``s`` is the
     identification window; default ``_identification_window`` of order_hint
     (or of an integer order) when one is available, else 10. A record too
@@ -171,12 +176,11 @@ def pi_moesp(
     # subtracted chunk by chunk, so no centred copy of the record is formed
     u_mean = u_data.mean(axis=0) if demean else np.zeros(n_u)
     y_mean = y_data.mean(axis=0) if demean else np.zeros(n_y)
-    n = None if isinstance(order, str) and order == "auto" else _integer("order", order)
+    n = None if isinstance(order, str) and order == "auto" else _depth("order", order)
     hint = n if order_hint is None else _integer("order_hint", order_hint)
     if s is None:
         s = _identification_window(hint) if hint else 10
-    s = _integer("s", s)
-    _check_identification_record(t, s, n_u)
+    s = _check_identification_record(t, s, n_u)
     n_cols = t - 2 * s + 1
     i1 = s * n_u
     i2 = 2 * s * n_u
@@ -207,8 +211,6 @@ def pi_moesp(
     padded = np.zeros(s * n_y)
     padded[: svals.size] = svals
 
-    if n is not None and n < 1:
-        raise ValueError("order must be positive")
     if n is not None and n > min(l32.shape):
         raise ValueError(f"order {n} exceeds the singular-value plateau ({min(l32.shape)})")
     sel = estimate_order(svals)
@@ -284,10 +286,9 @@ def _unit_input_blocks(u_data, m: int) -> np.ndarray:
 
 
 def markov_params(sys: StateSpace, count: int) -> list:
-    """Impulse-response parameters (D, CB, CAB, ..., C A^(count-2) B)."""
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    return list(_markov_blocks(sys.A, sys.B, sys.C, sys.D, count))
+    """Impulse-response parameters (D, CB, CAB, ..., C A^(count-2) B); the
+    depth rule (``matstack._depth``) reads ``count``."""
+    return list(_markov_blocks(sys.A, sys.B, sys.C, sys.D, _depth("count", count)))
 
 
 def estimate_initial_state(sys: StateSpace, u, y, horizon: int) -> np.ndarray:
@@ -297,9 +298,12 @@ def estimate_initial_state(sys: StateSpace, u, y, horizon: int) -> np.ndarray:
     extended observability matrix over the first ``horizon`` samples, so
     memory is linear in the horizon: no horizon-deep Toeplitz is formed.
     The record's channel counts must be the system's
-    (``sysgen._system_record``).
+    (``sysgen._system_record``). ``horizon`` is read by the integer rule
+    (``matstack._integer``), so a float or a bool is refused with a
+    ValueError that names it, and it must be at least n_x and at most T.
     """
     u_data, y_data = _system_record(u, y, sys)
+    horizon = _integer("horizon", horizon)
     if horizon < sys.n_x:
         raise ValueError(f"horizon {horizon} shorter than the state dimension {sys.n_x}")
     if horizon > u_data.shape[0]:

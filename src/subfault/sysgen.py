@@ -19,8 +19,10 @@ import numpy as np
 
 from .matstack import (
     RankPolicy,
+    _depth,
     _input_output_arrays,
     _lti_states,
+    _quadruple,
     _read_csv_body,
     as_matrix,
     block_toeplitz,  # noqa: F401 (unused here; the benchmark traces it in this module)
@@ -75,21 +77,7 @@ class StateSpace:
     D: np.ndarray
 
     def __post_init__(self):
-        self.A = as_matrix(self.A, "A")
-        self.B = as_matrix(self.B, "B")
-        self.C = as_matrix(self.C, "C")
-        self.D = as_matrix(self.D, "D")
-        n = self.A.shape[0]
-        if self.A.shape[1] != n:
-            raise ValueError(f"A must be square, got {self.A.shape}")
-        if self.B.shape[0] != n:
-            raise ValueError("B row count does not match the state dimension")
-        if self.C.shape[1] != n:
-            raise ValueError("C column count does not match the state dimension")
-        if self.D.shape != (self.C.shape[0], self.B.shape[1]):
-            raise ValueError(
-                f"D must be {self.C.shape[0]}x{self.B.shape[1]}, got {self.D.shape}"
-            )
+        self.A, self.B, self.C, self.D = _quadruple(self.A, self.B, self.C, self.D)
 
     @property
     def n_x(self) -> int:
@@ -138,10 +126,11 @@ class FaultPair:
     G: np.ndarray
 
     def __post_init__(self):
-        self.F = as_matrix(self.F, "F")
-        self.G = as_matrix(self.G, "G")
-        if self.F.shape[1] != self.G.shape[1]:
-            raise ValueError("F and G must have the same number of columns")
+        # a pair is one that some channel can carry: the quadruple rule at a
+        # zero A and C of the pair's own state and output counts
+        f, g = as_matrix(self.F, "F"), as_matrix(self.G, "G")
+        n_x, n_y = f.shape[0], g.shape[0]
+        _, self.F, _, self.G = _quadruple(np.zeros((n_x, n_x)), f, np.zeros((n_y, n_x)), g, "AFCG")
 
     @property
     def n_v(self) -> int:
@@ -151,10 +140,9 @@ class FaultPair:
         return np.vstack([self.F, self.G])
 
     def check_matches(self, sys: StateSpace) -> None:
-        if self.F.shape[0] != sys.n_x:
-            raise ValueError("F row count does not match the state dimension")
-        if self.G.shape[0] != sys.n_y:
-            raise ValueError("G row count does not match the output dimension")
+        """Refuse a pair that does not make (A, F, C, G) a channel quadruple
+        with the system's A and C (``matstack._quadruple``)."""
+        _quadruple(sys.A, self.F, sys.C, self.G, "AFCG")
 
 
 @dataclass
@@ -188,6 +176,16 @@ class ZeroReport:
 # simulation
 
 
+def _initial_state(x, sys: StateSpace, name: str) -> np.ndarray:
+    """The initial-state rule: ``x`` as a finite length-n_x array of
+    ``sys``, refused under ``name`` otherwise. ``simulate`` reads its x0
+    here, and a system file its ``x_tilde_0``."""
+    x = as_matrix(x, name).ravel()
+    if x.size != sys.n_x:
+        raise ValueError(f"{name} must have {sys.n_x} entries, got {x.size}")
+    return x
+
+
 def simulate(sys: StateSpace, fault: FaultPair | None, x0, u, v=None, w=None):
     """Run x(k+1) = A x + B u + F v, y(k) = C x + D u + G v + w.
 
@@ -219,9 +217,7 @@ def simulate(sys: StateSpace, fault: FaultPair | None, x0, u, v=None, w=None):
             )
     else:
         w_data = None
-    x = np.zeros(sys.n_x) if x0 is None else as_matrix(x0, "x0").ravel()
-    if x.shape[0] != sys.n_x:
-        raise ValueError(f"x0 must have length {sys.n_x}, got {x.shape[0]}")
+    x = np.zeros(sys.n_x) if x0 is None else _initial_state(x0, sys, "x0")
 
     # every input term is one matmul; the state recursion runs lifted
     drive = u_data @ sys.B.T
@@ -241,11 +237,10 @@ def simulate(sys: StateSpace, fault: FaultPair | None, x0, u, v=None, w=None):
 
 
 def white_input(n_u: int, t: int, seed) -> np.ndarray:
-    """I.i.d. standard normal input samples from the seeded generator."""
-    if t < 1:
-        raise ValueError("T must be at least 1")
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal((t, n_u))
+    """I.i.d. standard normal input samples from the seeded generator; T is
+    read by the depth rule (``matstack._depth``)."""
+    t = _depth("T", t)
+    return np.random.default_rng(seed).standard_normal((t, n_u))
 
 
 def fault_signal(kind: str, t: int, seed=None) -> np.ndarray:
@@ -253,16 +248,15 @@ def fault_signal(kind: str, t: int, seed=None) -> np.ndarray:
 
     "v1": 0.1 + sin(0.25 * k**1.3), a drifting non-periodic sinusoid.
     "v2": 1 - 0.99**k + z(k), a saturating ramp plus unit white noise
-    (requires a seed for z).
+    (requires a seed for z). T is read by the depth rule
+    (``matstack._depth``).
     """
-    if t < 1:
-        raise ValueError("T must be at least 1")
+    t = _depth("T", t)
     k = np.arange(t, dtype=float)
     if kind == "v1":
         vals = 0.1 + np.sin(0.25 * k**1.3)
     elif kind == "v2":
-        rng = np.random.default_rng(seed)
-        vals = 1.0 - 0.99**k + rng.standard_normal(t)
+        vals = 1.0 - 0.99**k + np.random.default_rng(seed).standard_normal(t)
     else:
         raise ValueError(f"unknown fault signal kind {kind!r}")
     return vals[:, None]
@@ -388,17 +382,13 @@ def transmission_zeros(a, f, c, g, tol: float = 1e-8) -> ZeroReport:
     no infinite zeros, so the finite zeros are the eigenvalues of
     A - F G^-1 C, for every channel shape. A singular pencil, such as that
     of a channel with a repeated fault column, loses its zero rows and
-    columns on the way.
+    columns on the way. The quadruple rule (``matstack._quadruple``)
+    refuses a channel whose shapes do not fit together: A not square, F
+    without n_x rows, C without n_x columns, or G not n_y x n_v.
     """
-    a = as_matrix(a, "A")
-    f = as_matrix(f, "F")
-    c = as_matrix(c, "C")
-    g = as_matrix(g, "G")
+    a, f, c, g = _quadruple(a, f, c, g, "AFCG")
     n = a.shape[0]
     nv = f.shape[1]
-    ny = c.shape[0]
-    if a.shape[1] != n or f.shape[0] != n or c.shape[1] != n or g.shape != (ny, nv):
-        raise ValueError("channel quadruple has inconsistent dimensions")
 
     policy = _zero_policy(a, f, c, g, tol)
     a, f, c, g, ranks = _zero_reduction(a, f, c, g, policy)
@@ -585,14 +575,6 @@ def read_trajectory_csv(path) -> np.ndarray:
     return as_matrix(data[:, 1:], "trajectory")
 
 
-def _initial_state(x_tilde_0, sys: StateSpace) -> np.ndarray:
-    """A system file's ``x_tilde_0`` as a length-n_x array."""
-    x = as_matrix(x_tilde_0, "x_tilde_0").ravel()
-    if x.size != sys.n_x:
-        raise ValueError(f"x_tilde_0 must have {sys.n_x} entries, got {x.size}")
-    return x
-
-
 def save_system_json(path, sys: StateSpace, fault: FaultPair | None = None, x_tilde_0=None) -> None:
     """Write a system file: A, B, C, D and their dims, then, when given, F
     and G and the initial state ``x_tilde_0``, as strict JSON (sorted keys,
@@ -609,7 +591,7 @@ def save_system_json(path, sys: StateSpace, fault: FaultPair | None = None, x_ti
         obj["G"] = fault.G.tolist()
         obj["dims"]["n_v"] = fault.n_v
     if x_tilde_0 is not None:
-        obj["x_tilde_0"] = _initial_state(x_tilde_0, sys).tolist()
+        obj["x_tilde_0"] = _initial_state(x_tilde_0, sys, "x_tilde_0").tolist()
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
@@ -624,5 +606,5 @@ def load_system_json(path):
     if ("F" in obj) != ("G" in obj):
         raise ValueError(f"system file {path} carries only one of F and G")
     fault = FaultPair(obj["F"], obj["G"]) if "F" in obj else None
-    x_tilde_0 = _initial_state(obj["x_tilde_0"], sys) if "x_tilde_0" in obj else None
+    x_tilde_0 = _initial_state(obj["x_tilde_0"], sys, "x_tilde_0") if "x_tilde_0" in obj else None
     return sys, fault, x_tilde_0

@@ -752,7 +752,7 @@ class TestCli:
     @pytest.mark.parametrize("x0, message", [
         ("nan,0,0", "x0 contains non-finite entries"),
         ("0,inf,0", "x0 contains non-finite entries"),
-        ("1,2", "x0 must have length 3, got 2"),
+        ("1,2", "x0 must have 3 entries, got 2"),
     ])
     def test_simulate_refuses_a_bad_initial_state(self, tmp_path, capsys, x0, message):
         self._write_demo_data(tmp_path)
