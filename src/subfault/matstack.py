@@ -169,8 +169,10 @@ class RankPolicy:
     def __post_init__(self):
         if self.kind not in ("abs", "rel", "gap", "floor"):
             raise ValueError(f"unknown rank policy kind {self.kind!r}")
-        if self.tol < 0:
-            raise ValueError("tolerance must be nonnegative")
+        if not (math.isfinite(self.tol) and self.tol >= 0):
+            raise ValueError(f"tolerance must be finite and nonnegative, got {self.tol!r}")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError(f"scale must be finite and positive, got {self.scale!r}")
 
     @classmethod
     def absolute(cls, tol: float) -> "RankPolicy":

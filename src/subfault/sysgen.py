@@ -3,7 +3,8 @@ zeros, benchmark input/fault/noise generators, and fault-channel zero and
 invertibility analysis.
 
 All randomized operations take an explicit seed and are deterministic given
-it. Signals are plain (T, dim) float arrays; nothing here mutates shared
+it: each draws from the generator of ``_rng``, which refuses a seed of None.
+Signals are plain (T, dim) float arrays; nothing here mutates shared
 state.
 """
 
@@ -236,11 +237,20 @@ def simulate(sys: StateSpace, fault: FaultPair | None, x0, u, v=None, w=None):
 # signal generators
 
 
+def _rng(seed, caller: str) -> np.random.Generator:
+    """The seed rule: a randomized operation draws from the generator of an
+    explicit seed. None, from which numpy would draw fresh OS entropy, is
+    refused with a ValueError that names the ``caller``."""
+    if seed is None:
+        raise ValueError(f"{caller} needs an explicit seed, got None")
+    return np.random.default_rng(seed)
+
+
 def white_input(n_u: int, t: int, seed) -> np.ndarray:
     """I.i.d. standard normal input samples from the seeded generator; T is
     read by the depth rule (``matstack._depth``)."""
     t = _depth("T", t)
-    return np.random.default_rng(seed).standard_normal((t, n_u))
+    return _rng(seed, "white_input").standard_normal((t, n_u))
 
 
 def fault_signal(kind: str, t: int, seed=None) -> np.ndarray:
@@ -248,7 +258,7 @@ def fault_signal(kind: str, t: int, seed=None) -> np.ndarray:
 
     "v1": 0.1 + sin(0.25 * k**1.3), a drifting non-periodic sinusoid.
     "v2": 1 - 0.99**k + z(k), a saturating ramp plus unit white noise
-    (requires a seed for z). T is read by the depth rule
+    (requires a seed for z, ``_rng``). T is read by the depth rule
     (``matstack._depth``).
     """
     t = _depth("T", t)
@@ -256,7 +266,7 @@ def fault_signal(kind: str, t: int, seed=None) -> np.ndarray:
     if kind == "v1":
         vals = 0.1 + np.sin(0.25 * k**1.3)
     elif kind == "v2":
-        vals = 1.0 - 0.99**k + np.random.default_rng(seed).standard_normal(t)
+        vals = 1.0 - 0.99**k + _rng(seed, "fault_signal").standard_normal(t)
     else:
         raise ValueError(f"unknown fault signal kind {kind!r}")
     return vals[:, None]
@@ -280,15 +290,16 @@ def colored_noise(n_y: int, t: int, snr_db, reference, seed) -> np.ndarray:
     equals ``snr_db``.
     ``snr_db`` None or +inf yields the zero signal. Any other value must be
     a real number, neither NaN nor -inf (``_check_noise_level``): a str such
-    as "40" or a bool is refused with a ``ValueError``, not converted.
+    as "40" or a bool is refused with a ``ValueError``, not converted. A
+    seed of None is refused whatever the level (``_rng``).
     """
     _check_noise_level(snr_db)
+    rng = _rng(seed, "colored_noise")
     ref = as_matrix(reference, "reference")
     if ref.shape != (t, n_y):
         raise ValueError(f"reference must be {t}x{n_y}, got {ref.shape}")
     if snr_db is None or snr_db == math.inf:
         return np.zeros((t, n_y))
-    rng = np.random.default_rng(seed)
     e = rng.standard_normal((t, n_y))
     # per channel over Python floats, which round exactly as the per-sample
     # array recursion does; f keeps e's row-major layout, so the power sums
@@ -496,10 +507,11 @@ def random_system(
     The channel (A, F, C, G) is minimal and has exactly ``zero_count``
     finite real transmission zeros drawn from a standard normal (systems
     may be non-minimum phase). Deterministic given the seed. n_y > n_v and
-    0 <= zero_count <= n_x are required (``_check_study_shape``).
+    0 <= zero_count <= n_x are required (``_check_study_shape``), and so is
+    a seed other than None (``_rng``).
     """
     _check_study_shape(n_x, n_y, n_v, zero_count)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed, "random_system")
     last_err = "exhausted attempts"
     for _ in range(max_tries):
         a = _random_stable_a(n_x, rng)

@@ -367,6 +367,21 @@ class TestRankPrimitives:
     def test_rank_agrees_with_numerical_rank(self, policy, spectrum):
         assert policy.rank(spectrum) == numerical_rank(np.diag(spectrum), policy)
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: RankPolicy.relative(float("nan")), "tolerance must be finite and nonnegative"),
+        (lambda: RankPolicy.absolute(float("inf")), "tolerance must be finite and nonnegative"),
+        (lambda: RankPolicy.absolute(-1.0), "tolerance must be finite and nonnegative"),
+        (lambda: RankPolicy.noise_floor(-1.0), "scale must be finite and positive"),
+        (lambda: RankPolicy.noise_floor(0.0), "scale must be finite and positive"),
+        (lambda: RankPolicy.noise_floor(float("nan")), "scale must be finite and positive"),
+        (lambda: RankPolicy.noise_floor(float("inf")), "scale must be finite and positive"),
+    ])
+    def test_a_threshold_that_counts_nothing_sensible_is_refused(self, make, message):
+        # a NaN tolerance read every rank as 0, and a negative scale read
+        # every value of the spectrum as kept
+        with pytest.raises(ValueError, match=message):
+            make()
+
     def test_gap_takes_first_index_on_ties(self):
         assert _largest_gap([8.0, 4.0, 2.0, 1.0]) == (0, 2.0)
 

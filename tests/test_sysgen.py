@@ -353,6 +353,23 @@ class TestSignals:
             assert norms[1] < norms[0]
 
 
+class TestSeedRule:
+    # every randomized operation draws from an explicit seed: None would
+    # draw fresh OS entropy, so two calls would give different arrays
+    @pytest.mark.parametrize("name, call", [
+        ("white_input", lambda: white_input(1, 5, None)),
+        ("fault_signal", lambda: fault_signal("v2", 5)),
+        ("colored_noise", lambda: colored_noise(1, 5, 20.0, np.ones((5, 1)), None)),
+        ("random_system", lambda: random_system(3, 1, 2, 1, 0, seed=None)),
+    ])
+    def test_a_seed_of_none_is_refused_by_name(self, name, call):
+        with pytest.raises(ValueError, match=f"^{name} needs an explicit seed, got None$"):
+            call()
+
+    def test_the_deterministic_waveform_needs_no_seed(self):
+        assert np.array_equal(fault_signal("v1", 5), fault_signal("v1", 5))
+
+
 class TestColoredNoise:
     def test_none_snr_gives_zero(self):
         ref = np.ones((50, 2))
