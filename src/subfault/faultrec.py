@@ -203,10 +203,9 @@ def estimate_fault_dim(y, u, sys: StateSpace, s: int, policy: RankPolicy | None 
     A window the record cannot hold is an input error (``ValueError``):
     one that breaks ``_check_readout_window`` (an integer s >= 1 by the
     depth rule, ``matstack._depth``, so a float or a bool is refused, and
-    T > 2s), or one
-    so deep that R_(s+1) reaches full column rank T - s, since the record
-    then caps its rank and the difference says nothing about n_v. So is a
-    record whose channel counts are not the system's
+    T > 2s), or one so deep that R_(s+1) reaches full column rank T - s,
+    since the record then caps its rank and the difference says nothing
+    about n_v. So is a record whose channel counts are not the system's
     (``sysgen._system_record``).
     """
     u_data, y_data = _system_record(u, y, sys)
