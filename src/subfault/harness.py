@@ -24,6 +24,7 @@ from .matstack import (
     _depth,
     _hankel_pair_factors,
     _integer,
+    _put_windows,
     _span_basis,
     as_matrix,
     extended_observability,
@@ -102,6 +103,10 @@ def demo_system():
 _RANK_POLICIES = {"gap": RankPolicy.gap(), "floor": RankPolicy.noise_floor()}
 
 
+# the entries of ExperimentConfig.dims, in order
+_DIMS = ("n_x", "n_u", "n_y", "n_v")
+
+
 @dataclass
 class ExperimentConfig:
     """Settings shared by the example run and the Monte-Carlo study."""
@@ -120,10 +125,11 @@ class ExperimentConfig:
         for name in ("T", "s", "seed"):
             setattr(self, name, _integer(name, getattr(self, name)))
         self.systems_per_count = _depth("systems_per_count", self.systems_per_count)
-        self.dims = tuple(_integer("dims entry", d) for d in self.dims)
+        self.dims = tuple(self.dims)
         self.zero_counts = tuple(_integer("zero_counts entry", z) for z in self.zero_counts)
         if len(self.dims) != 4:
             raise ValueError(f"dims must be (n_x, n_u, n_y, n_v), got {list(self.dims)}")
+        self.dims = tuple(_depth(f"dims {name}", d) for name, d in zip(_DIMS, self.dims))
         # a study that no instance could run is an input error: each stage's
         # own rule, read at the config's numbers
         n_x, n_u, n_y, n_v = self.dims
@@ -281,7 +287,7 @@ def _compensated_spectra(record, s: int) -> list:
     """Singular values of the block Hankels of depth s and s + 1 of a record
     already less a model's nominal response, as two lists, read from the
     record's own Hankel factors without forming either Hankel."""
-    factors = _hankel_pair_factors((record,), s, lambda depth: lambda h: h)
+    factors = _hankel_pair_factors((record,), s, lambda depth: _put_windows)
     return [np.linalg.svd(f, compute_uv=False).tolist() for f in factors]
 
 
@@ -534,6 +540,9 @@ def run_montecarlo(config: ExperimentConfig | None = None) -> MonteCarloReport:
     report is written.
     """
     config = config or ExperimentConfig.montecarlo_defaults()
+    # the example never reads zero_counts; a study without one runs nothing
+    if not config.zero_counts:
+        raise ValueError("zero_counts must name at least one zero count, got []")
     zero_counts = [z for z in config.zero_counts for _ in range(config.systems_per_count)]
     grid = ([config] * len(zero_counts), range(len(zero_counts)), zero_counts)
     workers = _study_workers(len(zero_counts))
@@ -636,6 +645,6 @@ def emit_plot_data(report, kind: str, path) -> None:
 def _write_json(path, obj) -> None:
     """Write strict JSON: a NaN or infinity raises instead of being written
     as a token no JSON parser accepts."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")

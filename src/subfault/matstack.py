@@ -263,11 +263,19 @@ def block_hankel(signal, depth: int, width: int | None = None) -> np.ndarray:
 
 
 def _windows(x, depth: int, n: int) -> np.ndarray:
-    """The first n windows x[j .. j + depth - 1] of a (T, dim) signal, each
-    flattened sample by sample, as the rows of an (n, depth dim) array: the
-    transpose of the block Hankel's first n columns."""
-    view = np.lib.stride_tricks.sliding_window_view(x[: n + depth - 1], depth, axis=0)
-    return view.transpose(0, 2, 1).reshape(n, -1)
+    """The first n windows x[j .. j + depth - 1] of a C-ordered (T, dim)
+    signal, each flattened sample by sample, as the rows of an
+    (n, depth dim) view: the transpose of the block Hankel's first n
+    columns. Window j is the run of depth dim numbers from x[j], so the rows
+    overlap in memory and nothing is copied; BLAS takes no such view, so a
+    product reads a copy of it."""
+    flat = np.ravel(x[: n + depth - 1])
+    return np.lib.stride_tricks.sliding_window_view(flat, depth * x.shape[1])[:: x.shape[1]]
+
+
+def _put_windows(out, h) -> None:
+    """The ``_hankel_factor`` row map of one signal's own windows."""
+    np.copyto(out, h)
 
 
 def extended_observability(a, c, s: int) -> np.ndarray:
@@ -397,57 +405,78 @@ def _triangle(buf) -> np.ndarray:
     a = np.asfortranarray(buf, dtype=float)
     lwork = _qr_lwork(m, n)
     _dgeqrf(a.T, np.empty(min(m, n)), np.empty(lwork), lwork)
-    return np.triu(a[: min(m, n)])
+    # np.triu's own select, with its mask built once per shape
+    return np.where(_strict_lower(min(m, n), n), np.zeros(1), a[: min(m, n)])
 
 
-def _fold_factor(r, rows) -> np.ndarray:
-    """Triangular factor R' of [r; rows], with R'^T R' = r^T r + rows^T rows.
+@lru_cache(maxsize=256)
+def _strict_lower(m: int, n: int) -> np.ndarray:
+    """Read-only boolean mask of the entries below the diagonal of m x n."""
+    mask = np.tri(m, n, -1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
+def _fold_into(r, n: int, fill) -> np.ndarray:
+    """Triangular factor R' of [r; rows], with R'^T R' = r^T r + rows^T rows,
+    for n rows that ``fill(out)`` writes into ``out``: the last n rows of
+    the Fortran-ordered buffer that the kernel factors in place.
 
     One step of a sequential tall-skinny QR (TSQR, Demmel et al. 2012),
-    through ``_triangle``: [r; rows] is written straight into the Fortran
-    buffer the kernel factors in place, with no stacked copy in between.
-    Folding into an empty ``r`` (zero rows) is one QR of ``rows``. A
+    through ``_triangle``. The rows go into the buffer where they are made,
+    so no C-ordered copy is transposed into it; ``out`` holds them until the
+    QR overwrites it, so ``fill`` may also read them for sums of its own.
+    Folding into an empty ``r`` (zero rows) is one QR of the rows. A
     Householder step maps a diagonal entry to minus its sign, so every fold
     would flip the rows already in ``r``; they are flipped back, and a
-    factor keeps the row signs of the first QR that formed it. Neither
-    ``r`` nor ``rows`` is modified. Shape (min(rows so far, width), width).
+    factor keeps the row signs of the first QR that formed it. ``r`` is not
+    modified. Shape (min(rows so far, width), width).
     """
     k = r.shape[0]
-    buf = np.empty((k + rows.shape[0], rows.shape[1]), order="F")
+    buf = np.empty((k + n, r.shape[1]), order="F")
     buf[:k] = r
-    buf[k:] = rows
+    fill(buf[k:])
     out = _triangle(buf)
     kept = np.diagonal(r)
     out[: kept.size] *= np.where(np.diagonal(out)[: kept.size] * kept < 0, -1.0, 1.0)[:, None]
     return out
 
 
-def _hankel_factor(signals, depth: int, width: int, rows) -> np.ndarray:
-    """Triangular factor R of a data matrix M built from block Hankels, with
-    M^T = Q R, accumulated over chunks of ``_CHUNK`` columns.
+def _fold_factor(r, rows) -> np.ndarray:
+    """``_fold_into`` for rows already formed; ``rows`` is not modified."""
+    return _fold_into(r, rows.shape[0], lambda out: np.copyto(out, rows))
 
-    ``rows(h_1, ..., h_m)`` receives, for one run of columns j, the window
-    signal_i[j .. j + depth - 1] of each of the ``signals`` flattened sample
-    by sample (so h_i is block_hankel(signal_i, depth)[:, j].T), and returns
-    those columns of M as rows. Each chunk is folded into R by
-    ``_fold_factor``, so nothing wider than a chunk is formed; a matrix of
-    at most ``_CHUNK`` columns is one fold, the one-shot factor of M^T from
-    the kernel ``_triangle`` (LAPACK dgeqrf at its optimal workspace). The
-    Gram matrix R^T R equals M M^T up to rounding.
+
+def _hankel_factor(signals, depth: int, width: int, cols: int, rows) -> np.ndarray:
+    """Triangular factor R of a data matrix M with ``cols`` rows built from
+    block Hankels, with M^T = Q R, accumulated over chunks of ``_CHUNK``
+    columns.
+
+    ``rows(out, h_1, ..., h_m)`` receives, for one run of n columns j, the
+    windows signal_i[j .. j + depth - 1] of each of the ``signals``
+    flattened sample by sample, as the (n, depth dim_i) views of
+    ``_windows`` (so h_i[j] is block_hankel(signal_i, depth)[:, j]), and
+    writes those columns of M as rows into ``out`` (n x cols), the fold
+    buffer itself (``_fold_into``); ``_put_windows`` writes one signal's
+    windows there. Nothing wider than a chunk is formed; a matrix of at
+    most ``_CHUNK`` columns is one fold, the one-shot factor of M^T from the
+    kernel ``_triangle`` (LAPACK dgeqrf at its optimal workspace). The Gram
+    matrix R^T R equals M M^T up to rounding.
     """
     width = _depth("width", width)
-    r = None
+    r = np.empty((0, cols))
     for j0 in range(0, width, _CHUNK):
         n = min(_CHUNK, width - j0)
-        block = rows(*(_windows(x[j0:], depth, n) for x in signals))
-        r = _fold_factor(block[:0] if r is None else r, block)
+        windows = [_windows(x[j0:], depth, n) for x in signals]
+        r = _fold_into(r, n, lambda out: rows(out, *windows))
     return r
 
 
 def _hankel_pair_factors(signals, s: int, rows) -> tuple:
     """Lower-triangular factors of the data matrices M_s and M_(s+1) of a
-    record, where M_k's columns are ``rows(k)`` of the depth-k windows of
-    ``signals`` (see ``_hankel_factor``).
+    record, where M_k has as many rows as the first signal's depth-k
+    windows (k dim_0) and its columns are written by ``rows(k)`` from the
+    depth-k windows of ``signals`` (see ``_hankel_factor``).
 
     Each L has L L^T = M_k M_k^T, shape (p_k, min(T - k + 1, p_k)) for
     p_k rows of M_k. M_(s+1)^T's factor takes one ``_hankel_factor`` pass.
@@ -455,11 +484,11 @@ def _hankel_pair_factors(signals, s: int, rows) -> tuple:
     T - s, so its factor is that factor's leading p_s-square block with the
     column folded in. Returns (L_s, L_(s+1)).
     """
-    t = signals[0].shape[0]
-    deep = _hankel_factor(signals, s + 1, t - s, rows(s + 1))
-    last = rows(s)(*(x[t - s :].reshape(1, -1) for x in signals))
-    p = last.shape[1]
-    return _fold_factor(deep[:p, :p], last).T, deep.T
+    t, dim = signals[0].shape
+    deep = _hankel_factor(signals, s + 1, t - s, (s + 1) * dim, rows(s + 1))
+    p = s * dim
+    last = [x[t - s :].reshape(1, -1) for x in signals]
+    return _fold_into(deep[:p, :p], 1, lambda out: rows(s)(out, *last)).T, deep.T
 
 
 def _residual_factors(y, u, a, b, c, d, s: int):
@@ -473,7 +502,11 @@ def _residual_factors(y, u, a, b, c, d, s: int):
 
     def rows(depth):
         t_k = block_toeplitz(a, b, c, d, depth)
-        return lambda h_y, h_u: h_y - h_u @ t_k.T
+
+        def fill(out, h_y, h_u):
+            np.subtract(h_y, np.ascontiguousarray(h_u) @ t_k.T, out=out)
+
+        return fill
 
     return _hankel_pair_factors((y, u), s, rows)
 
@@ -577,10 +610,10 @@ def min_norm_lsq(a, b) -> np.ndarray:
 
 def write_matrix_csv(path, m) -> None:
     m = as_matrix(m)
+    lines = [f"{m.shape[0]},{m.shape[1]}\n"]
+    lines += [",".join(map(repr, row)) + "\n" for row in m.tolist()]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{m.shape[0]},{m.shape[1]}\n")
-        for row in m:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+        fh.write("".join(lines))
 
 
 def _read_csv_body(fh, path, name: str) -> np.ndarray:

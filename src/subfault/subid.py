@@ -19,7 +19,7 @@ from .matstack import (
     _CHUNK,
     _GAP_RATIO,
     _depth,
-    _fold_factor,
+    _fold_into,
     _hankel_factor,
     _input_output_arrays,
     _integer,
@@ -29,7 +29,6 @@ from .matstack import (
     block_toeplitz,  # noqa: F401 (unused here; the benchmark traces it in this module)
     extended_observability,
     min_norm_lsq,
-    numerical_rank,
 )
 from .sysgen import StateSpace, _system_record, simulate
 
@@ -108,6 +107,11 @@ def estimate_order(singular_values) -> OrderSelection:
     return OrderSelection(order=m, gap_ratio=float(best_ratio), confident=False)
 
 
+# condition number of the input factor R_UU above which pi_moesp folds the
+# input windows a second time, in R_UU's own coordinates (see there)
+_REFOLD_COND = 10.0
+
+
 def _identification_window(order: int) -> int:
     """Window s of an identification at a known order, 2 order + 2."""
     return 2 * order + 2
@@ -177,7 +181,7 @@ def pi_moesp(
     u_mean = u_data.mean(axis=0) if demean else np.zeros(n_u)
     y_mean = y_data.mean(axis=0) if demean else np.zeros(n_y)
     n = None if isinstance(order, str) and order == "auto" else _depth("order", order)
-    hint = n if order_hint is None else _integer("order_hint", order_hint)
+    hint = n if order_hint is None else _depth("order_hint", order_hint)
     if s is None:
         s = _identification_window(hint) if hint else 10
     s = _check_identification_record(t, s, n_u)
@@ -185,25 +189,45 @@ def pi_moesp(
     i1 = s * n_u
     i2 = 2 * s * n_u
 
-    # [U_f; U_p; Y_f] from the depth-2s windows of u and of y
-    centre = np.concatenate([np.tile(u_mean, 2 * s), np.tile(y_mean, s)])
-    r_fac = _hankel_factor(
-        (u_data, y_data),
-        2 * s,
-        n_cols,
-        lambda h_u, h_y: np.hstack([h_u[:, i1:], h_u[:, :i1], h_y[:, s * n_y :]]) - centre,
-    )
+    # W = [U_f; U_p]^T, the depth-2s windows of u less their means as rows
+    u_centre, y_centre = np.tile(u_mean, s), np.tile(y_mean, s)
+
+    def input_factor(scale):
+        """The factor of W scale (W itself for None) and (W scale)^T Y_f^T,
+        summed from each chunk before its fold overwrites it."""
+        cross = np.zeros((i2, s * n_y))
+
+        def rows(out, h_u, h_y):
+            nonlocal cross
+            w = out if scale is None else np.empty(out.shape)
+            np.subtract(h_u[:, i1:], u_centre, out=w[:, :i1])
+            np.subtract(h_u[:, :i1], u_centre, out=w[:, i1:])
+            if scale is not None:
+                np.matmul(w, scale, out=out)
+            cross += out.T @ (h_y[:, s * n_y :] - y_centre)
+
+        return _hankel_factor((u_data, y_data), 2 * s, n_cols, i2, rows), cross
+
+    r_uu, cross = input_factor(None)
+    spectrum = np.linalg.svd(r_uu, compute_uv=False)
     # persistency of excitation: the input Hankel covariance U U^T / N must
-    # be full rank; its singular values are those of the input block of R
-    # squared over N, so 1e-4 relative here is 1e-8 relative there
-    if numerical_rank(r_fac[:i2, :i2], RankPolicy.relative(1e-4)) < i2:
+    # be full rank; its singular values are those of R_UU squared over N,
+    # so 1e-4 relative here is 1e-8 relative there
+    if RankPolicy.relative(1e-4).rank(spectrum) < i2:
         raise ExcitationError(
             "input Hankel covariance is rank deficient; the input does not "
             "persistently excite the system"
         )
-
-    lower = r_fac.T
-    l32 = lower[i2:, i1:i2]
+    # the rows of [U_f; U_p; Y_f]^T's factor over W are R_UY with
+    # R_UU^T R_UY = W^T Y_f^T, and L32 is R_UY's U_p rows, transposed. The
+    # solve loses digits in proportion to R_UU's condition number, so above
+    # _REFOLD_COND the windows are folded again as W R_UU^-1, whose factor
+    # R_2 is well conditioned: R_UU's is then R_2 R_UU, with R_2's diagonal
+    # made positive so the rows keep R_UU's signs
+    if RankPolicy.relative(1 / _REFOLD_COND).rank(spectrum) < i2:
+        r_uu, cross = input_factor(np.linalg.inv(r_uu))
+        r_uu *= np.sign(np.diagonal(r_uu))[:, None]
+    l32 = np.linalg.solve(r_uu.T, cross)[i1:].T
 
     u_svd, s_svd, _ = np.linalg.svd(l32, full_matrices=False)
     svals = s_svd / np.sqrt(n_cols)
@@ -264,13 +288,17 @@ def _estimate_b_d_x0(a, c, u_data, y_data, u_mean=0.0, y_mean=0.0):
         k1 = min(k0 + _CHUNK, horizon)
         u_h = u_data[k0:k1] - u_mean
         drive = np.zeros((len(u_h), n, n_w))
-        drive[:, :, n:] = _unit_input_blocks(u_h, n)
+        _put_unit_input_blocks(drive[:, :, n:], u_h)
         w_all = _lti_states(a, w, drive)
-        rows = np.empty((len(u_h), n_y, n_params + 1))
-        rows[:, :, :n_w] = c @ w_all[:-1]
-        rows[:, :, n_w:-1] = _unit_input_blocks(u_h, n_y)
-        rows[:, :, -1] = y_data[k0:k1] - y_mean
-        r = _fold_factor(r, rows.reshape(-1, n_params + 1))
+
+        def fill(out):
+            rows = out.reshape(len(u_h), n_y, n_params + 1, copy=False)
+            rows[:, :, :n_w] = c @ w_all[:-1]
+            rows[:, :, n_w:-1] = 0.0
+            _put_unit_input_blocks(rows[:, :, n_w:-1], u_h)
+            rows[:, :, -1] = y_data[k0:k1] - y_mean
+
+        r = _fold_into(r, len(u_h) * n_y, fill)
         w = w_all[-1]
     theta = min_norm_lsq(r[:n_params, :n_params], r[:n_params, -1])
     x0 = theta[:n]
@@ -279,10 +307,13 @@ def _estimate_b_d_x0(a, c, u_data, y_data, u_mean=0.0, y_mean=0.0):
     return b, d, x0
 
 
-def _unit_input_blocks(u_data, m: int) -> np.ndarray:
-    """Per-sample [u_0(k) I_m, ..., u_(n_u-1)(k) I_m], shape (T, m, m n_u)."""
-    t, n_u = u_data.shape
-    return (u_data[:, None, :, None] * np.eye(m)[None, :, None, :]).reshape(t, m, m * n_u)
+def _put_unit_input_blocks(out, u_data) -> None:
+    """Write the per-sample blocks [u_0(k) I_m, ..., u_(n_u-1)(k) I_m] into
+    ``out``, a zeroed (T, m, m n_u) view: entry (i, j m + i) of sample k is
+    u_j(k), one strided copy per i, with no identity broadcast."""
+    m = out.shape[1]
+    for i in range(m):
+        out[:, i, i::m] = u_data
 
 
 def markov_params(sys: StateSpace, count: int) -> list:

@@ -568,10 +568,10 @@ def random_system(
 
 def write_trajectory_csv(path, traj) -> None:
     data = as_matrix(traj, "signal")
+    lines = ["t," + ",".join(f"ch{i}" for i in range(data.shape[1])) + "\n"]
+    lines += [f"{k}," + ",".join(map(repr, row)) + "\n" for k, row in enumerate(data.tolist())]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t," + ",".join(f"ch{i}" for i in range(data.shape[1])) + "\n")
-        for k, row in enumerate(data):
-            fh.write(f"{k}," + ",".join(repr(float(x)) for x in row) + "\n")
+        fh.write("".join(lines))
 
 
 def read_trajectory_csv(path) -> np.ndarray:
@@ -604,9 +604,9 @@ def save_system_json(path, sys: StateSpace, fault: FaultPair | None = None, x_ti
         obj["dims"]["n_v"] = fault.n_v
     if x_tilde_0 is not None:
         obj["x_tilde_0"] = _initial_state(x_tilde_0, sys, "x_tilde_0").tolist()
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_system_json(path):

@@ -1186,6 +1186,21 @@ class TestCli:
         assert code == 2
         assert not (tmp_path / "mc" / "montecarlo_report.json").exists()
 
+    def test_study_of_no_zero_count_is_input_error(self, tmp_path):
+        # no instance would run, so no report is written; the example never
+        # reads the field
+        (tmp_path / "cfg.json").write_text(json.dumps({"zero_counts": []}))
+        code = cli_main([
+            "--config", str(tmp_path / "cfg.json"),
+            "--out", str(tmp_path / "mc"),
+            "montecarlo",
+        ])
+        assert code == 2
+        assert not (tmp_path / "mc" / "montecarlo_report.json").exists()
+        with pytest.raises(ValueError, match="^zero_counts must name at least one zero count"):
+            run_montecarlo(ExperimentConfig.montecarlo_defaults(zero_counts=()))
+        assert ExperimentConfig(zero_counts=()).zero_counts == ()
+
     def test_numerical_failure_exit_code(self, tmp_path):
         sys, fault = demo_system()
         t = 80

@@ -13,6 +13,7 @@ from subfault.matstack import (
     _hankel_factor,
     _largest_gap,
     _lti_states,
+    _put_windows,
     _residual_factors,
     _triangle,
     block_hankel,
@@ -229,7 +230,7 @@ class TestChunkedFactor:
         signal = rng.standard_normal((width + depth - 1, 3))
         full = block_hankel(signal, depth, width)
         ref = np.linalg.qr(full.T, mode="r")
-        got = _hankel_factor((signal,), depth, width, lambda h: h)
+        got = _hankel_factor((signal,), depth, width, depth * 3, _put_windows)
         assert got.shape == ref.shape
         assert _spectra_agree(got, ref)
         assert np.abs(got.T @ got - full @ full.T).max() <= 1e-12 * np.abs(full @ full.T).max()
@@ -241,18 +242,20 @@ class TestChunkedFactor:
         assert np.array_equal(np.sign(np.diag(got)), np.sign(np.diag(first)))
 
     def test_row_map_and_short_width(self):
-        # rows() sees every signal's windows; a matrix narrower than its
-        # height keeps the trapezoidal shape of the one-shot factor
+        # rows() sees every signal's windows and writes into the fold
+        # buffer; a matrix narrower than its height keeps the trapezoidal
+        # shape of the one-shot factor
         rng = np.random.default_rng(5)
         u = rng.standard_normal((12, 1))
         y = rng.standard_normal((12, 2))
         width = 12 - 4 + 1
         full = np.vstack([block_hankel(y, 4, width), -2.0 * block_hankel(u, 4, width)])
-        got = _hankel_factor((y, u), 4, width, lambda h_y, h_u: np.hstack([h_y, -2.0 * h_u]))
+        got = _hankel_factor((y, u), 4, width, 12,
+                             lambda out, h_y, h_u: np.copyto(out, np.hstack([h_y, -2.0 * h_u])))
         assert got.shape == (width, 12)
         assert _spectra_agree(got, full)
         with pytest.raises(ValueError):
-            _hankel_factor((y,), 13, 0, lambda h: h)
+            _hankel_factor((y,), 13, 0, 26, _put_windows)
 
     @pytest.mark.parametrize("width", CHUNK_WIDTHS)
     def test_residual_factors_match_full_hankels(self, demo, width):

@@ -65,6 +65,21 @@ def test_a_depth_below_one_is_refused_by_name(demo_run, name, call):
         call(sys, u, y, rec)
 
 
+@pytest.mark.parametrize("name, value, call", [
+    ("order_hint", -3, lambda u, y: pi_moesp(u, y, order_hint=-3)),
+    ("order_hint", 0, lambda u, y: pi_moesp(u, y, order_hint=0)),
+    ("dims n_x", -1, lambda u, y: ExperimentConfig(dims=(-1, 1, 2, 1), zero_counts=())),
+    ("dims n_u", 0, lambda u, y: ExperimentConfig(dims=(3, 0, 2, 1))),
+    ("dims n_y", 0, lambda u, y: ExperimentConfig(dims=(3, 1, 0, 1))),
+    ("dims n_v", 0, lambda u, y: ExperimentConfig(dims=(3, 1, 2, 0))),
+], ids=["order_hint-negative", "order_hint-zero", "n_x", "n_u", "n_y", "n_v"])
+def test_a_count_below_one_is_refused_under_its_own_name(demo_run, name, value, call):
+    # refused as the count the caller set, not as a window derived from it
+    _, _, _, u, _, y, _ = demo_run
+    with pytest.raises(ValueError, match=f"^{name} must be at least 1, got {value}$"):
+        call(u, y)
+
+
 # ---------------------------------------------------------------------------
 # the quadruple rule
 

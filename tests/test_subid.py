@@ -2,9 +2,27 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.signal
 
-from subfault.harness import demo_system, markov_relative_error
-from subfault.matstack import _CHUNK, block_hankel, min_norm_lsq
+from subfault.harness import (
+    ExperimentConfig,
+    _fault_trajectory,
+    _simulate_record,
+    demo_system,
+    markov_relative_error,
+)
+from subfault.matstack import (
+    _CHUNK,
+    RankPolicy,
+    _fold_factor,
+    _hankel_factor,
+    _lti_states,
+    block_hankel,
+    extended_observability,
+    min_norm_lsq,
+    numerical_rank,
+    principal_angles,
+)
 from subfault.sysgen import (
     StateSpace,
     colored_noise,
@@ -17,7 +35,6 @@ from subfault.subid import (
     DegenerateDataError,
     ExcitationError,
     _estimate_b_d_x0,
-    _unit_input_blocks,
     estimate_initial_state,
     estimate_order,
     markov_params,
@@ -260,6 +277,13 @@ class TestInitialState:
             estimate_initial_state(sys, np.zeros((10, 1)), np.zeros((10, 2)), horizon=3)
 
 
+def _unit_input_blocks(u_data, m: int) -> np.ndarray:
+    """Per-sample [u_0(k) I_m, ..., u_(n_u-1)(k) I_m], shape (T, m, m n_u),
+    as a broadcast product with the identity."""
+    t, n_u = u_data.shape
+    return (u_data[:, None, :, None] * np.eye(m)[None, :, None, :]).reshape(t, m, m * n_u)
+
+
 def _loop_b_d_x0(a, c, u_data, y_data):
     """Per-sample reference for the B/D/x0 regressors: W(k+1) = A W(k) +
     [0, u(k)^T kron I], W(0) = [I, 0], one product per sample."""
@@ -373,3 +397,134 @@ def test_memory_independent_of_record_length():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# identification from the input factor, against the full-factor route
+
+
+def _full_factor_pi_moesp(u, y, s, n):
+    """``pi_moesp(u, y, s=s, order=n, demean=True)`` through the full
+    factor: [U_f; U_p; Y_f]^T folded whole by ``_hankel_factor``, L32 read
+    as lower[i2:, i1:i2], and B, D, x0 from the package's regression.
+    Returns (system, order spectrum, R_UU)."""
+    n_u, n_y = u.shape[1], y.shape[1]
+    n_cols = u.shape[0] - 2 * s + 1
+    i1, i2 = s * n_u, 2 * s * n_u
+    u_mean, y_mean = u.mean(axis=0), y.mean(axis=0)
+    centre = np.concatenate([np.tile(u_mean, 2 * s), np.tile(y_mean, s)])
+
+    def rows(out, h_u, h_y):
+        np.copyto(out, np.hstack([h_u[:, i1:], h_u[:, :i1], h_y[:, s * n_y :]]) - centre)
+
+    r_fac = _hankel_factor((u, y), 2 * s, n_cols, i2 + s * n_y, rows)
+    lower = r_fac.T
+    u_svd, s_svd, _ = np.linalg.svd(lower[i2:, i1:i2], full_matrices=False)
+    obs = u_svd[:, :n]
+    a = min_norm_lsq(obs[: (s - 1) * n_y], obs[n_y:])
+    c = obs[:n_y]
+    b, d, _ = _estimate_b_d_x0(a, c, u, y, u_mean, y_mean)
+    return StateSpace(a, b, c, d), s_svd / np.sqrt(n_cols), r_fac[:i2, :i2]
+
+
+def _input_factor_records():
+    """(name, u, y, order, spectrum tolerance relative to sigma_1)."""
+    sys, fault = demo_system()
+    t = 1000
+    x0 = np.random.default_rng([20240, 4]).standard_normal(3)
+    u = white_input(1, t, seed=[20240, 1])
+    y, _ = simulate(sys, fault, x0, u, fault_signal("v1", t))
+    yield "clean-demo", u, y, 3, 1e-12
+    config = ExperimentConfig.montecarlo_defaults()
+    seed = config.seed ^ 5
+    study_sys, study_fault = random_system(5, 1, 3, 2, 0, seed=seed)
+    u_s, y_s = _simulate_record(study_sys, study_fault, _fault_trajectory(2, t, seed), config, seed)
+    yield "study-40dB", u_s, y_s, 5, 1e-12
+    two_sys, two_fault = random_system(4, 2, 3, 2, 0, seed=17)
+    u_2 = white_input(2, 600, seed=[17, 1])
+    y_2, _ = simulate(two_sys, two_fault, np.ones(4), u_2, white_input(2, 600, seed=[17, 2]))
+    yield "two-input", u_2, y_2, 4, 1e-12
+    # white noise through two real poles at 0.98: R_UU is ill-conditioned
+    # but clears the excitation rule
+    lowpass = scipy.signal.lfilter([1.0], np.poly([0.98, 0.98]), white_input(1, t + 200, seed=[3, 1]),
+                                   axis=0)[200:]
+    y_l, _ = simulate(sys, fault, x0, lowpass, fault_signal("v1", t))
+    yield "low-pass", lowpass, y_l, 3, 1e-9
+
+
+@pytest.mark.parametrize("name, u, y, order, spectrum_tol", list(_input_factor_records()),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_input_factor_matches_the_full_factor(name, u, y, order, spectrum_tol):
+    # R_UY = R_UU^-T (W Y_f^T) is the full factor's block above L33, so the
+    # spectrum, the observability range and the model are the full route's
+    got = pi_moesp(u, y, order=order, demean=True)
+    s = got.window_s
+    ref, spectrum, r_uu = _full_factor_pi_moesp(u, y, s, order)
+    cond = np.linalg.cond(r_uu)
+    if name == "low-pass":
+        assert 1e3 <= cond
+    else:
+        assert cond < 1e3
+    width = min(spectrum.size, got.order_singular_values.size)
+    assert np.abs(got.order_singular_values[:width] - spectrum[:width]).max() <= spectrum_tol * spectrum[0]
+    angles = principal_angles(extended_observability(got.system.A, got.system.C, s),
+                              extended_observability(ref.A, ref.C, s))
+    assert angles.max() <= 1e-10
+    want = np.array(markov_params(ref, 2 * s))
+    assert np.linalg.norm(np.array(markov_params(got.system, 2 * s)) - want) <= 1e-9 * np.linalg.norm(want)
+
+
+def test_input_below_the_excitation_rule_is_refused_as_before():
+    # two sinusoids excite four of the 16 input rows at s = 8; the full
+    # factor's R_UU reads the same deficient rank
+    sys, fault = demo_system()
+    k = np.arange(400.0)[:, None]
+    u = np.sin(0.3 * k) + np.sin(1.1 * k)
+    y, _ = simulate(sys, fault, np.ones(3), u, fault_signal("v1", 400))
+    with pytest.raises(ExcitationError, match="^input Hankel covariance is rank deficient; "
+                                              "the input does not persistently excite the system$"):
+        pi_moesp(u, y, order=3, demean=True)
+    assert numerical_rank(_full_factor_pi_moesp(u, y, 8, 3)[2], RankPolicy.relative(1e-4)) < 16
+
+
+def _reference_b_d_x0(a, c, u_data, y_data, u_mean=0.0, y_mean=0.0):
+    """The regression as it stood with its rows formed apart from the fold
+    buffer and its drive built from the identity broadcast."""
+    t, n_u = u_data.shape
+    n_y = y_data.shape[1]
+    n = a.shape[0]
+    n_w = n + n * n_u
+    n_params = n_w + n_y * n_u
+    horizon = t
+    rho = float(np.abs(np.linalg.eigvals(a)).max())
+    if rho > 1.0:
+        horizon = min(t, max(4 * n, int(200.0 / np.log(rho))))
+    w = np.hstack([np.eye(n), np.zeros((n, n * n_u))])
+    r = np.empty((0, n_params + 1))
+    for k0 in range(0, horizon, _CHUNK):
+        k1 = min(k0 + _CHUNK, horizon)
+        u_h = u_data[k0:k1] - u_mean
+        drive = np.zeros((len(u_h), n, n_w))
+        drive[:, :, n:] = _unit_input_blocks(u_h, n)
+        w_all = _lti_states(a, w, drive)
+        rows = np.empty((len(u_h), n_y, n_params + 1))
+        rows[:, :, :n_w] = c @ w_all[:-1]
+        rows[:, :, n_w:-1] = _unit_input_blocks(u_h, n_y)
+        rows[:, :, -1] = y_data[k0:k1] - y_mean
+        r = _fold_factor(r, rows.reshape(-1, n_params + 1))
+        w = w_all[-1]
+    theta = min_norm_lsq(r[:n_params, :n_params], r[:n_params, -1])
+    return theta[n : n + n * n_u].reshape(n_u, n).T, theta[n + n * n_u :].reshape(n_u, n_y).T, theta[:n]
+
+
+@pytest.mark.parametrize("t", [1000, 2 * _CHUNK + 1])
+def test_regression_rows_written_in_place_keep_their_bits(demo, t):
+    sys, fault = demo
+    u = white_input(1, t, seed=[t, 1]) + 0.5
+    y, _ = simulate(sys, fault, np.ones(3), u, fault_signal("v1", t))
+    ident = pi_moesp(u, y, order=3, demean=True).system
+    means = (u.mean(axis=0), y.mean(axis=0))
+    got = _estimate_b_d_x0(ident.A, ident.C, u, y, *means)
+    want = _reference_b_d_x0(ident.A, ident.C, u, y, *means)
+    for name, g, w in zip(("B", "D", "x0"), got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes(), name
