@@ -24,7 +24,6 @@ from .matstack import (
     _depth,
     _hankel_pair_factors,
     _integer,
-    _put_windows,
     _span_basis,
     as_matrix,
     extended_observability,
@@ -287,7 +286,7 @@ def _compensated_spectra(record, s: int) -> list:
     """Singular values of the block Hankels of depth s and s + 1 of a record
     already less a model's nominal response, as two lists, read from the
     record's own Hankel factors without forming either Hankel."""
-    factors = _hankel_pair_factors((record,), s, lambda depth: _put_windows)
+    factors = _hankel_pair_factors((record,), s, lambda depth: np.copyto)
     return [np.linalg.svd(f, compute_uv=False).tolist() for f in factors]
 
 

@@ -6,16 +6,23 @@ column per sample, so their width grows with the record length T; the
 pipeline reads them only through their small triangular factors, which
 ``_hankel_factor`` accumulates over chunks of columns so that no T-wide
 matrix is formed (``block_hankel`` builds the full matrix, which only
-tests and the public ``faultrec.residual_hankel`` use). Every triangular
-factor in the package, those folds and the fault smoother's steps alike,
-comes from one QR kernel (``_triangle``): LAPACK dgeqrf, from the LAPACK
-numpy links (``numpy.linalg.lapack_lite``), called directly on a
-Fortran-ordered buffer, with the optimal workspace from one LAPACK query
-per shape. On a fold's shapes np.linalg.qr's dispatch and copies cost more
-than the routine, so a fold takes a half to a third of its time (2108 x
-60: 3.4 to 1.75 ms; 6158 x 14: 1.8 to 0.63 ms, one BLAS thread), with the
-same bits (see ``_triangle``). Every LAPACK call of the package goes
-through numpy; scipy is not imported. Markov
+tests and the public ``faultrec.residual_hankel`` use). The windows of a
+chunk are overlapping views of the record (``_windows``), and each
+chunk's rows are written straight into the Fortran-ordered buffer that
+the fold factors in place (``_fold_into``), so no row is copied twice.
+Which rows are factored is the caller's: PI-MOESP factors only its input
+windows [U_f; U_p] and reads the output block through cross-products
+(``subid.pi_moesp``), the fault readout its residual windows
+(``_residual_factors``). Every triangular factor in the package, those
+folds and the fault smoother's steps alike, comes from one QR kernel
+(``_triangle``): LAPACK dgeqrf, from the LAPACK numpy links
+(``numpy.linalg.lapack_lite``), called directly on a Fortran-ordered
+buffer, with the optimal workspace from one LAPACK query per shape. On a
+fold's shapes np.linalg.qr's dispatch and copies cost more than the
+routine, so a fold takes a half to a third of its time (2108 x 60: 3.4 to
+1.75 ms; 6158 x 14: 1.8 to 0.63 ms, one BLAS thread), with the same bits
+(see ``_triangle``). Every LAPACK call of the package goes through numpy;
+scipy is not imported. Markov
 parameters are built in one place (``_markov_blocks``). A block Toeplitz
 matrix grows with the square of its depth, so the pipeline builds one only
 at a window depth (a few to a few dozen blocks), never at the record
@@ -273,11 +280,6 @@ def _windows(x, depth: int, n: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(flat, depth * x.shape[1])[:: x.shape[1]]
 
 
-def _put_windows(out, h) -> None:
-    """The ``_hankel_factor`` row map of one signal's own windows."""
-    np.copyto(out, h)
-
-
 def extended_observability(a, c, s: int) -> np.ndarray:
     """Stack [C; CA; ...; C A^(s-1)], the Markov parameters C A^k B of the
     quadruple (A, I, C, 0). The quadruple rule (``_quadruple``) refuses a
@@ -442,11 +444,6 @@ def _fold_into(r, n: int, fill) -> np.ndarray:
     return out
 
 
-def _fold_factor(r, rows) -> np.ndarray:
-    """``_fold_into`` for rows already formed; ``rows`` is not modified."""
-    return _fold_into(r, rows.shape[0], lambda out: np.copyto(out, rows))
-
-
 def _hankel_factor(signals, depth: int, width: int, cols: int, rows) -> np.ndarray:
     """Triangular factor R of a data matrix M with ``cols`` rows built from
     block Hankels, with M^T = Q R, accumulated over chunks of ``_CHUNK``
@@ -457,7 +454,7 @@ def _hankel_factor(signals, depth: int, width: int, cols: int, rows) -> np.ndarr
     flattened sample by sample, as the (n, depth dim_i) views of
     ``_windows`` (so h_i[j] is block_hankel(signal_i, depth)[:, j]), and
     writes those columns of M as rows into ``out`` (n x cols), the fold
-    buffer itself (``_fold_into``); ``_put_windows`` writes one signal's
+    buffer itself (``_fold_into``); ``np.copyto`` writes one signal's own
     windows there. Nothing wider than a chunk is formed; a matrix of at
     most ``_CHUNK`` columns is one fold, the one-shot factor of M^T from the
     kernel ``_triangle`` (LAPACK dgeqrf at its optimal workspace). The Gram

@@ -141,28 +141,36 @@ def pi_moesp(
 ) -> IdentResult:
     """Identify (A, B, C, D) and the initial state from input/output data.
 
-    Takes the triangular factor R of the stacked past-input, future-input
-    and future-output block Hankel data [U_f; U_p; Y_f]^T, and reads the
-    column space of the extended observability matrix off the SVD of the
-    block of future outputs that is orthogonal to future inputs and
-    correlated with the past-input instruments. C comes from the first block
-    row, A from the shift-invariance least squares, and B, D together with
-    the initial state from one joint linear least-squares pass. The pass
-    covers all T samples when the identified A has spectral radius
-    rho <= 1, and the first min(T, max(4n, floor(200 / ln rho))) samples
-    otherwise, where the state responses stay bounded (``_estimate_b_d_x0``).
-    Both the data and the regression are folded into their
-    triangular factors chunk by chunk (``matstack._hankel_factor``), so
-    memory does not grow with T beyond the record itself; a record of at
-    most ``_CHUNK`` (2048) data columns is one chunk, the one-shot QR.
+    Reads the column space of the extended observability matrix off the
+    SVD of L32, the block of the triangular factor of the stacked
+    past-input, future-input and future-output block Hankel data
+    [U_f; U_p; Y_f]^T that holds the future outputs orthogonal to future
+    inputs and correlated with the past-input instruments. L32 lies in the
+    factor's first 2 s n_u rows, so only the input windows W = [U_f; U_p]^T
+    are factored (R_UU), and the same chunks give W^T Y_f^T, from which
+    R_UU^T R_UY = W^T Y_f^T gives those rows: L32 is R_UY's U_p rows,
+    transposed. Y_f's own block (L33) is never formed. The solve loses
+    digits in proportion to R_UU's condition number, so for an input whose
+    R_UU has one above 10 (a strongly low-pass input, say) the windows are
+    folded a second time as W R_UU^-1, whose factor is well conditioned;
+    either way L32 agrees with the full factor's to rounding. C comes from
+    the first block row, A from the shift-invariance least squares, and B,
+    D together with the initial state from one joint linear least-squares
+    pass. The pass covers all T samples when the identified A has spectral
+    radius rho <= 1, and the first min(T, max(4n, floor(200 / ln rho)))
+    samples otherwise, where the state responses stay bounded
+    (``_estimate_b_d_x0``). Both the data and the regression are folded
+    into their triangular factors chunk by chunk (``matstack._hankel_factor``
+    and ``matstack._fold_into``), so memory does not grow with T beyond the
+    record itself; a record of at most ``_CHUNK`` (2048) data columns is
+    one chunk, the one-shot QR.
 
-    ``order`` is an integer or "auto" (largest singular-value gap); ``s``
-    and an integer ``order`` are read by the depth rule
-    (``matstack._depth``), and ``order_hint`` by the integer rule
-    (``matstack._integer``): a numpy integer is taken, and a float, a bool
-    or a depth below 1 is refused with a ValueError that names the
-    argument. The automatic selection runs on the spectrum either way and
-    gives ``order_confident``, so an all-negligible spectrum raises
+    ``order`` is an integer or "auto" (largest singular-value gap); ``s``,
+    an integer ``order`` and ``order_hint`` are read by the depth rule
+    (``matstack._depth``): a numpy integer is taken, and a float, a bool or
+    a value below 1 is refused with a ValueError that names the argument.
+    The automatic selection runs on the spectrum either way and gives
+    ``order_confident``, so an all-negligible spectrum raises
     ``DegenerateDataError`` for an integer order too. ``s`` is the
     identification window; default ``_identification_window`` of order_hint
     (or of an integer order) when one is available, else 10. A record too
@@ -266,10 +274,15 @@ def _estimate_b_d_x0(a, c, u_data, y_data, u_mean=0.0, y_mean=0.0):
     the Z_j run as one recursion W(k+1) = A W(k) + [0, u(k)^T kron I],
     W(0) = [I, 0], which ``matstack._lti_states`` lifts into batched steps.
     It runs over chunks of ``_CHUNK`` samples from the carried block start
-    W, and each chunk's rows [Phi | y] are folded into one (n_params + 1)
+    W, and each chunk's rows [Phi | y] are written straight into the fold
+    buffer (``matstack._fold_into``) and folded into one (n_params + 1)
     square triangular factor [R_11 r_12; 0 r_22], so the solution is the
     minimum-norm least-squares one of R_11 theta = r_12 with the same
     relative cutoff, and no regressor array longer than a chunk is formed.
+    The u_j(k) I blocks of the drive and of the rows are written as
+    diagonals (``_put_unit_input_blocks``), not formed from an identity
+    broadcast; the rows, R and the solution have the bits they had when
+    they were.
     """
     t, n_u = u_data.shape
     n_y = y_data.shape[1]

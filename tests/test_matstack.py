@@ -9,11 +9,10 @@ from subfault.sysgen import fault_signal, simulate, white_input
 from subfault.matstack import (
     _CHUNK,
     RankPolicy,
-    _fold_factor,
+    _fold_into,
     _hankel_factor,
     _largest_gap,
     _lti_states,
-    _put_windows,
     _residual_factors,
     _triangle,
     block_hankel,
@@ -230,7 +229,7 @@ class TestChunkedFactor:
         signal = rng.standard_normal((width + depth - 1, 3))
         full = block_hankel(signal, depth, width)
         ref = np.linalg.qr(full.T, mode="r")
-        got = _hankel_factor((signal,), depth, width, depth * 3, _put_windows)
+        got = _hankel_factor((signal,), depth, width, depth * 3, np.copyto)
         assert got.shape == ref.shape
         assert _spectra_agree(got, ref)
         assert np.abs(got.T @ got - full @ full.T).max() <= 1e-12 * np.abs(full @ full.T).max()
@@ -255,7 +254,7 @@ class TestChunkedFactor:
         assert got.shape == (width, 12)
         assert _spectra_agree(got, full)
         with pytest.raises(ValueError):
-            _hankel_factor((y,), 13, 0, 26, _put_windows)
+            _hankel_factor((y,), 13, 0, 26, np.copyto)
 
     @pytest.mark.parametrize("width", CHUNK_WIDTHS)
     def test_residual_factors_match_full_hankels(self, demo, width):
@@ -274,6 +273,11 @@ class TestChunkedFactor:
             assert low.shape == (depth * 2, min(full.shape))
             assert not np.triu(low, 1).any()
             assert _spectra_agree(low, full)
+
+
+def _fold_factor(r, rows):
+    """One fold of rows already formed, copied into the fold buffer."""
+    return _fold_into(r, len(rows), lambda out: np.copyto(out, rows))
 
 
 class TestTriangleKernel:

@@ -14,7 +14,7 @@ from subfault.harness import (
 from subfault.matstack import (
     _CHUNK,
     RankPolicy,
-    _fold_factor,
+    _fold_into,
     _hankel_factor,
     _lti_states,
     block_hankel,
@@ -511,7 +511,8 @@ def _reference_b_d_x0(a, c, u_data, y_data, u_mean=0.0, y_mean=0.0):
         rows[:, :, :n_w] = c @ w_all[:-1]
         rows[:, :, n_w:-1] = _unit_input_blocks(u_h, n_y)
         rows[:, :, -1] = y_data[k0:k1] - y_mean
-        r = _fold_factor(r, rows.reshape(-1, n_params + 1))
+        rows = rows.reshape(-1, n_params + 1)
+        r = _fold_into(r, len(rows), lambda out: np.copyto(out, rows))
         w = w_all[-1]
     theta = min_norm_lsq(r[:n_params, :n_params], r[:n_params, -1])
     return theta[n : n + n * n_u].reshape(n_u, n).T, theta[n + n * n_u :].reshape(n_u, n_y).T, theta[:n]
