@@ -108,8 +108,11 @@ def estimate_order(singular_values) -> OrderSelection:
 
 
 # condition number of the input factor R_UU above which pi_moesp folds the
-# input windows a second time, in R_UU's own coordinates (see there)
-_REFOLD_COND = 10.0
+# input windows a second time, in R_UU's own coordinates (see there): half
+# the lowest one (19.5, a T = 10^5 record) at which the single solve was
+# seen to leave the full factor's observability range by more than 1e-10
+# rad; that angle grows about as the condition number squared
+_REFOLD_COND = 9.7
 
 
 def _identification_window(order: int) -> int:
@@ -151,7 +154,7 @@ def pi_moesp(
     R_UU^T R_UY = W^T Y_f^T gives those rows: L32 is R_UY's U_p rows,
     transposed. Y_f's own block (L33) is never formed. The solve loses
     digits in proportion to R_UU's condition number, so for an input whose
-    R_UU has one above 10 (a strongly low-pass input, say) the windows are
+    R_UU has one above 9.7 (a strongly low-pass input, say) the windows are
     folded a second time as W R_UU^-1, whose factor is well conditioned;
     either way L32 agrees with the full factor's to rounding. C comes from
     the first block row, A from the shift-invariance least squares, and B,
@@ -305,7 +308,10 @@ def _estimate_b_d_x0(a, c, u_data, y_data, u_mean=0.0, y_mean=0.0):
         w_all = _lti_states(a, w, drive)
 
         def fill(out):
-            rows = out.reshape(len(u_h), n_y, n_params + 1, copy=False)
+            # a view of the buffer rows, sample by sample; setting the shape
+            # raises where reshape would silently copy
+            rows = out.view()
+            rows.shape = (len(u_h), n_y, n_params + 1)
             rows[:, :, :n_w] = c @ w_all[:-1]
             rows[:, :, n_w:-1] = 0.0
             _put_unit_input_blocks(rows[:, :, n_w:-1], u_h)
